@@ -125,13 +125,18 @@ def _selftest_checks():
         )
         return np.allclose(w, raw / raw.sum(), rtol=1e-10, atol=0)
 
-    def check_worker_invariance():
+    def check_stacked_rollouts():
         plan = NoisePlan.sample(5, 33, 6, cost.sigma_chol)
-        controls = rng.normal(size=(6, 1))
-        x0 = np.array([0.3, -0.1])
-        a = rollout_batch(model, cost, x0, controls, plan.draws, workers=1)
-        b = rollout_batch(model, cost, x0, controls, plan.draws, workers=4)
-        return np.array_equal(a.costs, b.costs)
+        controls = rng.normal(size=(3, 6, 1))
+        starts = rng.normal(size=(3, 1, 2))
+        stacked = rollout_batch(model, cost, starts, controls, plan.draws)
+        return all(
+            np.array_equal(
+                stacked.costs[g],
+                rollout_batch(model, cost, starts[g, 0], controls[g], plan.draws).costs,
+            )
+            for g in range(3)
+        )
 
     def check_augmented_reduction():
         plan = NoisePlan.sample(9, 48, 6, cost.sigma_chol)
@@ -166,7 +171,7 @@ def _selftest_checks():
         ("free energy sandwich", check_sandwich),
         ("mixed cost threshold equivalence", check_mixed_threshold),
         ("importance weights match density ratio", check_is_weight),
-        ("rollout worker invariance", check_worker_invariance),
+        ("stacked rollouts equal separate ones", check_stacked_rollouts),
         ("augmented channels reduce to plain", check_augmented_reduction),
         ("tracking rate fit", check_gamma_fit),
         ("growth bound arithmetic", check_bound_factor),

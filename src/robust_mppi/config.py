@@ -11,6 +11,7 @@ they executed with.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -20,7 +21,10 @@ def _parse_int(s: str) -> int:
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if math.isnan(value):
+        raise ValueError("NaN is not allowed")
+    return value
 
 
 def _parse_str(s: str) -> str:
@@ -31,7 +35,7 @@ def _parse_vec(s: str) -> tuple[float, ...]:
     parts = [p for p in s.replace(",", " ").split() if p]
     if not parts:
         raise ValueError("expected at least one number")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_vec_or_none(s: str) -> tuple[float, ...] | None:
@@ -75,7 +79,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "sampling": {
         "n_samples": (_parse_int, "512"),
         "horizon": (_parse_int, "50"),
-        "workers": (_parse_int, "1"),
         "smoothing_window": (_parse_int, "0"),
     },
     "feedback": {
@@ -131,7 +134,6 @@ class ExperimentConfig:
     crash_cost: float
     n_samples: int
     horizon: int
-    workers: int
     smoothing_window: int
     feedback_kind: str
     q_track: tuple[float, ...]
@@ -215,6 +217,11 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ValueError("experiment.steps must be positive")
     if samp["n_samples"] < 2 or samp["horizon"] < 1:
         raise ValueError("sampling.n_samples must be >= 2 and sampling.horizon >= 1")
+    if not 0.0 < fb["gamma_clip"] < 0.5:
+        raise ValueError(f"feedback.gamma_clip must lie in (0, 0.5), got {fb['gamma_clip']}")
+    for key in ("n_candidates", "emv_repeats"):
+        if rmp[key] < 2:
+            raise ValueError(f"rmppi.{key} must be >= 2, got {rmp[key]}")
 
     raw = tuple(
         (s, k, table[s][k]) for s in _SCHEMA for k in _SCHEMA[s]
@@ -243,7 +250,6 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
         crash_cost=cost["crash_cost"],
         n_samples=samp["n_samples"],
         horizon=samp["horizon"],
-        workers=samp["workers"],
         smoothing_window=samp["smoothing_window"],
         feedback_kind=fb["kind"],
         q_track=fb["q_track"],

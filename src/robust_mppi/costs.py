@@ -96,32 +96,28 @@ def control_cost_term(
 
 
 def penalty_step_terms(u_eff: Array, eps_t: Array, sigma_inv: Array) -> Array:
-    """Per-sample quadratic form ``u_eff^T Sigma^{-1} (u_eff + 2*eps_t)`` for one step.
+    """Per-step quadratic form ``u_eff^T Sigma^{-1} (u_eff + 2*eps_t)``.
 
-    ``u_eff`` and ``eps_t`` have shape ``(N, n_u)``.  All penalty paths route
-    through this function so that costs assembled by different controllers
-    from the same numbers agree bit for bit.
+    ``u_eff`` and ``eps_t`` broadcast against each other over leading axes,
+    ``(..., n_u)`` to ``(...)``.  All penalty paths route through this
+    function so that costs assembled by different controllers from the same
+    numbers agree bit for bit.
     """
-    si = np.einsum("vu,nu->nv", sigma_inv, u_eff)
-    return np.einsum("nv,nv->n", si, u_eff + 2.0 * eps_t)
+    si = np.einsum("vu,...u->...v", sigma_inv, u_eff)
+    return np.einsum("...v,...v->...", si, u_eff + 2.0 * eps_t)
 
 
 def control_penalty_batch(
     controls: Array, draws: Array, sigma_inv: Array, coef: float
 ) -> Array:
-    """Summed penalty per sample for a shared control sequence and per-sample noise.
+    """Summed penalty per sample for shared control sequences and per-sample noise.
 
-    ``controls`` is ``(T, n_u)``, ``draws`` is ``(N, T, n_u)``; returns ``(N,)``.
-    The reduction order is fixed (per step, then a single sum over the
-    horizon) so results do not depend on how the sample batch was chunked.
+    ``controls`` is ``(T, n_u)``, or one sequence per group ``(G, T, n_u)``;
+    ``draws`` is ``(N, T, n_u)``.  Returns ``(N,)``, or ``(G, N)``.  The
+    reduction order is fixed: per-step terms, then one sum over the horizon.
     """
-    n = draws.shape[0]
-    horizon, n_u = controls.shape
-    terms = np.empty((n, horizon))
-    for t in range(horizon):
-        u_eff = np.broadcast_to(controls[t], (n, n_u))
-        terms[:, t] = penalty_step_terms(u_eff, draws[:, t], sigma_inv)
-    return coef * terms.sum(axis=1)
+    terms = penalty_step_terms(np.expand_dims(controls, -3), draws, sigma_inv)
+    return coef * terms.sum(axis=-1)
 
 
 class TaskCost(NamedTuple):

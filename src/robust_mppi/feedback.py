@@ -252,8 +252,11 @@ def fit_gamma_window(residuals, clip_eps: float = 1e-3) -> float:
 
     Fits from the first informative (positive) residual in the window and
     clamps to [clip_eps, 1 - clip_eps].  With no usable decay information the
-    most conservative value, 1 - clip_eps, is returned.
+    most conservative value, 1 - clip_eps, is returned.  ``clip_eps`` must lie
+    in (0, 0.5), or the clamp bounds would cross.
     """
+    if not 0.0 < clip_eps < 0.5:
+        raise ValueError(f"clip_eps must lie in (0, 0.5), got {clip_eps}")
     residuals = np.asarray(list(residuals), dtype=float)
     fallback = 1.0 - clip_eps
     pos = np.nonzero(residuals > 0.0)[0]

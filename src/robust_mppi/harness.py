@@ -160,7 +160,6 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             cfg.horizon,
             cfg.seed,
             smoothing_window=cfg.smoothing_window,
-            workers=cfg.workers,
         )
     if cfg.controller == "tube":
         return TubeMppiController(
@@ -173,7 +172,6 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             cfg.alpha,
             x_star0=x0,
             smoothing_window=cfg.smoothing_window,
-            workers=cfg.workers,
         )
     if cfg.controller == "rmppi":
         settings = RmppiSettings(
@@ -184,7 +182,6 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             nsp_samples=cfg.nsp_samples,
             emv_repeats=cfg.emv_repeats,
             smoothing_window=cfg.smoothing_window,
-            workers=cfg.workers,
             gamma=analytic_gamma,
             gamma_window=cfg.gamma_window,
             gamma_clip=cfg.gamma_clip,

@@ -35,11 +35,11 @@ from .sampling import (
     derive_seed,
     free_energy_mc,
     mppi_update,
+    propagate,
     rollout_batch,
     shift_control_sequence,
     softmax_weights,
     weighted_noise,
-    _worker_slices,
 )
 
 Array = np.ndarray
@@ -97,45 +97,6 @@ class AugmentedRollout:
     crashed: Array
 
 
-def _augmented_chunk(
-    model: SystemModel,
-    cost: CostFunction,
-    x0: Array,
-    x0_star: Array,
-    controls: Array,
-    policy: FeedbackPolicy,
-    draws: Array,
-) -> tuple[Array, Array, Array, Array, Array]:
-    """Co-propagate real and nominal copies for one chunk of samples."""
-    n = draws.shape[0]
-    horizon = controls.shape[0]
-    x = np.broadcast_to(x0, (n, x0.shape[0])).copy()
-    xs = np.broadcast_to(x0_star, (n, x0_star.shape[0])).copy()
-    state_real = np.zeros(n)
-    state_nom = np.zeros(n)
-    fb_terms = np.zeros((n, horizon))
-    ctrl_real_terms = np.zeros((n, horizon))
-    alive = np.ones(n, dtype=bool)
-    zeros = np.zeros(n)
-    for t in range(horizon):
-        k_fb = policy.apply_batch(x, xs, t)
-        u_eff = controls[t] + k_fb
-        x = model.step(x, u_eff + draws[:, t])
-        xs = model.step(xs, controls[t] + draws[:, t])
-        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(xs).all(axis=1))
-        if bad.any():
-            alive &= ~bad
-            x[bad] = 0.0
-            xs[bad] = 0.0
-        state_real = state_real + np.where(alive, cost.state_cost(x), zeros)
-        state_nom = state_nom + np.where(alive, cost.state_cost(xs), zeros)
-        fb_terms[:, t] = penalty_step_terms(k_fb, np.zeros_like(k_fb), cost.sigma_inv)
-        ctrl_real_terms[:, t] = penalty_step_terms(u_eff, draws[:, t], cost.sigma_inv)
-    state_real = state_real + np.where(alive, cost.terminal_cost(x), zeros)
-    state_nom = state_nom + np.where(alive, cost.terminal_cost(xs), zeros)
-    return state_real, state_nom, fb_terms, ctrl_real_terms, ~alive
-
-
 def augmented_rollouts(
     model: SystemModel,
     cost: CostFunction,
@@ -145,7 +106,6 @@ def augmented_rollouts(
     policy: FeedbackPolicy,
     draws: Array,
     alpha: float,
-    workers: int = 1,
 ) -> AugmentedRollout:
     """Evaluate every cost channel over a batch of shared noise draws.
 
@@ -161,25 +121,29 @@ def augmented_rollouts(
       + (lam/2) sum u^T Sigma^{-1} (u+2 eps)``
 
     Samples where either copy leaves the finite range are marked crashed and
-    priced at ``cost.crash_cost`` in every channel.  Worker chunking affects
-    scheduling only; results are identical for any worker count.
+    priced at ``cost.crash_cost`` in every channel.
     """
-    x0 = np.asarray(x0, dtype=float)
-    x0_star = np.asarray(x0_star, dtype=float)
-    parts = [
-        _augmented_chunk(model, cost, x0, x0_star, controls, policy, draws[sl])
-        for sl in _worker_slices(draws.shape[0], workers)
-    ]
-    state_real = np.concatenate([p[0] for p in parts])
-    state_nom = np.concatenate([p[1] for p in parts])
-    fb_terms = np.concatenate([p[2] for p in parts])
-    ctrl_real_terms = np.concatenate([p[3] for p in parts])
-    crashed = np.concatenate([p[4] for p in parts])
+    starts = np.stack([np.asarray(x0, dtype=float), np.asarray(x0_star, dtype=float)])
+    no_correction = np.zeros((draws.shape[0], controls.shape[-1]))
+
+    def feedback(x: Array, t: int) -> Array:
+        # the real copy (group 0) tracks the nominal copy (group 1)
+        return np.stack([policy.apply_batch(x[0], x[1], t), no_correction])
+
+    state, crashed, ks = propagate(model, cost, starts[:, None], controls, draws, feedback)
+    state_real, state_nom = state
+    crashed = crashed.any(axis=0)
 
     coef_beta = control_penalty_coef(cost.lam, cost.beta, beta_weighted=True)
     coef_plain = control_penalty_coef(cost.lam, cost.beta, beta_weighted=False)
-    penalized = state_real + coef_beta * fb_terms.sum(axis=1)
-    real = state_real + coef_beta * ctrl_real_terms.sum(axis=1)
+    k_real = ks[0]
+    penalized = state_real + coef_beta * penalty_step_terms(
+        k_real, 0.0, cost.sigma_inv
+    ).sum(axis=-1)
+    k_real += controls  # the applied u + k, in place to spare an (N, T, n_u) array
+    real = state_real + coef_beta * penalty_step_terms(
+        k_real, draws, cost.sigma_inv
+    ).sum(axis=-1)
     ctrl_plain = control_penalty_batch(controls, draws, cost.sigma_inv, coef_plain)
     ctrl_beta = control_penalty_batch(controls, draws, cost.sigma_inv, coef_beta)
     mixed = mixed_cost(state_nom, penalized, alpha) + ctrl_plain
@@ -238,7 +202,6 @@ def nominal_state_propagation(
     alpha: float,
     n_candidates: int,
     draws: Array,
-    workers: int = 1,
 ) -> NominalDecision:
     """Choose the next nominal state from a line of interpolated candidates.
 
@@ -270,20 +233,9 @@ def nominal_state_propagation(
     candidates[r] = x
 
     shifted = shift_control_sequence(controls)
-    n = draws.shape[0]
-    free_energies = np.empty(r + 1)
-    res0 = rollout_batch(
-        model, cost, candidates[0], controls, draws, control_term="beta", workers=workers
-    )
-    free_energies[0] = free_energy_mc(res0.costs, cost.lam).value
-    starts = np.repeat(candidates[1:], n, axis=0)
-    tiled = np.tile(draws, (r, 1, 1))
-    res = rollout_batch(
-        model, cost, starts, shifted, tiled, control_term="beta", workers=workers
-    )
-    grouped = res.costs.reshape(r, n)
-    for i in range(r):
-        free_energies[i + 1] = free_energy_mc(grouped[i], cost.lam).value
+    plans = np.concatenate([controls[None], np.broadcast_to(shifted, (r,) + shifted.shape)])
+    res = rollout_batch(model, cost, candidates[:, None], plans, draws, control_term="beta")
+    free_energies = np.array([free_energy_mc(c, cost.lam).value for c in res.costs])
 
     feasible = free_energies <= alpha
     distances = np.linalg.norm(candidates - x, axis=1)
@@ -383,7 +335,6 @@ def tube_mppi_step(
     draws: Array,
     alpha: float,
     smoothing_window: int = 0,
-    workers: int = 1,
 ) -> TubeStepResult:
     """One tube controller update from the measured and nominal states.
 
@@ -395,13 +346,8 @@ def tube_mppi_step(
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
-    res_nom = rollout_batch(
-        model, cost, x_star, controls, draws, control_term="plain", workers=workers
-    )
-    res_real = rollout_batch(
-        model, cost, x, controls, draws, control_term="plain", workers=workers
-    )
-    if res_nom.crashed.all() or res_real.crashed.all():
+    res = rollout_batch(model, cost, np.stack([x_star, x])[:, None], controls, draws)
+    if res.crashed.all(axis=1).any():
         action = model.clamp(controls[0] + policy.apply(x, x_star, 0))
         return TubeStepResult(
             action=action,
@@ -412,13 +358,14 @@ def tube_mppi_step(
             fe_nom=cost.crash_cost,
             degenerate=True,
         )
-    fe_nom = free_energy_mc(res_nom.costs, cost.lam).value
-    fe_real = free_energy_mc(res_real.costs, cost.lam).value
+    costs_nom, costs_real = res.costs
+    fe_nom = free_energy_mc(costs_nom, cost.lam).value
+    fe_real = free_energy_mc(costs_real, cost.lam).value
     u_nom = mppi_update(
-        controls, softmax_weights(res_nom.costs, cost.lam), draws, smoothing_window
+        controls, softmax_weights(costs_nom, cost.lam), draws, smoothing_window
     )
     u_real = mppi_update(
-        controls, softmax_weights(res_real.costs, cost.lam), draws, smoothing_window
+        controls, softmax_weights(costs_real, cost.lam), draws, smoothing_window
     )
     reset = fe_real - fe_nom < alpha
     if reset:
@@ -453,7 +400,6 @@ class TubeMppiController:
         alpha: float,
         x_star0: Array | None = None,
         smoothing_window: int = 0,
-        workers: int = 1,
     ) -> None:
         self.model = model
         self.cost = cost
@@ -463,7 +409,6 @@ class TubeMppiController:
         self.policy_factory = policy_factory
         self.alpha = float(alpha)
         self.smoothing_window = smoothing_window
-        self.workers = workers
         self.controls = np.zeros((self.horizon, model.n_u))
         self.x_star = None if x_star0 is None else np.asarray(x_star0, dtype=float).copy()
         self.step_index = 0
@@ -491,7 +436,6 @@ class TubeMppiController:
             plan.draws,
             self.alpha,
             self.smoothing_window,
-            self.workers,
         )
         self.controls = result.controls
         x_star_logged = self.x_star if result.degenerate else (
@@ -527,7 +471,6 @@ def estimate_value_noise(
     seed: int,
     repeats: int,
     n_samples: int,
-    workers: int = 1,
 ) -> tuple[float, Array]:
     """Spread of repeated reduced-sample free-energy estimates at one state.
 
@@ -536,9 +479,7 @@ def estimate_value_noise(
     resulting estimates together with the estimates themselves.
     """
     plan = NoisePlan.sample(seed, repeats * n_samples, controls.shape[0], cost.sigma_chol)
-    res = rollout_batch(
-        model, cost, x_star, controls, plan.draws, control_term="beta", workers=workers
-    )
+    res = rollout_batch(model, cost, x_star, controls, plan.draws, control_term="beta")
     grouped = res.costs.reshape(repeats, n_samples)
     estimates = np.array(
         [free_energy_mc(grouped[k], cost.lam).value for k in range(repeats)]
@@ -557,7 +498,6 @@ class RmppiSettings:
     nsp_samples: int = 64
     emv_repeats: int = 8
     smoothing_window: int = 0
-    workers: int = 1
     gamma: float | None = None
     gamma_window: int = 20
     gamma_clip: float = 1e-3
@@ -624,7 +564,6 @@ class RmppiController:
             self.s.alpha,
             self.s.n_candidates,
             plan.draws,
-            self.s.workers,
         )
         self.x_star = decision.candidates[decision.index].copy()
         self.controls = decision.control_sequence
@@ -665,7 +604,6 @@ class RmppiController:
             policy,
             plan.draws,
             self.s.alpha,
-            self.s.workers,
         )
         feedback0 = policy.apply(x, self.x_star, 0)
         degenerate = bool(roll.crashed.all())
@@ -696,7 +634,6 @@ class RmppiController:
             derive_seed(self.seed, self.step_index, STREAM_EMV),
             self.s.emv_repeats,
             max(self.s.n_samples // self.s.emv_repeats, 2),
-            self.s.workers,
         )
         gamma_hat = self._tracking_gamma()
         params = BoundParams(

@@ -2,15 +2,17 @@
 
 Determinism contract: every random stream is derived from the experiment seed
 plus a (step, stream) path through :func:`derive_seed`, so a run is a pure
-function of its config.  All cross-sample reductions (softmax sums, weighted
-noise averages, free-energy log-sum-exp) operate on full per-sample arrays in
-index order, and per-sample evaluation is elementwise, so splitting a batch
-across workers cannot change any result bit.
+function of its config.  Every controller path rolls its samples through one
+kernel, :func:`propagate`, which advances groups of samples under shared
+noise draws with an optional tracking correction.  Per-sample evaluation is
+elementwise and penalties are summed in a fixed order after the horizon loop,
+so a sample's cost does not depend on which other samples or groups share
+its batch.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -164,29 +166,51 @@ class RolloutResult:
     crashed: Array
 
 
-def _worker_slices(n: int, workers: int) -> list[slice]:
-    workers = max(1, min(int(workers), n))
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def propagate(
+    model,
+    cost: CostFunction,
+    starts: Array,
+    controls: Array,
+    draws: Array,
+    feedback: Callable[[Array, int], Array] | None = None,
+) -> tuple[Array, Array, Array | None]:
+    """Roll groups of samples through shared noise and accumulate state cost.
 
+    ``starts`` broadcasts to ``(G, N, n_x)``; ``controls`` is one sequence
+    ``(T, n_u)`` for every group or one per group ``(G, T, n_u)``; ``draws``
+    is ``(N, T, n_u)`` and is shared by every group.  Step ``t`` applies
+    ``controls[t] + k + draws[:, t]``, where ``k = feedback(x, t)`` is a
+    correction broadcastable to ``(G, N, n_u)`` computed from the current
+    states ``x``; with no ``feedback`` nothing is added.  Rows whose state
+    stops being finite are parked at zero and add no further cost.
 
-def _state_rollout_chunk(
-    model, cost: CostFunction, x0: Array, controls: Array, draws: Array
-) -> tuple[Array, Array]:
-    """Accumulate running + terminal state cost for one chunk of samples."""
-    n = draws.shape[0]
-    x = np.broadcast_to(x0, (n, model.n_x)).astype(float).copy() if x0.ndim == 1 else x0.astype(float).copy()
-    s = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    for t in range(controls.shape[0]):
-        x = model.step(x, controls[t] + draws[:, t, :])
+    Returns the running plus terminal state costs and the crash flags, both
+    ``(G, N)``, and the corrections stacked along the horizon,
+    ``(..., T, n_u)``, or None without ``feedback``.
+    """
+    n, horizon, n_u = draws.shape
+    groups = np.broadcast_shapes(starts.shape[:-2], controls.shape[:-2], (1,))
+    ctrl = np.broadcast_to(controls, groups + (horizon, n_u))
+    x = np.broadcast_to(starts, groups + (n, model.n_x))
+    s = np.zeros(x.shape[:-1])
+    alive = np.ones(x.shape[:-1], dtype=bool)
+    ks = None
+    for t in range(horizon):
+        u = ctrl[:, None, t]
+        if feedback is not None:
+            k = feedback(x, t)
+            if ks is None:
+                ks = np.empty(k.shape[:-1] + (horizon, k.shape[-1]))
+            ks[..., t, :] = k
+            u = u + k
+        x = model.step(x, u + draws[:, t])
         bad = ~np.all(np.isfinite(x), axis=-1)
         if np.any(bad):
             alive &= ~bad
             x[bad] = 0.0  # park crashed samples; their cost is overwritten later
         s += np.where(alive, cost.state_cost(x), 0.0)
     s += np.where(alive, cost.terminal_cost(x), 0.0)
-    return s, ~alive
+    return s, ~alive, ks
 
 
 def rollout_batch(
@@ -196,31 +220,28 @@ def rollout_batch(
     controls: Array,
     draws: Array,
     control_term: str = "plain",
-    workers: int = 1,
 ) -> RolloutResult:
     """Propagate every sample under ``controls + draws`` and price the paths.
 
-    ``x0`` may be a single state or one start per sample.  ``control_term``
-    selects the penalty variant: "plain" (lam/2), "beta" (lam*(1-beta)/2) or
-    "none".  Samples whose state stops being finite get ``cost.crash_cost``
-    and are flagged.  Splitting across workers never changes the result.
+    ``x0`` may be a single state or one start per sample.  Groups sharing the
+    draws are rolled out in one pass when ``x0`` is ``(G, 1 or N, n_x)`` or
+    ``controls`` is ``(G, T, n_u)``; the results are then ``(G, N)`` and each
+    group equals its own ungrouped call.  ``control_term`` selects the
+    penalty variant: "plain" (lam/2), "beta" (lam*(1-beta)/2) or "none".
+    Samples whose state stops being finite get ``cost.crash_cost`` and are
+    flagged.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 3 or draws.shape[1] != controls.shape[0]:
+    if draws.ndim != 3 or draws.shape[1] != controls.shape[-2]:
         raise ValueError("draws must have shape (n_samples, horizon, n_u) matching controls")
-    if x0.ndim == 2 and x0.shape[0] != draws.shape[0]:
+    if x0.ndim >= 2 and x0.shape[-2] not in (1, draws.shape[0]):
         raise ValueError("per-sample starts must match the number of samples")
-    n = draws.shape[0]
 
-    parts = []
-    for sl in _worker_slices(n, workers):
-        x0_part = x0 if x0.ndim == 1 else x0[sl]
-        parts.append(_state_rollout_chunk(model, cost, x0_part, controls, draws[sl]))
-    state_costs = np.concatenate([p[0] for p in parts])
-    crashed = np.concatenate([p[1] for p in parts])
-
+    state_costs, crashed, _ = propagate(model, cost, x0, controls, draws)
+    if x0.ndim < 3 and controls.ndim < 3:
+        state_costs, crashed = state_costs[0], crashed[0]
     if control_term == "none":
         total = state_costs.copy()
     elif control_term in ("plain", "beta"):
@@ -230,15 +251,6 @@ def rollout_batch(
         raise ValueError(f"unknown control_term {control_term!r}")
     total = np.where(crashed, cost.crash_cost, total)
     return RolloutResult(costs=total, state_costs=state_costs, crashed=crashed)
-
-
-def export_batch_csv(path, costs: Array, weights: Array) -> None:
-    """Write (sample index, cost, weight) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "cost", "weight"])
-        for i, (c, w) in enumerate(zip(costs, weights)):
-            writer.writerow([i, repr(float(c)), repr(float(w))])
 
 
 class MppiController:
@@ -258,7 +270,6 @@ class MppiController:
         horizon: int,
         seed: int,
         smoothing_window: int = 0,
-        workers: int = 1,
     ):
         self.model = model
         self.cost = cost
@@ -266,7 +277,6 @@ class MppiController:
         self.horizon = horizon
         self.seed = seed
         self.smoothing_window = smoothing_window
-        self.workers = workers
         self.controls = np.zeros((horizon, model.n_u))
         self.step_index = 0
         self._prev_fe = None
@@ -279,10 +289,7 @@ class MppiController:
             self.horizon,
             self.cost.sigma_chol,
         )
-        res = rollout_batch(
-            self.model, self.cost, x, self.controls, plan.draws,
-            control_term="plain", workers=self.workers,
-        )
+        res = rollout_batch(self.model, self.cost, x, self.controls, plan.draws)
         degenerate = bool(res.crashed.all())
         if degenerate:
             action = self.model.clamp(self.controls[0])

@@ -390,21 +390,16 @@ def test_identical_configs_reproduce_bit_identical_logs(tmp_path):
         "rmppi.emv_repeats=4",
     ]
     paths = []
-    for name, extra in (
-        ("first", []),
-        ("second", []),
-        ("chunked", ["sampling.workers=3"]),
-    ):
-        cfg = load_config(DI_STRESS, overrides + extra)
+    for name in ("first", "second"):
+        cfg = load_config(DI_STRESS, overrides)
         log = run_closed_loop(cfg)
         path = tmp_path / f"{name}.csv"
         log.to_csv(path)
         paths.append(path.read_bytes())
-    ok = paths[0] == paths[1] and paths[0] == paths[2]
+    ok = paths[0] == paths[1]
     _report(
         "identical configs reproduce bit-identical logs",
         ok,
-        f"repeat run identical: {paths[0] == paths[1]}; "
-        f"worker-count variant identical: {paths[0] == paths[2]}",
+        f"repeat run identical: {ok}",
     )
     assert ok

@@ -240,6 +240,14 @@ def test_fit_gamma_window_clamps_into_open_interval():
     assert abs(mid - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("clip_eps", [0.5, 0.7, 0.0, -1e-3])
+def test_fit_gamma_window_rejects_crossed_clip_bounds(clip_eps):
+    # from 0.5 up the clamp bounds cross: at 0.7 np.clip would turn this
+    # series' fitted rate of about 0.999 into 0.3, a less conservative bound
+    with pytest.raises(ValueError, match="clip_eps"):
+        fit_gamma_window(np.array([1.0, 0.999, 0.998, 0.5]), clip_eps)
+
+
 def test_fit_gamma_window_uninformative_series_returns_conservative_rate():
     assert fit_gamma_window(np.zeros(5)) == 1.0 - 1e-3
     assert fit_gamma_window(np.array([0.0, 0.0, 1.0])) == 1.0 - 1e-3

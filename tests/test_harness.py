@@ -90,6 +90,26 @@ def test_config_validation_rules():
         load_config(overrides=["sampling.n_samples=1"])
 
 
+# Each value loaded before and then failed or misled the run; the error must
+# name the key.
+LOAD_TIME_REJECTIONS = {
+    "feedback.gamma_clip=0.5": "feedback.gamma_clip",
+    "feedback.gamma_clip=0.7": "feedback.gamma_clip",
+    "feedback.gamma_clip=0": "feedback.gamma_clip",
+    "cost.wall_cap=nan": "bad value for cost.wall_cap",
+    "cost.lambda=nan": "bad value for cost.lambda",
+    "cost.wall_offsets=1.5,nan": "bad value for cost.wall_offsets",
+    "rmppi.emv_repeats=1": "rmppi.emv_repeats",
+    "rmppi.n_candidates=1": "rmppi.n_candidates",
+}
+
+
+@pytest.mark.parametrize("override", list(LOAD_TIME_REJECTIONS))
+def test_values_that_would_fail_mid_run_are_rejected_at_load(override):
+    with pytest.raises(ValueError, match=LOAD_TIME_REJECTIONS[override]):
+        load_config(overrides=[override])
+
+
 def test_with_values_and_render_round_trip(tmp_path):
     cfg = load_config().with_values(
         **{"experiment.name": "abc", "cost.beta": "0.25"}

@@ -153,24 +153,6 @@ def test_augmented_channels_collapse_to_plain_rollouts_without_feedback():
     assert np.array_equal(roll.mixed, plain.costs)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_augmented_rollouts_do_not_depend_on_worker_count(workers):
-    model = double_integrator(dt=0.05)
-    cost = simple_cost()
-    rng = np.random.default_rng(11)
-    controls = 0.3 * rng.normal(size=(6, 1))
-    draws = rng.normal(size=(40, 6, 1))
-    policy = LinearGainsPolicy(gains=np.tile(np.array([[[-2.0, -1.5]]]), (6, 1, 1)))
-    x0 = np.array([0.4, 0.0])
-    xs0 = np.array([0.1, 0.0])
-    base = augmented_rollouts(model, cost, x0, xs0, controls, policy, draws, alpha=50.0)
-    other = augmented_rollouts(
-        model, cost, x0, xs0, controls, policy, draws, alpha=50.0, workers=workers
-    )
-    for name in ("nominal", "penalized", "real", "mixed", "nominal_eval", "crashed"):
-        assert np.array_equal(getattr(base, name), getattr(other, name))
-
-
 def test_augmented_rollouts_price_crashed_samples():
     model = control_blowup_model()
     cost = simple_cost(crash_cost=1e4)

@@ -11,7 +11,6 @@ from robust_mppi.sampling import (
     MppiController,
     NoisePlan,
     derive_seed,
-    export_batch_csv,
     free_energy_mc,
     is_weight,
     mppi_update,
@@ -202,20 +201,6 @@ def test_rollout_batch_is_pure():
     assert np.array_equal(a.costs, b.costs)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 5, 8])
-def test_rollout_batch_worker_count_never_changes_results(workers):
-    model = double_integrator()
-    cost = simple_cost()
-    plan = NoisePlan.sample(8, 37, 6, cost.sigma_chol)
-    controls = np.linspace(-0.5, 0.5, 6).reshape(6, 1)
-    x0 = np.array([1.0, 0.0])
-    base = rollout_batch(model, cost, x0, controls, plan.draws, workers=1)
-    split = rollout_batch(model, cost, x0, controls, plan.draws, workers=workers)
-    assert np.array_equal(base.costs, split.costs)
-    assert np.array_equal(base.state_costs, split.state_costs)
-    assert np.array_equal(base.crashed, split.crashed)
-
-
 def test_rollout_state_cost_identity_with_path_cost():
     # the rollout prices states after each step plus the terminal state, so it
     # equals the start-inclusive path cost minus q(start) plus q(end)
@@ -277,18 +262,6 @@ def test_rollout_batch_validates_shapes():
         rollout_batch(model, cost, np.zeros(2), np.zeros((4, 1)), np.zeros((3, 5, 1)))
     with pytest.raises(ValueError, match="per-sample starts"):
         rollout_batch(model, cost, np.zeros((2, 2)), np.zeros((4, 1)), np.zeros((3, 4, 1)))
-
-
-def test_export_batch_csv_round_trips_exact_floats(tmp_path):
-    costs = np.array([1.0 / 3.0, 2.0 / 7.0])
-    weights = np.array([0.123456789012345678, 0.9])
-    path = tmp_path / "batch.csv"
-    export_batch_csv(path, costs, weights)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sample,cost,weight"
-    for line, c, w in zip(lines[1:], costs, weights):
-        idx, cs, ws = line.split(",")
-        assert float(cs) == c and float(ws) == w
 
 
 def test_controller_is_deterministic_across_instances():
