@@ -21,12 +21,19 @@ class CostFunction:
     """Running cost ``q``, terminal cost ``phi`` and the sampling covariance.
 
     ``state_cost`` and ``terminal_cost`` must broadcast over leading batch
-    axes, mapping ``(..., n_x)`` to ``(...)``.  ``sigma`` is the control
-    exploration covariance; its Cholesky factor and inverse are computed once
-    and cached on the instance.  ``lipschitz_q``/``lipschitz_phi`` are bounds
-    over the admissible task domain, used by the growth-bound monitor.
-    ``crash_cost`` is the finite cost assigned to rollouts whose state stops
-    being finite.
+    axes, mapping ``(..., n_x)`` to ``(...)``.  The rollout kernel calls
+    ``state_cost`` once per horizon step on every sample, so write it on
+    columns ``x[..., i]``, not with reductions over ``axis=-1`` or
+    broadcasts against ``(n_x,)`` vectors: with n_x = 2 those run numpy's
+    inner loop once per sample row.  On a ``(2, 4096, 2)`` batch the
+    quadratic cost of :func:`quadratic_wall_cost` took about 370 us written
+    that way and 50 us on columns (numpy 2.4.6, one core of a 2-vCPU Xeon).
+
+    ``sigma`` is the control exploration covariance; its Cholesky factor and
+    inverse are computed once and cached on the instance.
+    ``lipschitz_q``/``lipschitz_phi`` are bounds over the admissible task
+    domain, used by the growth-bound monitor.  ``crash_cost`` is the finite
+    cost assigned to rollouts whose state stops being finite.
     """
 
     state_cost: Callable[[Array], Array]
@@ -48,8 +55,8 @@ class CostFunction:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise ValueError("sigma must be positive definite") from None
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if not np.isfinite(self.crash_cost):
@@ -152,13 +159,35 @@ def quadratic_wall_cost(
         raise ValueError("weights must be nonnegative")
     offsets = None if wall_offsets is None else np.asarray(wall_offsets, dtype=float)
 
+    walls = offsets is not None and wall_slope > 0.0
+    by_width: dict[int, list[tuple[float, float, float]]] = {}
+
+    def columns(n_x: int) -> list[tuple[float, float, float]]:
+        """Per-coordinate ``(target, weight, offset)`` for states of width ``n_x``."""
+        cols = by_width.get(n_x)
+        if cols is None:
+            params = (t, w, offsets if walls else np.inf)
+            cols = list(zip(*(np.broadcast_to(a, (n_x,)).tolist() for a in params)))
+            by_width[n_x] = cols
+        return cols
+
     def q(x: Array) -> Array:
-        d = np.asarray(x, dtype=float) - t
-        val = np.sum(d * d * w, axis=-1)
-        if offsets is not None and wall_slope > 0.0:
-            # |d| - inf clips to zero, so an infinite offset disables that wall
-            over = np.abs(d) - offsets
-            val = val + wall_slope * np.sum(np.clip(over, 0.0, wall_cap), axis=-1)
+        # One full-width operation per coordinate column.  With n_x = 2, a
+        # broadcast against an (n_x,) vector or a reduction over axis=-1 runs
+        # numpy's inner loop once per row with two elements in it.  Columns
+        # are added in index order, the order np.sum uses for n_x <= 7.
+        x = np.asarray(x, dtype=float)
+        val = over = None
+        for i, (ti, wi, oi) in enumerate(columns(x.shape[-1])):
+            d = x[..., i] - ti
+            term = d * d * wi
+            val = term if val is None else val + term
+            if walls:
+                # |d| - inf clips to zero, so an infinite offset disables that wall
+                c = np.minimum(np.maximum(np.abs(d) - oi, 0.0), wall_cap)
+                over = c if over is None else over + c
+        if walls:
+            val = val + wall_slope * over
         return val
 
     def phi(x: Array) -> Array:

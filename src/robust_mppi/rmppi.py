@@ -525,8 +525,12 @@ class RmppiController:
         policy_factory: Callable[[Array, Array], FeedbackPolicy],
         x_star0: Array | None = None,
     ) -> None:
-        if cost.lipschitz_q is None or cost.lipschitz_phi is None:
-            raise ValueError("growth bound needs lipschitz_q and lipschitz_phi on the cost")
+        for name in ("lipschitz_q", "lipschitz_phi"):
+            v = getattr(cost, name)
+            if v is None:
+                raise ValueError(f"growth bound needs {name} on the cost")
+            if not (np.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
         self.model = model
         self.cost = cost
         self.s = settings

@@ -43,6 +43,13 @@ def test_validation_rejects_bad_parameters():
         CostFunction(q, q, sigma=np.eye(1), lam=1.0, crash_cost=np.inf)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_lam_that_is_not_finite_and_positive_is_rejected(lam):
+    q = lambda x: np.sum(x * x, axis=-1)
+    with pytest.raises(ValueError, match="lam"):
+        CostFunction(q, q, sigma=np.eye(1), lam=lam)
+
+
 def test_beta_zero_is_allowed_and_collapses_the_discount():
     cost = simple_cost(beta=0.0)
     assert control_penalty_coef(cost.lam, cost.beta, True) == control_penalty_coef(

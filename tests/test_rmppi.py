@@ -472,6 +472,23 @@ def test_rmppi_requires_lipschitz_constants():
         make_rmppi(cost=simple_cost(lipschitz=False))
 
 
+@pytest.mark.parametrize("field", ["lipschitz_q", "lipschitz_phi"])
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+def test_rmppi_rejects_bad_lipschitz_constants_when_built(field, value):
+    base = simple_cost(lipschitz=True)
+    cost = CostFunction(
+        state_cost=base.state_cost,
+        terminal_cost=base.terminal_cost,
+        sigma=base.sigma,
+        lam=base.lam,
+        beta=base.beta,
+        lipschitz_q=value if field == "lipschitz_q" else base.lipschitz_q,
+        lipschitz_phi=value if field == "lipschitz_phi" else base.lipschitz_phi,
+    )
+    with pytest.raises(ValueError, match=field):
+        make_rmppi(cost=cost)
+
+
 def test_rmppi_controller_is_deterministic_across_instances():
     a = make_rmppi()
     b = make_rmppi()
