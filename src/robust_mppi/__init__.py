@@ -7,73 +7,32 @@ variant that tracks a nominal system and resets it by a free-energy gap rule
 real systems inside every sample, applies tracking feedback, and reports a
 per-step bound on free-energy growth (``RmppiController``).  A simulation
 harness runs any of them against a disturbed plant and checks the bound.
+
+The top level exports the command-line entry point, the harness and the
+extension points (systems, costs, feedback policies and the per-step record
+a controller returns); everything else is imported from its submodule.
 """
 
-from .config import ExperimentConfig, load_config, render_config
-from .costs import (
-    CostFunction,
-    control_cost_term,
-    control_penalty_coef,
-    lipschitz_estimate,
-    path_cost,
-    quadratic_wall_cost,
-)
-from .dynamics import (
-    DisturbanceModel,
-    SystemModel,
-    double_integrator,
-    make_system,
-    nominal_trajectory,
-    nonlinear_benchmark,
-    propagate_real,
-    register_system,
-)
-from .feedback import (
-    ContractionPolicy,
-    LinearGainsPolicy,
-    RiccatiDivergenceError,
-    ZeroFeedback,
-    contraction_feedback,
-    fit_gamma,
-    fit_gamma_window,
-    ilqg_gains,
-)
-from .harness import (
-    BoundCheck,
-    RunLog,
-    compare_controllers,
-    run_closed_loop,
-    summary_table,
-    verify_bound,
-)
-from .rmppi import (
-    AugmentedRollout,
-    BoundParams,
-    NominalDecision,
-    RmppiController,
-    RmppiSettings,
-    TubeMppiController,
-    augmented_density_ratio,
-    augmented_rollouts,
-    feedback_penalized_cost,
-    free_energy_growth_bound,
-    mixed_cost,
-    nominal_state_propagation,
-    tube_mppi_step,
-)
-from .sampling import (
-    DegenerateSamplingError,
-    FreeEnergyEstimate,
-    MppiController,
-    NoisePlan,
-    derive_seed,
-    free_energy_mc,
-    is_weight,
-    mppi_update,
-    rollout_batch,
-    shift_control_sequence,
-    softmax_weights,
-    weighted_noise,
-)
+from .cli import main
+from .config import load_config
+from .costs import CostFunction
+from .dynamics import SystemModel, register_system
+from .feedback import FeedbackPolicy
+from .harness import RunLog, compare_controllers, run_closed_loop, verify_bound
+from .sampling import StepRecord
+
+__all__ = [
+    "main",
+    "load_config",
+    "run_closed_loop",
+    "compare_controllers",
+    "verify_bound",
+    "RunLog",
+    "register_system",
+    "SystemModel",
+    "CostFunction",
+    "FeedbackPolicy",
+    "StepRecord",
+]
 
 __version__ = "0.1.0"

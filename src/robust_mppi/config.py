@@ -217,6 +217,10 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ValueError("experiment.steps must be positive")
     if samp["n_samples"] < 2 or samp["horizon"] < 1:
         raise ValueError("sampling.n_samples must be >= 2 and sampling.horizon >= 1")
+    if not dyn["control_limit"] > 0.0:
+        raise ValueError(
+            f"dynamics.control_limit must be positive, got {dyn['control_limit']}"
+        )
     if not 0.0 < fb["gamma_clip"] < 0.5:
         raise ValueError(f"feedback.gamma_clip must lie in (0, 0.5), got {fb['gamma_clip']}")
     for key in ("n_candidates", "emv_repeats"):

@@ -257,17 +257,15 @@ def propagate_real(
     x: Array,
     u: Array,
     eps: Array,
-    k_fb: Array,
     rng: np.random.Generator,
 ) -> Array:
-    """Advance the true plant one step: Euler step of ``u + k_fb + eps`` plus a ball draw."""
+    """Advance the true plant one step: Euler step of ``u + eps`` plus a ball draw."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    k_fb = np.asarray(k_fb, dtype=float)
     if x.shape != (model.n_x,):
         raise ValueError(f"state shape {x.shape} does not match n_x={model.n_x}")
-    for name, arr in (("u", u), ("eps", eps), ("k_fb", k_fb)):
+    for name, arr in (("u", u), ("eps", eps)):
         if arr.shape != (model.n_u,):
             raise ValueError(f"{name} shape {arr.shape} does not match n_u={model.n_u}")
-    return model.step(x, u + k_fb + eps) + disturbance.state_disturbance(rng, model.n_x)
+    return model.step(x, u + eps) + disturbance.state_disturbance(rng, model.n_x)

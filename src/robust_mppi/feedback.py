@@ -204,7 +204,6 @@ class TrackingReport:
     """Fitted exponential tracking rate for a residual series."""
 
     gamma_hat: float
-    residuals: Array
     satisfied: bool
     boundary: bool
     perfect: bool
@@ -225,12 +224,12 @@ def fit_gamma(residuals: Array) -> TrackingReport:
     if np.any(residuals < 0.0) or not np.all(np.isfinite(residuals)):
         raise ValueError("residuals must be finite and nonnegative")
     if np.all(residuals == 0.0):
-        return TrackingReport(0.0, residuals, satisfied=True, boundary=False, perfect=True)
+        return TrackingReport(0.0, satisfied=True, boundary=False, perfect=True)
     r0 = residuals[0]
     if r0 <= 0.0:
         raise ValueError("residuals[0] must be positive unless the series is all zero")
     if residuals.size == 1:
-        return TrackingReport(0.0, residuals, satisfied=True, boundary=False, perfect=False)
+        return TrackingReport(0.0, satisfied=True, boundary=False, perfect=False)
 
     t = np.arange(1, residuals.size)
     rest = residuals[1:]
@@ -244,7 +243,7 @@ def fit_gamma(residuals: Array) -> TrackingReport:
             np.log(gamma_hat) if gamma_hat > 0.0 else -np.inf
         ) * t + np.log(r0) + 1e-12
     satisfied = bool(np.all(ok))
-    return TrackingReport(gamma_hat, residuals, satisfied=satisfied, boundary=gamma_hat >= 1.0, perfect=False)
+    return TrackingReport(gamma_hat, satisfied=satisfied, boundary=gamma_hat >= 1.0, perfect=False)
 
 
 def fit_gamma_window(residuals, clip_eps: float = 1e-3) -> float:

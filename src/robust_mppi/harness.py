@@ -18,7 +18,13 @@ import numpy as np
 
 from .config import ExperimentConfig, render_config
 from .costs import CostFunction, quadratic_wall_cost
-from .dynamics import DisturbanceModel, SystemModel, make_system, nominal_trajectory
+from .dynamics import (
+    DisturbanceModel,
+    SystemModel,
+    make_system,
+    nominal_trajectory,
+    propagate_real,
+)
 from .feedback import (
     LinearGainsPolicy,
     ZeroFeedback,
@@ -26,30 +32,35 @@ from .feedback import (
     ilqg_gains,
 )
 from .rmppi import RmppiController, RmppiSettings, TubeMppiController
-from .sampling import STREAM_PLANT, MppiController, derive_seed
+from .sampling import STREAM_PLANT, MppiController, StepRecord, derive_seed
 
 Array = np.ndarray
-
-_INFO_COLUMNS = [
-    "fe_real",
-    "fe_nom",
-    "bound",
-    "dfe",
-    "cand_idx",
-    "gamma_hat",
-    "emv",
-    "bound_no_d",
-    "degen",
-]
 
 
 def log_columns(n_x: int, n_u: int) -> list[str]:
     """Fixed column schema for a run log with the given state/control sizes."""
-    cols = ["step", "t"] + list(_INFO_COLUMNS) + ["crash"]
+    cols = [
+        "step", "t",
+        "fe_real", "fe_nom", "bound", "dfe", "cand_idx", "gamma_hat", "emv",
+        "bound_no_d", "degen", "crash",
+    ]
     cols += [f"x{i}" for i in range(n_x)]
     cols += [f"xs{i}" for i in range(n_x)]
     cols += [f"u{i}" for i in range(n_u)]
     return cols
+
+
+def _log_row(
+    t: int, dt: float, rec: StepRecord, dfe: float, crashed: bool, x: Array, action: Array
+) -> list[float]:
+    """One run-log row in the order of :func:`log_columns`."""
+    row = [
+        t, t * dt,
+        rec.fe_real, rec.fe_nom, rec.bound, dfe, rec.cand_idx, rec.gamma_hat, rec.emv,
+        rec.bound_no_d, rec.degen, crashed,
+        *x, *rec.x_star, *action,
+    ]
+    return [float(v) for v in row]
 
 
 @dataclass
@@ -197,7 +208,10 @@ def run_closed_loop(cfg: ExperimentConfig) -> RunLog:
     The plant applies the commanded action plus model-scale control noise
     inflated by ``disturbance.noise_multiplier``, then adds a uniform-ball
     state disturbance of radius ``disturbance.w_bound``.  The run stops early
-    if the state leaves the crash box around the target.
+    if the state leaves the crash box around the target.  ``dfe`` is the
+    change of ``fe_real`` since the previous step (0.0 on the first), and the
+    summary counts the steps whose record flags a tube reset, an NSP fallback
+    or a contraction violation.
     """
     model = build_model(cfg)
     cost = build_cost(cfg, model)
@@ -213,23 +227,23 @@ def run_closed_loop(cfg: ExperimentConfig) -> RunLog:
     x = np.array(cfg.x0, dtype=float)
     crashed = False
     state_costs = []
+    prev_fe = None
+    resets = fallbacks = violations = 0
     for t in range(cfg.steps):
-        action, info = controller.step(x)
+        action, rec = controller.step(x)
         state_costs.append(float(cost.state_cost(x)))
         rng = np.random.default_rng(derive_seed(cfg.seed, t, STREAM_PLANT))
         eps = disturbance.control_noise(rng, cost.sigma_chol)
-        w = disturbance.state_disturbance(rng, model.n_x)
-        x_next = model.step(x, action + eps) + w
+        x_next = propagate_real(model, disturbance, x, action, eps, rng)
         crashed = bool(
             np.any(np.abs(x_next - target) > box) or not np.all(np.isfinite(x_next))
         )
-        row = [float(t), float(t * model.dt)]
-        row += [float(info[k]) for k in _INFO_COLUMNS]
-        row.append(float(crashed))
-        row += [float(v) for v in x]
-        row += [float(v) for v in info["x_star"]]
-        row += [float(v) for v in action]
-        log.rows.append(row)
+        dfe = 0.0 if prev_fe is None else rec.fe_real - prev_fe
+        prev_fe = rec.fe_real
+        resets += rec.reset
+        fallbacks += rec.nsp_fallback
+        violations += rec.contraction_violation
+        log.rows.append(_log_row(t, model.dt, rec, dfe, crashed, x, action))
         if crashed:
             break
         x = x_next
@@ -248,9 +262,9 @@ def run_closed_loop(cfg: ExperimentConfig) -> RunLog:
         "bound_checked_steps": int(check.checked),
         "bound_violation_rate": float(check.rate),
         "bound_mean_margin": float(check.mean_margin),
-        "tube_resets": int(getattr(controller, "reset_count", 0)),
-        "nsp_fallbacks": int(getattr(controller, "_nsp_fallbacks", 0)),
-        "contraction_violations": int(getattr(controller, "contraction_violations", 0)),
+        "tube_resets": resets,
+        "nsp_fallbacks": fallbacks,
+        "contraction_violations": violations,
         "degen_steps": int(np.sum(log.column("degen"))) if log.rows else 0,
     }
     return log

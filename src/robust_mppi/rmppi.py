@@ -13,7 +13,7 @@ against the realized increments.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .sampling import (
     STREAM_ROLLOUT,
     DegenerateSamplingError,
     NoisePlan,
+    StepRecord,
     derive_seed,
     free_energy_mc,
     mppi_update,
@@ -55,24 +56,6 @@ def mixed_cost(s_star: Array | float, s_hat: Array | float, alpha: float) -> Arr
     cost does, a property the threshold tests rely on.
     """
     return 0.5 * s_star + 0.5 * np.maximum(np.minimum(s_hat, alpha), s_star)
-
-
-def feedback_penalized_cost(
-    state_cost: Array | float,
-    feedback_controls: Array,
-    lam: float,
-    beta: float,
-    sigma_inv: Array,
-) -> Array | float:
-    """Add the quadratic feedback-effort penalty to a state cost.
-
-    ``feedback_controls`` holds the corrections applied along one trajectory,
-    shape ``(T, n_u)``.  The penalty is ``(lam * (1 - beta) / 2) * sum_t
-    k_t^T Sigma^{-1} k_t``.
-    """
-    ks = np.atleast_2d(np.asarray(feedback_controls, dtype=float))
-    pen = np.einsum("tu,uv,tv->", ks, sigma_inv, ks)
-    return state_cost + control_penalty_coef(lam, beta, beta_weighted=True) * pen
 
 
 @dataclass(frozen=True)
@@ -412,10 +395,8 @@ class TubeMppiController:
         self.controls = np.zeros((self.horizon, model.n_u))
         self.x_star = None if x_star0 is None else np.asarray(x_star0, dtype=float).copy()
         self.step_index = 0
-        self.reset_count = 0
-        self._prev_fe = None
 
-    def step(self, x: Array) -> tuple[Array, dict]:
+    def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
         if self.x_star is None:
             self.x_star = x.copy()
@@ -442,25 +423,14 @@ class TubeMppiController:
             x.copy() if result.reset else self.x_star
         )
         self.x_star = result.x_star
-        if result.reset:
-            self.reset_count += 1
-        dfe = 0.0 if self._prev_fe is None else result.fe_real - self._prev_fe
-        self._prev_fe = result.fe_real
-        info = {
-            "fe_real": result.fe_real,
-            "fe_nom": result.fe_nom,
-            "bound": np.inf,
-            "bound_no_d": np.inf,
-            "dfe": dfe,
-            "cand_idx": -1,
-            "gamma_hat": np.nan,
-            "emv": np.nan,
-            "degen": int(result.degenerate),
-            "reset": result.reset,
-            "x_star": x_star_logged.copy(),
-        }
         self.step_index += 1
-        return result.action, info
+        return result.action, StepRecord(
+            fe_real=result.fe_real,
+            fe_nom=result.fe_nom,
+            x_star=x_star_logged.copy(),
+            degen=result.degenerate,
+            reset=result.reset,
+        )
 
 
 def estimate_value_noise(
@@ -512,7 +482,7 @@ class RmppiController:
     the tracking policy about the nominal plan, evaluates the augmented batch,
     and produces the action ``U_0 + K(x - x_star) + weighted noise`` where the
     noise weights come from the real-cost channel and the plan update weights
-    from the mixed channel.  The info dict carries the forward-looking growth
+    from the mixed channel.  The step record carries the forward-looking growth
     bound for the next free-energy increment.
     """
 
@@ -540,16 +510,15 @@ class RmppiController:
         self.x_star = None if x_star0 is None else np.asarray(x_star0, dtype=float).copy()
         self.step_index = 0
         self._nsp_pending = False
-        self._last_cand_idx = -1
-        self._nsp_fallbacks = 0
         self._residuals: deque[float] = deque(maxlen=settings.gamma_window)
-        self.contraction_violations = 0
-        self._prev_fe = None
 
-    def _resolve_nominal(self, x: Array) -> None:
-        """Run the deferred nominal-state update against the new measurement."""
+    def _resolve_nominal(self, x: Array) -> NominalDecision | None:
+        """Run the deferred nominal-state update against the new measurement.
+
+        Returns the decision, or None when no update was pending.
+        """
         if not self._nsp_pending:
-            return
+            return None
         self._nsp_pending = False
         x_star_prop = self.model.step(self.x_star, self.controls[0])
         plan = NoisePlan.sample(
@@ -571,28 +540,24 @@ class RmppiController:
         )
         self.x_star = decision.candidates[decision.index].copy()
         self.controls = decision.control_sequence
-        self._last_cand_idx = decision.index
-        if decision.fallback:
-            self._nsp_fallbacks += 1
+        return decision
 
     def _tracking_gamma(self) -> float:
         if self.s.gamma is not None:
             return self.s.gamma
         return fit_gamma_window(np.array(self._residuals), self.s.gamma_clip)
 
-    def step(self, x: Array) -> tuple[Array, dict]:
+    def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
         if self.x_star is None:
             self.x_star = x.copy()
-        self._resolve_nominal(x)
+        decision = self._resolve_nominal(x)
         self._residuals.append(float(np.linalg.norm(x - self.x_star)))
-        cand_idx = self._last_cand_idx
-        self._last_cand_idx = -1
 
         policy = self.policy_factory(self.x_star, self.controls)
-        if hasattr(policy, "contraction_step_ok"):
-            if not policy.contraction_step_ok(self.model, x, self.x_star, self.controls[0]):
-                self.contraction_violations += 1
+        violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
+            self.model, x, self.x_star, self.controls[0]
+        )
         plan = NoisePlan.sample(
             derive_seed(self.seed, self.step_index, STREAM_ROLLOUT),
             self.s.n_samples,
@@ -655,19 +620,17 @@ class RmppiController:
         bound_no_d = free_energy_growth_bound(
             params, self.model, x, self.x_star, action, fe_nom, include_w_bound=False
         )
-        dfe = 0.0 if self._prev_fe is None else fe_real - self._prev_fe
-        self._prev_fe = fe_real
-        info = {
-            "fe_real": fe_real,
-            "fe_nom": fe_nom,
-            "bound": bound,
-            "bound_no_d": bound_no_d,
-            "dfe": dfe,
-            "cand_idx": cand_idx,
-            "gamma_hat": gamma_hat,
-            "emv": emv,
-            "degen": int(degenerate),
-            "x_star": self.x_star.copy(),
-        }
         self.step_index += 1
-        return action, info
+        return action, StepRecord(
+            fe_real=fe_real,
+            fe_nom=fe_nom,
+            x_star=self.x_star.copy(),
+            degen=degenerate,
+            bound=bound,
+            bound_no_d=bound_no_d,
+            cand_idx=-1 if decision is None else decision.index,
+            gamma_hat=gamma_hat,
+            emv=emv,
+            nsp_fallback=decision is not None and decision.fallback,
+            contraction_violation=violation,
+        )

@@ -71,10 +71,9 @@ class FreeEnergyEstimate:
     value: float
     n_samples: int
     min_cost: float
-    spread: float | None = None
 
 
-def free_energy_mc(costs: Array, lam: float, spread: float | None = None) -> FreeEnergyEstimate:
+def free_energy_mc(costs: Array, lam: float) -> FreeEnergyEstimate:
     """-lam * log mean(exp(-costs/lam)), evaluated stably against the batch minimum.
 
     The estimate always lies in ``[min_cost, min_cost + lam*log(N)]``.
@@ -88,7 +87,7 @@ def free_energy_mc(costs: Array, lam: float, spread: float | None = None) -> Fre
         raise ValueError(f"lam must be positive, got {lam}")
     m = float(np.min(costs))
     value = m - lam * float(np.log(np.mean(np.exp(-(costs - m) / lam))))
-    return FreeEnergyEstimate(value=value, n_samples=costs.size, min_cost=m, spread=spread)
+    return FreeEnergyEstimate(value=value, n_samples=costs.size, min_cost=m)
 
 
 def softmax_weights(costs: Array, lam: float) -> Array:
@@ -260,6 +259,34 @@ def rollout_batch(
     return RolloutResult(costs=total, state_costs=state_costs, crashed=crashed)
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """What one controller step reports; the harness turns it into a log row.
+
+    ``fe_real`` and ``fe_nom`` are the free energies of the real and nominal
+    batches, ``x_star`` the nominal state the step tracked and ``degen`` marks
+    a step whose samples all crashed.  ``bound`` (and ``bound_no_d``, without
+    the disturbance radius) covers the next free-energy increment; it stays
+    infinite for controllers that emit none, as ``cand_idx``, ``gamma_hat``
+    and ``emv`` keep their defaults there.  The flags mark a tube reset, a
+    nominal-state propagation that found no feasible candidate, and a step
+    where the contraction certificate did not hold.
+    """
+
+    fe_real: float
+    fe_nom: float
+    x_star: Array
+    degen: bool
+    bound: float = np.inf
+    bound_no_d: float = np.inf
+    cand_idx: int = -1
+    gamma_hat: float = np.nan
+    emv: float = np.nan
+    reset: bool = False
+    nsp_fallback: bool = False
+    contraction_violation: bool = False
+
+
 class MppiController:
     """Vanilla MPPI: sample around the plan, reweight, apply the first control.
 
@@ -286,9 +313,8 @@ class MppiController:
         self.smoothing_window = smoothing_window
         self.controls = np.zeros((horizon, model.n_u))
         self.step_index = 0
-        self._prev_fe = None
 
-    def step(self, x: Array) -> tuple[Array, dict]:
+    def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
         plan = NoisePlan.sample(
             derive_seed(self.seed, self.step_index, STREAM_ROLLOUT),
@@ -308,19 +334,5 @@ class MppiController:
             action = self.model.clamp(updated[0])
             fe = free_energy_mc(res.costs, self.cost.lam).value
         self.controls = shift_control_sequence(updated)
-        dfe = 0.0 if self._prev_fe is None else fe - self._prev_fe
-        self._prev_fe = fe
-        info = {
-            "fe_real": fe,
-            "fe_nom": fe,
-            "bound": np.inf,
-            "dfe": dfe,
-            "cand_idx": -1,
-            "gamma_hat": np.nan,
-            "emv": np.nan,
-            "bound_no_d": np.inf,
-            "degen": int(degenerate),
-            "x_star": x.copy(),
-        }
         self.step_index += 1
-        return action, info
+        return action, StepRecord(fe_real=fe, fe_nom=fe, x_star=x.copy(), degen=degenerate)

@@ -361,9 +361,9 @@ def test_nominal_state_follows_real_state_until_large_disturbance():
     jump_step = 40
     jump_cand = None
     for t in range(jump_step + 2):
-        action, info = controller.step(x)
+        action, rec = controller.step(x)
         if t == jump_step + 1:
-            jump_cand = int(info["cand_idx"])
+            jump_cand = rec.cand_idx
         rng = np.random.default_rng(derive_seed(cfg.seed, t, STREAM_PLANT))
         eps = disturbance.control_noise(rng, cost.sigma_chol)
         x = model.step(x, action + eps)

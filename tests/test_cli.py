@@ -149,3 +149,11 @@ def test_compare_writes_comparison(tmp_path, capsys):
         assert name in table
         assert (tmp_path / f"duo-{name}" / "runlog.csv").exists()
     assert "rmppi" in capsys.readouterr().out
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from robust_mppi import *", namespace)
+    assert len(set(robust_mppi.__all__)) == len(robust_mppi.__all__)
+    for name in robust_mppi.__all__:
+        assert namespace[name] is getattr(robust_mppi, name)

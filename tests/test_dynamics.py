@@ -144,20 +144,20 @@ def test_propagate_real_noise_free_matches_step():
     model = double_integrator(dt=0.02)
     dist = DisturbanceModel(noise_multiplier=1.0, w_bound=0.0)
     rng = np.random.default_rng(3)
-    out = propagate_real(
-        model, dist, np.zeros(2), np.array([1.0]), np.zeros(1), np.zeros(1), rng
-    )
+    out = propagate_real(model, dist, np.zeros(2), np.array([1.0]), np.zeros(1), rng)
     assert np.array_equal(out, np.array([0.0, 0.02]))
 
 
-def test_propagate_real_applies_feedback_and_noise_through_one_channel():
+def test_propagate_real_applies_control_and_noise_through_one_channel():
     model = double_integrator(dt=0.02, control_limit=None)
     dist = DisturbanceModel(w_bound=0.0)
     rng = np.random.default_rng(4)
-    out = propagate_real(
-        model, dist, np.zeros(2), np.array([1.0]), np.array([0.5]), np.array([-0.25]), rng
-    )
-    assert np.array_equal(out, model.step(np.zeros(2), np.array([1.25])))
+    out = propagate_real(model, dist, np.zeros(2), np.array([1.0]), np.array([0.5]), rng)
+    assert np.array_equal(out, model.step(np.zeros(2), np.array([1.5])))
+    # the sum is clamped once, so noise cannot add authority past the limit
+    limited = double_integrator(dt=0.02, control_limit=1.2)
+    out = propagate_real(limited, dist, np.zeros(2), np.array([1.0]), np.array([0.5]), rng)
+    assert np.array_equal(out, limited.step(np.zeros(2), np.array([1.2])))
 
 
 def test_propagate_real_validates_shapes():
@@ -165,9 +165,11 @@ def test_propagate_real_validates_shapes():
     dist = DisturbanceModel()
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="state shape"):
-        propagate_real(model, dist, np.zeros(3), np.zeros(1), np.zeros(1), np.zeros(1), rng)
+        propagate_real(model, dist, np.zeros(3), np.zeros(1), np.zeros(1), rng)
     with pytest.raises(ValueError, match="eps shape"):
-        propagate_real(model, dist, np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(1), rng)
+        propagate_real(model, dist, np.zeros(2), np.zeros(1), np.zeros(2), rng)
+    with pytest.raises(ValueError, match="u shape"):
+        propagate_real(model, dist, np.zeros(2), np.zeros(2), np.zeros(1), rng)
 
 
 def test_disturbance_stream_is_deterministic_given_seed():

@@ -1,10 +1,14 @@
 """Configuration handling and the closed-loop simulation harness."""
 
 import configparser
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from robust_mppi import harness
+from robust_mppi.cli import main
 from robust_mppi.config import ExperimentConfig, load_config, render_config
 from robust_mppi.feedback import ContractionPolicy, LinearGainsPolicy, ZeroFeedback
 from robust_mppi.harness import (
@@ -101,6 +105,8 @@ LOAD_TIME_REJECTIONS = {
     "cost.wall_offsets=1.5,nan": "bad value for cost.wall_offsets",
     "rmppi.emv_repeats=1": "rmppi.emv_repeats",
     "rmppi.n_candidates=1": "rmppi.n_candidates",
+    "dynamics.control_limit=-2": "dynamics.control_limit",
+    "dynamics.control_limit=0": "dynamics.control_limit",
 }
 
 
@@ -275,3 +281,85 @@ def test_summary_table_lists_each_controller():
     assert len(lines) == 3
     assert "controller" in lines[0] and "viol_rate" in lines[0]
     assert "mppi" in lines[1] and "rmppi" in lines[2]
+
+
+def test_infinite_control_limit_still_loads():
+    assert load_config(overrides=["dynamics.control_limit=inf"]).control_limit == np.inf
+
+
+def record_steps(monkeypatch):
+    """Collect every StepRecord the harness receives, wrapping build_controller."""
+    records = []
+    build_controller = harness.build_controller
+
+    def recording_build_controller(*args, **kwargs):
+        controller = build_controller(*args, **kwargs)
+        step = controller.step
+
+        def recorded_step(x):
+            action, rec = step(x)
+            records.append(rec)
+            return action, rec
+
+        controller.step = recorded_step
+        return controller
+
+    monkeypatch.setattr(harness, "build_controller", recording_build_controller)
+    return records
+
+
+STRESS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "di_stress_x100.ini"
+
+# (overrides, counters that must be nonzero): a tube run that resets at every
+# step, and an rmppi run whose threshold is too low for some NSP steps and
+# whose contraction rate the metric cannot honor.
+COUNTER_RUNS = {
+    "tube": ({"experiment.controller": "tube", "rmppi.alpha": "1e9"}, ["tube_resets"]),
+    "rmppi": (
+        {"rmppi.alpha": "5", "feedback.lambda_c": "60"},
+        ["nsp_fallbacks", "contraction_violations"],
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(COUNTER_RUNS))
+def test_summary_counters_sum_the_step_record_flags(run, monkeypatch, tmp_path):
+    run_overrides, nonzero = COUNTER_RUNS[run]
+    records = record_steps(monkeypatch)
+    overrides = {
+        "experiment.steps": "30",
+        "experiment.seed": "3",
+        "experiment.output": str(tmp_path),
+        "experiment.name": "counters",
+        "sampling.n_samples": "32",
+        "sampling.horizon": "8",
+        "rmppi.nsp_samples": "8",
+        "rmppi.emv_repeats": "2",
+        "rmppi.n_candidates": "4",
+        "feedback.kind": "contraction",
+        **run_overrides,
+    }
+    args = ["run", str(STRESS_CONFIG)]
+    for key, value in overrides.items():
+        args += ["-o", f"{key}={value}"]
+    assert main(args) == 0
+    summary = json.loads((tmp_path / "counters" / "summary.json").read_text())
+    assert len(records) == summary["steps_run"] == 30
+    counters = {
+        "tube_resets": "reset",
+        "nsp_fallbacks": "nsp_fallback",
+        "contraction_violations": "contraction_violation",
+    }
+    for key, flag in counters.items():
+        assert summary[key] == sum(getattr(rec, flag) for rec in records)
+    for key in nonzero:
+        assert summary[key] > 0
+
+
+@pytest.mark.parametrize("controller", ["mppi", "tube", "rmppi"])
+def test_dfe_is_the_step_to_step_change_of_fe_real(controller):
+    log = run_closed_loop(small_run_config(**{"experiment.controller": controller}))
+    fe, dfe = log.column("fe_real"), log.column("dfe")
+    assert len(fe) == 5
+    assert dfe[0] == 0.0
+    assert np.array_equal(dfe[1:], fe[1:] - fe[:-1])

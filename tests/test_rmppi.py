@@ -15,7 +15,6 @@ from robust_mppi.rmppi import (
     augmented_density_ratio,
     augmented_rollouts,
     estimate_value_noise,
-    feedback_penalized_cost,
     free_energy_growth_bound,
     mixed_cost,
     nominal_state_propagation,
@@ -99,12 +98,6 @@ def test_mixed_cost_passes_identical_channels_through_unchanged():
     rng = np.random.default_rng(4)
     c = rng.uniform(-50.0, 50.0, size=1000)
     assert np.array_equal(mixed_cost(c, c, np.inf), c)
-
-
-def test_feedback_penalty_frozen_values():
-    ks = np.ones((10, 1))
-    assert feedback_penalized_cost(3.0, ks, lam=2.0, beta=0.5, sigma_inv=np.eye(1)) == 8.0
-    assert feedback_penalized_cost(3.0, ks, lam=2.0, beta=0.0, sigma_inv=np.eye(1)) == 13.0
 
 
 def test_augmented_channels_match_a_hand_trace():
@@ -435,14 +428,16 @@ def test_tube_controller_is_deterministic_and_counts_resets():
 
     a, b = make(), make()
     x = np.array([0.8, -0.3])
+    resets = 0
     for _ in range(4):
-        ua, ia = a.step(x)
-        ub, ib = b.step(x)
+        ua, ra = a.step(x)
+        ub, rb = b.step(x)
         assert np.array_equal(ua, ub)
-        assert ia["fe_real"] == ib["fe_real"]
-        assert ia["reset"] == ib["reset"] is True
+        assert ra.fe_real == rb.fe_real
+        assert ra.reset == rb.reset is True
+        resets += ra.reset
         x = model.step(x, ua)
-    assert a.reset_count == 4
+    assert resets == 4
     assert a.step_index == 4
 
 
@@ -495,38 +490,38 @@ def test_rmppi_controller_is_deterministic_across_instances():
     model = a.model
     x = np.array([0.5, -0.2])
     for _ in range(3):
-        ua, ia = a.step(x)
-        ub, ib = b.step(x)
+        ua, ra = a.step(x)
+        ub, rb = b.step(x)
         assert np.array_equal(ua, ub)
         for key in ("fe_real", "fe_nom", "bound", "bound_no_d", "emv", "gamma_hat"):
-            assert ia[key] == ib[key]
-        assert ia["cand_idx"] == ib["cand_idx"]
-        assert np.array_equal(ia["x_star"], ib["x_star"])
+            assert getattr(ra, key) == getattr(rb, key)
+        assert ra.cand_idx == rb.cand_idx
+        assert np.array_equal(ra.x_star, rb.x_star)
         x = model.step(x, ua)
 
 
 def test_rmppi_resolves_the_nominal_update_one_step_late():
     controller = make_rmppi()
     x = np.array([0.5, -0.2])
-    _, info0 = controller.step(x)
-    assert info0["cand_idx"] == -1
+    _, rec0 = controller.step(x)
+    assert rec0.cand_idx == -1
     assert controller._nsp_pending
-    _, info1 = controller.step(controller.model.step(x, np.zeros(1)))
-    assert 0 <= info1["cand_idx"] <= 4
+    _, rec1 = controller.step(controller.model.step(x, np.zeros(1)))
+    assert 0 <= rec1.cand_idx <= 4
 
 
 def test_rmppi_honors_a_fixed_tracking_rate():
     controller = make_rmppi(gamma=0.8)
-    _, info = controller.step(np.array([0.5, -0.2]))
-    assert info["gamma_hat"] == 0.8
+    _, rec = controller.step(np.array([0.5, -0.2]))
+    assert rec.gamma_hat == 0.8
 
 
 def test_rmppi_rate_fallback_with_an_uninformative_window():
     controller = make_rmppi()
-    _, info = controller.step(np.array([0.5, -0.2]))
+    _, rec = controller.step(np.array([0.5, -0.2]))
     # the first residual is zero (the nominal starts at the measurement), so
     # the trailing window has no decay information yet
-    assert info["gamma_hat"] == 1.0 - 1e-3
+    assert rec.gamma_hat == 1.0 - 1e-3
 
 
 def test_rmppi_bound_wiring_matches_its_parts():
@@ -534,18 +529,18 @@ def test_rmppi_bound_wiring_matches_its_parts():
     model = controller.model
     x = np.array([0.5, -0.2])
     for _ in range(3):
-        action, info = controller.step(x)
-        g = info["gamma_hat"]
+        action, rec = controller.step(x)
+        g = rec.gamma_hat
         g_t = g ** controller.s.horizon
         factor = 20.0 * g_t + 10.0 * (1.0 - g_t) / (1.0 - g)
-        assert info["bound"] - info["bound_no_d"] == pytest.approx(
+        assert rec.bound - rec.bound_no_d == pytest.approx(
             factor * controller.s.w_bound, rel=1e-12
         )
         deviation = np.linalg.norm(model.step(x, action) - x)
-        deviation += np.linalg.norm(info["x_star"] - x)
-        expected = (controller.s.alpha - info["fe_nom"]) + 2.0 * info["emv"]
+        deviation += np.linalg.norm(rec.x_star - x)
+        expected = (controller.s.alpha - rec.fe_nom) + 2.0 * rec.emv
         expected += factor * deviation
-        assert info["bound_no_d"] == pytest.approx(expected, rel=1e-12)
+        assert rec.bound_no_d == pytest.approx(expected, rel=1e-12)
         x = model.step(x, action)
 
 
@@ -556,8 +551,8 @@ def test_rmppi_counts_contraction_violations():
     controller = make_rmppi(
         policy_factory=impossible_rate_factory, x_star0=np.zeros(2)
     )
-    controller.step(np.array([1.0, 0.0]))
-    assert controller.contraction_violations == 1
+    _, rec = controller.step(np.array([1.0, 0.0]))
+    assert rec.contraction_violation is True
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -565,14 +560,14 @@ def test_rmppi_degenerate_batch_falls_back():
     model = control_blowup_model()
     controller = make_rmppi(model=model, horizon=8, n_samples=4, nsp_samples=4)
     x = np.array([2.0, 0.0])
-    action, info = controller.step(x)
-    assert info["degen"] == 1
+    action, rec = controller.step(x)
+    assert rec.degen is True
     assert np.array_equal(action, np.zeros(1))
-    assert info["fe_real"] == controller.cost.crash_cost
-    assert np.isfinite(info["bound"])
+    assert rec.fe_real == controller.cost.crash_cost
+    assert np.isfinite(rec.bound)
     assert not controller._nsp_pending
-    _, info1 = controller.step(x)
-    assert info1["cand_idx"] == -1
+    _, rec1 = controller.step(x)
+    assert rec1.cand_idx == -1
 
 
 def test_rmppi_respects_actuation_limits():

@@ -271,10 +271,10 @@ def test_controller_is_deterministic_across_instances():
     b = MppiController(model, cost, n_samples=32, horizon=6, seed=12)
     x = np.array([1.0, 0.0])
     for _ in range(4):
-        ua, ia = a.step(x)
-        ub, ib = b.step(x)
+        ua, ra = a.step(x)
+        ub, rb = b.step(x)
         assert np.array_equal(ua, ub)
-        assert ia["fe_real"] == ib["fe_real"]
+        assert ra.fe_real == rb.fe_real
 
 
 def test_controller_step_advances_plan_and_counts():
@@ -282,18 +282,17 @@ def test_controller_step_advances_plan_and_counts():
     cost = simple_cost()
     ctl = MppiController(model, cost, n_samples=32, horizon=6, seed=1)
     before = ctl.controls.copy()
-    action, info = ctl.step(np.array([2.0, 0.0]))
+    action, rec = ctl.step(np.array([2.0, 0.0]))
     assert ctl.step_index == 1
     assert not np.array_equal(ctl.controls, before)
-    assert info["cand_idx"] == -1 and np.isinf(info["bound"])
-    assert info["dfe"] == 0.0
+    assert rec.cand_idx == -1 and np.isinf(rec.bound)
 
 
 def test_controller_degenerate_batch_falls_back_to_plan_head():
     model = blowup_model()
     cost = simple_cost()
     ctl = MppiController(model, cost, n_samples=8, horizon=3, seed=2)
-    action, info = ctl.step(np.array([1e130, 0.0]))
-    assert info["degen"] == 1
-    assert info["fe_real"] == cost.crash_cost
+    action, rec = ctl.step(np.array([1e130, 0.0]))
+    assert rec.degen is True
+    assert rec.fe_real == cost.crash_cost
     assert np.array_equal(action, np.zeros(1))
