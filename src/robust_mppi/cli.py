@@ -161,10 +161,11 @@ def _selftest_checks():
             lipschitz_phi=2.0, emv=0.0, w_bound=0.0,
         )
         x = np.zeros(2)
-        b = free_energy_growth_bound(
+        b, b_no_d = free_energy_growth_bound(
             params, model, x, x, np.zeros(1), fe_nominal=5.0
         )
-        return abs(b - 0.0) < 1e-12  # zero motion, zero offset, zero slack
+        # zero motion, zero offset, zero slack
+        return abs(b - 0.0) < 1e-12 and abs(b_no_d - 0.0) < 1e-12
 
     return [
         ("noise plan determinism", check_noise_plan),

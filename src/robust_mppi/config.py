@@ -226,6 +226,11 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
     for key in ("n_candidates", "emv_repeats"):
         if rmp[key] < 2:
             raise ValueError(f"rmppi.{key} must be >= 2, got {rmp[key]}")
+    if samp["n_samples"] < 2 * rmp["emv_repeats"]:
+        raise ValueError(
+            "sampling.n_samples must be at least 2 * rmppi.emv_repeats, got "
+            f"{samp['n_samples']} < 2 * {rmp['emv_repeats']}"
+        )
 
     raw = tuple(
         (s, k, table[s][k]) for s in _SCHEMA for k in _SCHEMA[s]

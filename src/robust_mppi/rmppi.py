@@ -27,10 +27,8 @@ from .costs import (
 from .dynamics import SystemModel
 from .feedback import FeedbackPolicy, fit_gamma_window
 from .sampling import (
-    STREAM_EMV,
     STREAM_NSP,
     STREAM_ROLLOUT,
-    DegenerateSamplingError,
     NoisePlan,
     StepRecord,
     derive_seed,
@@ -107,11 +105,14 @@ def augmented_rollouts(
     priced at ``cost.crash_cost`` in every channel.
     """
     starts = np.stack([np.asarray(x0, dtype=float), np.asarray(x0_star, dtype=float)])
-    no_correction = np.zeros((draws.shape[0], controls.shape[-1]))
+    # group 1 (nominal) stays uncorrected; propagate copies each correction
+    # into its own record, so one buffer serves every horizon step
+    correction = np.zeros((2, draws.shape[0], controls.shape[-1]))
 
     def feedback(x: Array, t: int) -> Array:
         # the real copy (group 0) tracks the nominal copy (group 1)
-        return np.stack([policy.apply_batch(x[0], x[1], t), no_correction])
+        correction[0] = policy.apply_batch(x[0], x[1], t)
+        return correction
 
     state, crashed, ks = propagate(model, cost, starts[:, None], controls, draws, feedback)
     state_real, state_nom = state
@@ -218,7 +219,7 @@ def nominal_state_propagation(
     shifted = shift_control_sequence(controls)
     plans = np.concatenate([controls[None], np.broadcast_to(shifted, (r,) + shifted.shape)])
     res = rollout_batch(model, cost, candidates[:, None], plans, draws, control_term="beta")
-    free_energies = np.array([free_energy_mc(c, cost.lam).value for c in res.costs])
+    free_energies = free_energy_mc(res.costs, cost.lam).value
 
     feasible = free_energies <= alpha
     distances = np.linalg.norm(candidates - x, axis=1)
@@ -268,8 +269,7 @@ def free_energy_growth_bound(
     x_star: Array,
     u: Array,
     fe_nominal: float,
-    include_w_bound: bool = True,
-) -> float:
+) -> tuple[float, float]:
     """Upper bound on the next increment of the real system's free energy.
 
     The bound combines the slack left under the threshold, twice the
@@ -281,20 +281,21 @@ def free_energy_growth_bound(
     + (L_phi * gamma^T + L_q * (1 - gamma^T) / (1 - gamma)) * D``
 
     where ``D`` sums the one-step nominal motion, the current tracking
-    offset, and (unless disabled) the additive disturbance radius.
+    offset and the additive disturbance radius.  Returns the bound and the
+    same bound with the disturbance radius left out of ``D``.
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     step_motion = float(np.linalg.norm(model.step(x, u) - x))
     offset = float(np.linalg.norm(x_star - x))
-    deviation = step_motion + offset
-    if include_w_bound:
-        deviation += params.w_bound
+    deviation_no_d = step_motion + offset
+    deviation = deviation_no_d + params.w_bound
     g_t = params.gamma ** params.horizon
     factor = params.lipschitz_phi * g_t + params.lipschitz_q * (1.0 - g_t) / (
         1.0 - params.gamma
     )
-    return (params.alpha - fe_nominal) + 2.0 * params.emv + factor * deviation
+    slack = (params.alpha - fe_nominal) + 2.0 * params.emv
+    return slack + factor * deviation, slack + factor * deviation_no_d
 
 
 @dataclass(frozen=True)
@@ -433,33 +434,34 @@ class TubeMppiController:
         )
 
 
-def estimate_value_noise(
-    model: SystemModel,
-    cost: CostFunction,
-    x_star: Array,
-    controls: Array,
-    seed: int,
-    repeats: int,
-    n_samples: int,
-) -> tuple[float, Array]:
-    """Spread of repeated reduced-sample free-energy estimates at one state.
+def estimate_value_noise(costs: Array, lam: float, repeats: int) -> float:
+    """Batch-means spread of the free-energy estimate of one cost batch.
 
-    Draws ``repeats`` independent batches of ``n_samples`` rollouts from the
-    nominal state and returns three sample standard deviations of the
-    resulting estimates together with the estimates themselves.
+    Splits the ``N`` per-sample ``costs`` into ``repeats`` contiguous
+    sub-batches of ``N // repeats`` samples, dropping the remainder, and
+    returns three sample standard deviations of the sub-batches' free
+    energies.  A batch whose sub-batches all give the same estimate, such as
+    one where every sample crashed, returns 0.0.
     """
-    plan = NoisePlan.sample(seed, repeats * n_samples, controls.shape[0], cost.sigma_chol)
-    res = rollout_batch(model, cost, x_star, controls, plan.draws, control_term="beta")
-    grouped = res.costs.reshape(repeats, n_samples)
-    estimates = np.array(
-        [free_energy_mc(grouped[k], cost.lam).value for k in range(repeats)]
-    )
-    return 3.0 * float(np.std(estimates, ddof=1)), estimates
+    costs = np.asarray(costs, dtype=float)
+    m = costs.shape[-1] // repeats
+    if repeats < 2 or m < 2:
+        raise ValueError(
+            "value noise needs repeats >= 2 and at least 2 * repeats samples, "
+            f"got repeats={repeats} for {costs.shape[-1]} samples"
+        )
+    estimates = free_energy_mc(costs[: repeats * m].reshape(repeats, m), lam).value
+    return 3.0 * float(np.std(estimates, ddof=1))
 
 
 @dataclass
 class RmppiSettings:
-    """Knobs for the robust controller beyond model and cost."""
+    """Knobs for the robust controller beyond model and cost.
+
+    ``emv_repeats`` is the number of batch means behind ``emv``: the nominal
+    channel of each step's ``n_samples`` augmented rollouts is split into
+    that many sub-batches, so ``n_samples`` must be at least twice it.
+    """
 
     n_samples: int
     horizon: int
@@ -501,6 +503,11 @@ class RmppiController:
                 raise ValueError(f"growth bound needs {name} on the cost")
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        if settings.emv_repeats < 2 or settings.n_samples < 2 * settings.emv_repeats:
+            raise ValueError(
+                "value noise needs emv_repeats >= 2 and n_samples >= 2 * emv_repeats, "
+                f"got n_samples={settings.n_samples}, emv_repeats={settings.emv_repeats}"
+            )
         self.model = model
         self.cost = cost
         self.s = settings
@@ -595,15 +602,7 @@ class RmppiController:
             )
             self._nsp_pending = True
 
-        emv, _ = estimate_value_noise(
-            self.model,
-            self.cost,
-            self.x_star,
-            self.controls,
-            derive_seed(self.seed, self.step_index, STREAM_EMV),
-            self.s.emv_repeats,
-            max(self.s.n_samples // self.s.emv_repeats, 2),
-        )
+        emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
         gamma_hat = self._tracking_gamma()
         params = BoundParams(
             alpha=self.s.alpha,
@@ -614,11 +613,8 @@ class RmppiController:
             emv=emv,
             w_bound=self.s.w_bound,
         )
-        bound = free_energy_growth_bound(
-            params, self.model, x, self.x_star, action, fe_nom, include_w_bound=True
-        )
-        bound_no_d = free_energy_growth_bound(
-            params, self.model, x, self.x_star, action, fe_nom, include_w_bound=False
+        bound, bound_no_d = free_energy_growth_bound(
+            params, self.model, x, self.x_star, action, fe_nom
         )
         self.step_index += 1
         return action, StepRecord(

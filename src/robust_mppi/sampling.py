@@ -23,7 +23,6 @@ Array = np.ndarray
 # Stream tags for seed derivation; one per independent noise consumer.
 STREAM_ROLLOUT = 1
 STREAM_NSP = 2
-STREAM_EMV = 3
 STREAM_PLANT = 4
 
 
@@ -66,28 +65,35 @@ class NoisePlan:
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
-    """Monte-Carlo free energy of a cost batch."""
+    """Monte-Carlo free energy of a cost batch, or of each row of a stack."""
 
-    value: float
+    value: float | Array
     n_samples: int
-    min_cost: float
+    min_cost: float | Array
 
 
 def free_energy_mc(costs: Array, lam: float) -> FreeEnergyEstimate:
     """-lam * log mean(exp(-costs/lam)), evaluated stably against the batch minimum.
 
-    The estimate always lies in ``[min_cost, min_cost + lam*log(N)]``.
+    ``costs`` is ``(..., N)`` and the reduction runs over the last axis, so a
+    stack of batches takes one call; ``value`` and ``min_cost`` are floats
+    for a 1-D batch and arrays of the leading shape otherwise.  Each row
+    gives the same bits as its own call, and every estimate lies in
+    ``[min_cost, min_cost + lam*log(N)]``.
     """
-    costs = np.asarray(costs, dtype=float)
-    if costs.size == 0:
+    costs = np.atleast_1d(np.asarray(costs, dtype=float))
+    if costs.shape[-1] == 0:
         raise ValueError("free energy of an empty batch is undefined")
     if not np.all(np.isfinite(costs)):
         raise ValueError("free energy requires finite costs")
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    m = float(np.min(costs))
-    value = m - lam * float(np.log(np.mean(np.exp(-(costs - m) / lam))))
-    return FreeEnergyEstimate(value=value, n_samples=costs.size, min_cost=m)
+    m = np.min(costs, axis=-1, keepdims=True)
+    min_cost = m[..., 0]
+    value = min_cost - lam * np.log(np.mean(np.exp(-(costs - m) / lam), axis=-1))
+    if costs.ndim == 1:
+        value, min_cost = float(value), float(min_cost)
+    return FreeEnergyEstimate(value=value, n_samples=costs.shape[-1], min_cost=min_cost)
 
 
 def softmax_weights(costs: Array, lam: float) -> Array:

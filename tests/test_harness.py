@@ -105,6 +105,7 @@ LOAD_TIME_REJECTIONS = {
     "cost.wall_offsets=1.5,nan": "bad value for cost.wall_offsets",
     "rmppi.emv_repeats=1": "rmppi.emv_repeats",
     "rmppi.n_candidates=1": "rmppi.n_candidates",
+    "sampling.n_samples=15": "sampling.n_samples must be at least 2 \\* rmppi.emv_repeats",
     "dynamics.control_limit=-2": "dynamics.control_limit",
     "dynamics.control_limit=0": "dynamics.control_limit",
 }

@@ -21,7 +21,10 @@ from robust_mppi.rmppi import (
     tube_mppi_step,
 )
 from robust_mppi.sampling import (
+    STREAM_NSP,
+    STREAM_ROLLOUT,
     NoisePlan,
+    derive_seed,
     free_energy_mc,
     mppi_update,
     rollout_batch,
@@ -337,10 +340,7 @@ def test_growth_bound_frozen_arithmetic():
     x = np.zeros(2)
     x_star = np.array([1.0, 0.0])
     u = np.zeros(1)
-    with_ball = free_energy_growth_bound(params, model, x, x_star, u, fe_nominal=3.0)
-    without = free_energy_growth_bound(
-        params, model, x, x_star, u, fe_nominal=3.0, include_w_bound=False
-    )
+    with_ball, without = free_energy_growth_bound(params, model, x, x_star, u, fe_nominal=3.0)
     assert with_ball == 10.5
     assert without == 10.0
     assert with_ball - without == 0.5
@@ -442,24 +442,90 @@ def test_tube_controller_is_deterministic_and_counts_resets():
 
 
 def test_value_noise_estimate_is_deterministic_and_self_consistent():
-    model = double_integrator(dt=0.05)
-    cost = simple_cost()
-    args = (model, cost, np.array([1.0, 0.5]), np.zeros((6, 1)))
-    emv, estimates = estimate_value_noise(*args, seed=13, repeats=6, n_samples=32)
-    emv2, estimates2 = estimate_value_noise(*args, seed=13, repeats=6, n_samples=32)
-    assert np.array_equal(estimates, estimates2)
-    assert emv == emv2
-    assert estimates.shape == (6,)
+    costs = np.random.default_rng(13).uniform(0.0, 40.0, size=6 * 32 + 5)
+    emv = estimate_value_noise(costs, 2.0, 6)
+    assert emv == estimate_value_noise(costs, 2.0, 6)
+    # six contiguous sub-batches of 32; the last 5 samples are dropped
+    estimates = [free_energy_mc(costs[32 * k: 32 * (k + 1)], 2.0).value for k in range(6)]
     assert emv == 3.0 * np.std(estimates, ddof=1)
+
+
+def test_value_noise_rejects_too_few_batches_or_samples():
+    with pytest.raises(ValueError, match="repeats"):
+        estimate_value_noise(np.zeros(16), 1.0, 1)
+    with pytest.raises(ValueError, match="2 \\* repeats"):
+        estimate_value_noise(np.zeros(7), 1.0, 4)
 
 
 def test_value_noise_shrinks_with_more_samples():
     model = double_integrator(dt=0.05)
     cost = simple_cost()
-    args = (model, cost, np.array([1.0, 0.5]), np.zeros((10, 1)))
-    coarse, _ = estimate_value_noise(*args, seed=13, repeats=8, n_samples=8)
-    fine, _ = estimate_value_noise(*args, seed=13, repeats=8, n_samples=512)
+
+    def nominal_costs(n):
+        draws = NoisePlan.sample(13, n, 10, cost.sigma_chol).draws
+        res = rollout_batch(
+            model, cost, np.array([1.0, 0.5]), np.zeros((10, 1)), draws, control_term="beta"
+        )
+        return res.costs
+
+    coarse = estimate_value_noise(nominal_costs(8 * 8), cost.lam, 8)
+    fine = estimate_value_noise(nominal_costs(8 * 512), cost.lam, 8)
     assert fine < coarse
+
+
+def test_rmppi_value_noise_is_the_batch_means_of_its_nominal_channel():
+    # N=30 in 4 sub-batches of 7; the last 2 samples are dropped.  The
+    # tracking gains and the offset start keep the real channel apart from
+    # the nominal one.
+    policy = LinearGainsPolicy(gains=np.tile(np.array([[[-1.5, -0.8]]]), (6, 1, 1)))
+    x_star0 = np.array([0.1, 0.3])
+    controller = make_rmppi(
+        n_samples=30, emv_repeats=4, x_star0=x_star0,
+        policy_factory=lambda x_star, controls: policy,
+    )
+    x = np.array([0.5, -0.2])
+    _, rec = controller.step(x)
+    draws = NoisePlan.sample(
+        derive_seed(7, 0, STREAM_ROLLOUT), 30, 6, controller.cost.sigma_chol
+    ).draws
+    roll = augmented_rollouts(
+        controller.model, controller.cost, x, x_star0, np.zeros((6, 1)), policy,
+        draws, alpha=100.0,
+    )
+    assert not np.array_equal(roll.real, roll.nominal_eval)
+    lam = controller.cost.lam
+    estimates = [free_energy_mc(roll.nominal_eval[7 * k: 7 * (k + 1)], lam).value
+                 for k in range(4)]
+    assert rec.emv == 3.0 * np.std(estimates, ddof=1)
+    assert rec.fe_nom == free_energy_mc(roll.nominal_eval, lam).value
+
+
+def test_rmppi_step_draws_only_rollout_and_nsp_noise(monkeypatch):
+    import robust_mppi.rmppi as rmppi_module
+
+    drawn = []
+
+    def recording_derive_seed(master, step, stream):
+        drawn.append((step, stream))
+        return derive_seed(master, step, stream)
+
+    monkeypatch.setattr(rmppi_module, "derive_seed", recording_derive_seed)
+    controller = make_rmppi()
+    x = np.array([0.5, -0.2])
+    for _ in range(3):
+        action, _ = controller.step(x)
+        x = controller.model.step(x, action)
+    assert drawn == [
+        (0, STREAM_ROLLOUT),
+        (1, STREAM_NSP), (1, STREAM_ROLLOUT),
+        (2, STREAM_NSP), (2, STREAM_ROLLOUT),
+    ]
+
+
+@pytest.mark.parametrize("n_samples, emv_repeats", [(7, 4), (32, 1)])
+def test_rmppi_rejects_too_few_samples_for_the_value_noise(n_samples, emv_repeats):
+    with pytest.raises(ValueError, match="n_samples >= 2 \\* emv_repeats"):
+        make_rmppi(n_samples=n_samples, emv_repeats=emv_repeats)
 
 
 def test_rmppi_requires_lipschitz_constants():
@@ -558,7 +624,9 @@ def test_rmppi_counts_contraction_violations():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_rmppi_degenerate_batch_falls_back():
     model = control_blowup_model()
-    controller = make_rmppi(model=model, horizon=8, n_samples=4, nsp_samples=4)
+    controller = make_rmppi(
+        model=model, horizon=8, n_samples=4, nsp_samples=4, emv_repeats=2
+    )
     x = np.array([2.0, 0.0])
     action, rec = controller.step(x)
     assert rec.degen is True
@@ -568,6 +636,18 @@ def test_rmppi_degenerate_batch_falls_back():
     assert not controller._nsp_pending
     _, rec1 = controller.step(x)
     assert rec1.cand_idx == -1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_rmppi_fully_crashed_step_reports_zero_value_noise():
+    # every sub-batch estimate is then exactly crash_cost
+    controller = make_rmppi(
+        model=control_blowup_model(), horizon=8, n_samples=12, emv_repeats=3
+    )
+    _, rec = controller.step(np.array([2.0, 0.0]))
+    assert rec.degen is True
+    assert rec.emv == 0.0
+    assert estimate_value_noise(np.full(12, 1e4), 2.0, 3) == 0.0
 
 
 def test_rmppi_respects_actuation_limits():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from robust_mppi.costs import CostFunction, control_penalty_batch, control_penalty_coef
@@ -94,6 +96,30 @@ def test_free_energy_sandwich_property():
         costs = rng.uniform(-10.0, 100.0, size=rng.integers(1, 400))
         est = free_energy_mc(costs, lam)
         assert costs.min() <= est.value <= costs.min() + lam * np.log(costs.size) + 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 4096),
+    st.floats(0.01, 100.0),
+    st.floats(1e-3, 1e4),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_free_energy_rows_equal_solo_calls_and_obey_the_sandwich(
+    groups, n, lam, scale, seed
+):
+    costs = np.random.default_rng(seed).uniform(-scale, scale, size=(groups, n))
+    batched = free_energy_mc(costs, lam)
+    assert batched.value.shape == (groups,)
+    assert batched.n_samples == n
+    for row, value in zip(costs, batched.value):
+        solo = free_energy_mc(row, lam).value
+        assert isinstance(solo, float)
+        assert value == solo  # bit for bit
+        lo = row.min()
+        hi = lo + lam * np.log(n)
+        assert lo <= value <= hi + 1e-12 * (abs(hi) + 1.0)
 
 
 def test_free_energy_input_validation():
