@@ -12,9 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import load_config, render_config
+from .config import load_config
 from .harness import RunLog, compare_controllers, run_closed_loop, summary_table, verify_bound
 
 
@@ -65,131 +63,34 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
     return 1 if n_viol else 0
 
 
-def _selftest_checks():
-    """Fast library-level sanity checks, independent of the test suite."""
-    from .costs import CostFunction
-    from .dynamics import double_integrator
-    from .feedback import ZeroFeedback, fit_gamma
-    from .rmppi import (
-        BoundParams,
-        augmented_density_ratio,
-        augmented_rollouts,
-        free_energy_growth_bound,
-        mixed_cost,
-    )
-    from .sampling import NoisePlan, free_energy_mc, is_weight, rollout_batch
-
-    rng = np.random.default_rng(7)
-    model = double_integrator()
-    cost = CostFunction(
-        state_cost=lambda x: np.sum(x * x, axis=-1),
-        terminal_cost=lambda x: 2.0 * np.sum(x * x, axis=-1),
-        sigma=np.eye(1) * 0.25,
-        lam=10.0,
-        beta=0.0,
-        lipschitz_q=1.0,
-        lipschitz_phi=2.0,
-    )
-
-    def check_noise_plan():
-        a = NoisePlan.sample(42, 16, 5, cost.sigma_chol)
-        b = NoisePlan.sample(42, 16, 5, cost.sigma_chol)
-        c = NoisePlan.sample(43, 16, 5, cost.sigma_chol)
-        return np.array_equal(a.draws, b.draws) and not np.array_equal(a.draws, c.draws)
-
-    def check_sandwich():
-        costs = rng.uniform(0.0, 50.0, size=256)
-        fe = free_energy_mc(costs, cost.lam).value
-        lo, hi = costs.min(), costs.min() + cost.lam * np.log(costs.size)
-        return lo <= fe <= hi + 1e-12
-
-    def check_mixed_threshold():
-        s = rng.uniform(-5, 5, size=2000)
-        h = s + rng.uniform(0, 5, size=2000)
-        alpha = rng.uniform(-5, 5, size=2000)
-        blended = mixed_cost(s, h, alpha)
-        return bool(np.all((blended <= alpha) == (s <= alpha)))
-
-    def check_is_weight():
-        plan = NoisePlan.sample(3, 64, 4, cost.sigma_chol)
-        controls = rng.normal(size=(4, 1))
-        costs = rng.uniform(0, 10, size=64)
-        w = is_weight(costs, controls, plan.draws, cost.sigma_inv, cost.lam)
-        raw = np.exp(-costs / cost.lam) * np.array(
-            [
-                augmented_density_ratio(
-                    controls, np.zeros_like(controls), plan.draws[i], cost.sigma_inv
-                )
-                for i in range(64)
-            ]
-        )
-        return np.allclose(w, raw / raw.sum(), rtol=1e-10, atol=0)
-
-    def check_stacked_rollouts():
-        plan = NoisePlan.sample(5, 33, 6, cost.sigma_chol)
-        controls = rng.normal(size=(3, 6, 1))
-        starts = rng.normal(size=(3, 1, 2))
-        stacked = rollout_batch(model, cost, starts, controls, plan.draws)
-        return all(
-            np.array_equal(
-                stacked.costs[g],
-                rollout_batch(model, cost, starts[g, 0], controls[g], plan.draws).costs,
-            )
-            for g in range(3)
-        )
-
-    def check_augmented_reduction():
-        plan = NoisePlan.sample(9, 48, 6, cost.sigma_chol)
-        controls = rng.normal(size=(6, 1))
-        x0 = np.array([0.2, 0.4])
-        plain = rollout_batch(model, cost, x0, controls, plan.draws, control_term="plain")
-        roll = augmented_rollouts(
-            model, cost, x0, x0, controls, ZeroFeedback(1), plan.draws, np.inf
-        )
-        return np.array_equal(roll.real, plain.costs) and np.array_equal(
-            roll.mixed, plain.costs
-        )
-
-    def check_gamma_fit():
-        geo = fit_gamma(np.array([1.0, 0.5, 0.25, 0.125]))
-        flat = fit_gamma(np.array([1.0, 1.0, 1.0]))
-        return abs(geo.gamma_hat - 0.5) < 1e-12 and flat.boundary and flat.gamma_hat == 1.0
-
-    def check_bound_factor():
-        params = BoundParams(
-            alpha=5.0, gamma=0.5, horizon=2, lipschitz_q=1.0,
-            lipschitz_phi=2.0, emv=0.0, w_bound=0.0,
-        )
-        x = np.zeros(2)
-        b, b_no_d = free_energy_growth_bound(
-            params, model, x, x, np.zeros(1), fe_nominal=5.0
-        )
-        # zero motion, zero offset, zero slack
-        return abs(b - 0.0) < 1e-12 and abs(b_no_d - 0.0) < 1e-12
-
-    return [
-        ("noise plan determinism", check_noise_plan),
-        ("free energy sandwich", check_sandwich),
-        ("mixed cost threshold equivalence", check_mixed_threshold),
-        ("importance weights match density ratio", check_is_weight),
-        ("stacked rollouts equal separate ones", check_stacked_rollouts),
-        ("augmented channels reduce to plain", check_augmented_reduction),
-        ("tracking rate fit", check_gamma_fit),
-        ("growth bound arithmetic", check_bound_factor),
-    ]
+# The built-in default scenario, cut down so that `selftest` runs in well
+# under a second.
+_SELFTEST_OVERRIDES = (
+    "experiment.steps=50",
+    "sampling.n_samples=64",
+    "sampling.horizon=10",
+    "rmppi.nsp_samples=16",
+)
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
-    for name, fn in _selftest_checks():
-        try:
-            ok = fn()
-        except Exception as exc:  # a crash is a failure, keep going
-            ok = False
-            name = f"{name} ({type(exc).__name__}: {exc})"
-        print(f"{'ok  ' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
+    cfg = load_config(None, _SELFTEST_OVERRIDES)
+    log = run_closed_loop(cfg)
+    check = verify_bound(log)
+    n_viol = int(check.violations.sum())
+    results = [
+        (
+            log.summary["completed"],
+            f"ran {log.summary['steps_run']} of {cfg.steps} steps without a crash",
+        ),
+        (
+            check.checked > 0 and n_viol == 0,
+            f"bound held: {check.checked} increments checked, {n_viol} violations",
+        ),
+    ]
+    for ok, line in results:
+        print(f"{'ok  ' if ok else 'FAIL'}  {line}")
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("runlog", help="runlog.csv produced by `run`")
     ver_p.set_defaults(fn=_cmd_verify_bound)
 
-    self_p = sub.add_parser("selftest", help="fast built-in sanity checks")
+    self_p = sub.add_parser(
+        "selftest", help="run a short built-in scenario and check its bound"
+    )
     self_p.set_defaults(fn=_cmd_selftest)
     return parser
 

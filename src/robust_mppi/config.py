@@ -223,9 +223,13 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
         )
     if not 0.0 < fb["gamma_clip"] < 0.5:
         raise ValueError(f"feedback.gamma_clip must lie in (0, 0.5), got {fb['gamma_clip']}")
+    if not (math.isfinite(fb["lambda_c"]) and fb["lambda_c"] > 0.0):
+        raise ValueError(f"feedback.lambda_c must be finite and positive, got {fb['lambda_c']}")
     for key in ("n_candidates", "emv_repeats"):
         if rmp[key] < 2:
             raise ValueError(f"rmppi.{key} must be >= 2, got {rmp[key]}")
+    if rmp["nsp_samples"] < 1:
+        raise ValueError(f"rmppi.nsp_samples must be >= 1, got {rmp['nsp_samples']}")
     if samp["n_samples"] < 2 * rmp["emv_repeats"]:
         raise ValueError(
             "sampling.n_samples must be at least 2 * rmppi.emv_repeats, got "

@@ -74,32 +74,9 @@ class CostFunction:
         return self.sigma.shape[0]
 
 
-def path_cost(cost: CostFunction, trajectory: Array) -> float:
-    """Terminal cost of the last state plus running cost of all states before it.
-
-    ``trajectory`` has shape ``(T+1, n_x)``; a single-state trajectory is pure
-    terminal cost.
-    """
-    trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    total = float(cost.terminal_cost(trajectory[-1]))
-    if trajectory.shape[0] > 1:
-        total += float(np.sum(cost.state_cost(trajectory[:-1])))
-    return total
-
-
 def control_penalty_coef(lam: float, beta: float, beta_weighted: bool) -> float:
     """The per-step penalty coefficient; ``beta_weighted`` applies the (1-beta) discount."""
     return 0.5 * lam * ((1.0 - beta) if beta_weighted else 1.0)
-
-
-def control_cost_term(
-    cost: CostFunction, u: Array, eps: Array, beta_weighted: bool = False
-) -> float:
-    """Single-step penalty ``coef * u^T Sigma^{-1} (u + 2*eps)``."""
-    u = np.asarray(u, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    coef = control_penalty_coef(cost.lam, cost.beta, beta_weighted)
-    return float(coef * (u @ cost.sigma_inv @ (u + 2.0 * eps)))
 
 
 def penalty_step_terms(u_eff: Array, eps_t: Array, sigma_inv: Array) -> Array:
@@ -204,35 +181,3 @@ def quadratic_wall_cost(
         l_q = float("nan")
     return TaskCost(q, phi, l_q, terminal_scale * l_q)
 
-
-class LipschitzEstimate(NamedTuple):
-    lipschitz_q: float
-    lipschitz_phi: float
-    n_pairs: int
-
-
-def lipschitz_estimate(
-    cost: CostFunction,
-    domain_sampler: Callable[[np.random.Generator, int], Array],
-    n_pairs: int = 10000,
-    seed: int = 0,
-) -> LipschitzEstimate:
-    """Empirical Lipschitz bounds for q and phi from sampled point pairs.
-
-    ``domain_sampler(rng, n)`` must return ``(n, n_x)`` points from the task
-    domain.  Pairs closer than a tiny threshold are discarded; if none remain
-    the domain is degenerate and a ValueError is raised.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    rng = np.random.default_rng(seed)
-    a = np.asarray(domain_sampler(rng, n_pairs), dtype=float)
-    b = np.asarray(domain_sampler(rng, n_pairs), dtype=float)
-    dist = np.linalg.norm(a - b, axis=-1)
-    ok = dist > 1e-12
-    if not np.any(ok):
-        raise ValueError("degenerate domain: all sampled pairs coincide")
-    dq = np.abs(cost.state_cost(a) - cost.state_cost(b))[ok]
-    dphi = np.abs(cost.terminal_cost(a) - cost.terminal_cost(b))[ok]
-    d = dist[ok]
-    return LipschitzEstimate(float(np.max(dq / d)), float(np.max(dphi / d)), int(ok.sum()))

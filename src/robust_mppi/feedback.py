@@ -6,7 +6,7 @@ correction control.  Gains are linear before clamping:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -33,8 +33,6 @@ class RiccatiDivergenceError(RuntimeError):
 class ZeroFeedback:
     """No correction; used by controllers that rely on replanning alone."""
 
-    kind = "none"
-
     def __init__(self, n_u: int):
         self.n_u = n_u
 
@@ -52,7 +50,6 @@ class LinearGainsPolicy:
     gains: Array  # (T, n_u, n_x)
     control_low: Array | None = None
     control_high: Array | None = None
-    kind: str = field(default="ilqg", init=False)
 
     def _gain(self, t: int) -> Array:
         return self.gains[min(t, self.gains.shape[0] - 1)]
@@ -84,7 +81,6 @@ class ContractionPolicy:
     effort_weight: float = 1.0
     control_low: Array | None = None
     control_high: Array | None = None
-    kind: str = field(default="contraction", init=False)
 
     def __post_init__(self) -> None:
         m = np.atleast_2d(np.asarray(self.metric, dtype=float))
@@ -136,15 +132,15 @@ def ilqg_gains(
     controls: Array,
     q_track: Array,
     r_track: Array,
-    qf_track: Array | None = None,
-    clamp_to_model: bool = True,
 ) -> LinearGainsPolicy:
     """Finite-horizon LQ tracking gains about a nominal trajectory.
 
     Linearizes the stepped dynamics along ``nominal_states``/``controls`` and
-    runs the standard Riccati backward pass with diagonal-or-full tracking
-    weights.  Raises :class:`RiccatiDivergenceError` if the value matrix stops
-    being finite (non-stabilizable linearization).
+    runs the standard Riccati backward pass with the tracking weight matrices
+    ``q_track`` (``(n_x, n_x)``, also the terminal weight) and ``r_track``
+    (``(n_u, n_u)``).  The gains are clamped to the model's actuation limits.
+    Raises :class:`RiccatiDivergenceError` if the value matrix stops being
+    finite (non-stabilizable linearization).
     """
     nominal_states = np.asarray(nominal_states, dtype=float)
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -153,14 +149,11 @@ def ilqg_gains(
         raise ValueError(
             f"nominal states must have shape ({horizon + 1}, {model.n_x}), got {nominal_states.shape}"
         )
-    q = np.diag(np.asarray(q_track, dtype=float)) if np.ndim(q_track) == 1 else np.asarray(q_track, dtype=float)
-    r = np.diag(np.asarray(r_track, dtype=float)) if np.ndim(r_track) == 1 else np.asarray(r_track, dtype=float)
-    qf = q if qf_track is None else (
-        np.diag(np.asarray(qf_track, dtype=float)) if np.ndim(qf_track) == 1 else np.asarray(qf_track, dtype=float)
-    )
+    q = np.asarray(q_track, dtype=float)
+    r = np.asarray(r_track, dtype=float)
 
     gains = np.zeros((horizon, model.n_u, model.n_x))
-    p = qf.copy()
+    p = q.copy()
     for t in reversed(range(horizon)):
         ad, bd = model.discrete_jacobians(nominal_states[t], controls[t])
         s_uu = r + bd.T @ p @ bd
@@ -170,9 +163,9 @@ def ilqg_gains(
         if not np.all(np.isfinite(p)) or np.linalg.norm(p) > 1e12:
             raise RiccatiDivergenceError(t)
         gains[t] = -k
-    low = model.control_low if clamp_to_model else None
-    high = model.control_high if clamp_to_model else None
-    return LinearGainsPolicy(gains=gains, control_low=low, control_high=high)
+    return LinearGainsPolicy(
+        gains=gains, control_low=model.control_low, control_high=model.control_high
+    )
 
 
 def contraction_feedback(
@@ -180,13 +173,13 @@ def contraction_feedback(
     metric: Array,
     rate: float,
     effort_weight: float = 1.0,
-    clamp_to_model: bool = True,
 ) -> ContractionPolicy:
     """Build the constant-metric policy for a control-affine model.
 
     The input matrix is taken at the origin with zero control; both bundled
     systems have state-independent B, which is what the constant-metric
-    certificate assumes.
+    certificate assumes.  Corrections are clamped to the model's actuation
+    limits.
     """
     _, b = model.jacobians(np.zeros(model.n_x), np.zeros(model.n_u))
     return ContractionPolicy(
@@ -194,8 +187,8 @@ def contraction_feedback(
         rate=float(rate),
         b_matrix=b,
         effort_weight=float(effort_weight),
-        control_low=model.control_low if clamp_to_model else None,
-        control_high=model.control_high if clamp_to_model else None,
+        control_low=model.control_low,
+        control_high=model.control_high,
     )
 
 

@@ -108,6 +108,16 @@ def build_cost(cfg: ExperimentConfig, model: SystemModel) -> CostFunction:
         raise ValueError("cost.q_weights and cost.target must match the state dimension")
     if len(cfg.crash_box) != model.n_x:
         raise ValueError("harness.crash_box must match the state dimension")
+    if len(cfg.x0) != model.n_x:
+        raise ValueError("harness.x0 must match the state dimension")
+    if cfg.feedback_kind == "ilqg" and len(cfg.q_track) != model.n_x:
+        raise ValueError("feedback.q_track must match the state dimension")
+    if cfg.feedback_kind == "ilqg" and len(cfg.r_track) != model.n_u:
+        raise ValueError("feedback.r_track must match the control dimension")
+    if cfg.feedback_kind == "contraction" and len(cfg.metric) != model.n_x**2:
+        raise ValueError(
+            f"feedback.metric must have n_x * n_x = {model.n_x**2} entries, got {len(cfg.metric)}"
+        )
     task = quadratic_wall_cost(
         weights=np.array(cfg.q_weights),
         target=np.array(cfg.target),

@@ -74,7 +74,6 @@ class AugmentedRollout:
     real: Array
     mixed: Array
     nominal_eval: Array
-    draws: Array
     crashed: Array
 
 
@@ -142,26 +141,8 @@ def augmented_rollouts(
         real=real,
         mixed=mixed,
         nominal_eval=nominal_eval,
-        draws=draws,
         crashed=crashed,
     )
-
-
-def augmented_density_ratio(
-    u_seq: Array, k_seq: Array, eps_seq: Array, sigma_inv: Array
-) -> float:
-    """Importance weight of one noise sequence under the shifted proposal.
-
-    The proposal draws controls around ``u + k`` while the target density is
-    zero-mean, so the ratio for a realized noise ``eps`` is
-    ``exp(-0.5 * sum_t (u_t+k_t)^T Sigma^{-1} (u_t+k_t+2 eps_t))``.
-    """
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    k_seq = np.atleast_2d(np.asarray(k_seq, dtype=float))
-    eps_seq = np.atleast_2d(np.asarray(eps_seq, dtype=float))
-    shifted = u_seq + k_seq
-    quad = np.einsum("tu,uv,tv->", shifted, sigma_inv, shifted + 2.0 * eps_seq)
-    return float(np.exp(-0.5 * quad))
 
 
 @dataclass(frozen=True)
@@ -219,7 +200,7 @@ def nominal_state_propagation(
     shifted = shift_control_sequence(controls)
     plans = np.concatenate([controls[None], np.broadcast_to(shifted, (r,) + shifted.shape)])
     res = rollout_batch(model, cost, candidates[:, None], plans, draws, control_term="beta")
-    free_energies = free_energy_mc(res.costs, cost.lam).value
+    free_energies = free_energy_mc(res.costs, cost.lam)
 
     feasible = free_energies <= alpha
     distances = np.linalg.norm(candidates - x, axis=1)
@@ -343,8 +324,8 @@ def tube_mppi_step(
             degenerate=True,
         )
     costs_nom, costs_real = res.costs
-    fe_nom = free_energy_mc(costs_nom, cost.lam).value
-    fe_real = free_energy_mc(costs_real, cost.lam).value
+    fe_nom = free_energy_mc(costs_nom, cost.lam)
+    fe_real = free_energy_mc(costs_real, cost.lam)
     u_nom = mppi_update(
         controls, softmax_weights(costs_nom, cost.lam), draws, smoothing_window
     )
@@ -450,7 +431,7 @@ def estimate_value_noise(costs: Array, lam: float, repeats: int) -> float:
             "value noise needs repeats >= 2 and at least 2 * repeats samples, "
             f"got repeats={repeats} for {costs.shape[-1]} samples"
         )
-    estimates = free_energy_mc(costs[: repeats * m].reshape(repeats, m), lam).value
+    estimates = free_energy_mc(costs[: repeats * m].reshape(repeats, m), lam)
     return 3.0 * float(np.std(estimates, ddof=1))
 
 
@@ -595,8 +576,8 @@ class RmppiController:
             action = self.model.clamp(
                 (self.controls[0] + feedback0) + weighted_noise(w_real, plan.draws)[0]
             )
-            fe_real = free_energy_mc(roll.real, self.cost.lam).value
-            fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam).value
+            fe_real = free_energy_mc(roll.real, self.cost.lam)
+            fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
             self.controls = mppi_update(
                 self.controls, w_nom, plan.draws, self.s.smoothing_window
             )

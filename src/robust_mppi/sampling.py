@@ -1,4 +1,4 @@
-"""Noise plans, Monte-Carlo free energy, importance weights and batched rollouts.
+"""Noise plans, Monte-Carlo free energy, softmax weights and batched rollouts.
 
 Determinism contract: every random stream is derived from the experiment seed
 plus a (step, stream) path through :func:`derive_seed`, so a run is a pure
@@ -25,6 +25,9 @@ STREAM_ROLLOUT = 1
 STREAM_NSP = 2
 STREAM_PLANT = 4
 
+# Polynomial order of the optional Savitzky-Golay plan smoothing.
+SAVGOL_ORDER = 3
+
 
 class DegenerateSamplingError(RuntimeError):
     """Raised when a sample batch carries no usable information (all crashed)."""
@@ -40,7 +43,6 @@ def derive_seed(master: int, *path: int) -> int:
 class NoisePlan:
     """A frozen batch of control perturbations, reproducible from its seed."""
 
-    seed: int
     draws: Array  # (n_samples, horizon, n_u)
 
     @classmethod
@@ -52,34 +54,17 @@ class NoisePlan:
         z = rng.standard_normal((n_samples, horizon, sigma_chol.shape[0]))
         # one (N*T, n_u) matmul, not N stacked (T, n_u) ones; same values
         draws = (z.reshape(-1, z.shape[-1]) @ sigma_chol.T).reshape(z.shape)
-        return cls(seed=seed, draws=draws)
-
-    @property
-    def n_samples(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.draws.shape[1]
+        return cls(draws=draws)
 
 
-@dataclass(frozen=True)
-class FreeEnergyEstimate:
-    """Monte-Carlo free energy of a cost batch, or of each row of a stack."""
-
-    value: float | Array
-    n_samples: int
-    min_cost: float | Array
-
-
-def free_energy_mc(costs: Array, lam: float) -> FreeEnergyEstimate:
+def free_energy_mc(costs: Array, lam: float) -> float | Array:
     """-lam * log mean(exp(-costs/lam)), evaluated stably against the batch minimum.
 
     ``costs`` is ``(..., N)`` and the reduction runs over the last axis, so a
-    stack of batches takes one call; ``value`` and ``min_cost`` are floats
-    for a 1-D batch and arrays of the leading shape otherwise.  Each row
-    gives the same bits as its own call, and every estimate lies in
-    ``[min_cost, min_cost + lam*log(N)]``.
+    stack of batches takes one call; the result is a float for a 1-D batch
+    and an array of the leading shape otherwise.  Each row gives the same
+    bits as its own call, and every estimate lies in
+    ``[min(costs), min(costs) + lam*log(N)]``.
     """
     costs = np.atleast_1d(np.asarray(costs, dtype=float))
     if costs.shape[-1] == 0:
@@ -89,11 +74,8 @@ def free_energy_mc(costs: Array, lam: float) -> FreeEnergyEstimate:
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     m = np.min(costs, axis=-1, keepdims=True)
-    min_cost = m[..., 0]
-    value = min_cost - lam * np.log(np.mean(np.exp(-(costs - m) / lam), axis=-1))
-    if costs.ndim == 1:
-        value, min_cost = float(value), float(min_cost)
-    return FreeEnergyEstimate(value=value, n_samples=costs.shape[-1], min_cost=min_cost)
+    value = m[..., 0] - lam * np.log(np.mean(np.exp(-(costs - m) / lam), axis=-1))
+    return float(value) if costs.ndim == 1 else value
 
 
 def softmax_weights(costs: Array, lam: float) -> Array:
@@ -104,25 +86,6 @@ def softmax_weights(costs: Array, lam: float) -> Array:
     if not np.all(np.isfinite(costs)):
         raise DegenerateSamplingError("non-finite costs in the sample batch")
     w = np.exp(-(costs - np.min(costs)) / lam)
-    return w / np.sum(w)
-
-
-def is_weight(costs: Array, controls: Array, draws: Array, sigma_inv: Array, lam: float) -> Array:
-    """Normalized importance weights for rollouts sampled around a control plan.
-
-    ``costs`` are the per-sample state path costs (no control penalty); the
-    correction for sampling around ``controls`` instead of the zero-mean
-    distribution is folded in analytically.  Equals the normalized density
-    ratio ``exp(-S/lam) * p(V) / q(V)`` over the batch.
-    """
-    costs = np.asarray(costs, dtype=float)
-    draws = np.asarray(draws, dtype=float)
-    si_u = controls @ sigma_inv.T  # (T, n_u)
-    # log p(V) - log q(V) = -sum_t (0.5*u_t + eps_t)^T Sigma^{-1} u_t
-    correction = np.einsum("ntu,tu->n", 0.5 * controls[None, :, :] + draws, si_u)
-    log_w = -costs / lam - correction
-    log_w -= np.max(log_w)
-    w = np.exp(log_w)
     return w / np.sum(w)
 
 
@@ -144,12 +107,12 @@ def mppi_update(
     weights: Array,
     draws: Array,
     smoothing_window: int = 0,
-    smoothing_order: int = 3,
 ) -> Array:
     """Move the control plan toward the weighted noise average.
 
-    ``smoothing_window > 0`` applies a Savitzky-Golay filter along the horizon
-    after the update; it is off by default.
+    ``smoothing_window > 0`` applies a Savitzky-Golay filter of polynomial
+    order :data:`SAVGOL_ORDER` along the horizon after the update; it is off
+    by default.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)) or np.sum(weights) <= 0.0:
@@ -159,8 +122,8 @@ def mppi_update(
         from scipy.signal import savgol_filter
 
         window = min(smoothing_window, updated.shape[0])
-        if window > smoothing_order:
-            updated = savgol_filter(updated, window, smoothing_order, axis=0)
+        if window > SAVGOL_ORDER:
+            updated = savgol_filter(updated, window, SAVGOL_ORDER, axis=0)
     return updated
 
 
@@ -239,9 +202,9 @@ def rollout_batch(
     draws are rolled out in one pass when ``x0`` is ``(G, 1 or N, n_x)`` or
     ``controls`` is ``(G, T, n_u)``; the results are then ``(G, N)`` and each
     group equals its own ungrouped call.  ``control_term`` selects the
-    penalty variant: "plain" (lam/2), "beta" (lam*(1-beta)/2) or "none".
-    Samples whose state stops being finite get ``cost.crash_cost`` and are
-    flagged.
+    penalty variant: "plain" (lam/2) or "beta" (lam*(1-beta)/2); the state
+    costs alone are returned as ``state_costs``.  Samples whose state stops
+    being finite get ``cost.crash_cost`` and are flagged.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -250,17 +213,14 @@ def rollout_batch(
         raise ValueError("draws must have shape (n_samples, horizon, n_u) matching controls")
     if x0.ndim >= 2 and x0.shape[-2] not in (1, draws.shape[0]):
         raise ValueError("per-sample starts must match the number of samples")
+    if control_term not in ("plain", "beta"):
+        raise ValueError(f"unknown control_term {control_term!r}")
 
     state_costs, crashed, _ = propagate(model, cost, x0, controls, draws)
     if x0.ndim < 3 and controls.ndim < 3:
         state_costs, crashed = state_costs[0], crashed[0]
-    if control_term == "none":
-        total = state_costs.copy()
-    elif control_term in ("plain", "beta"):
-        coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
-        total = state_costs + control_penalty_batch(controls, draws, cost.sigma_inv, coef)
-    else:
-        raise ValueError(f"unknown control_term {control_term!r}")
+    coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
+    total = state_costs + control_penalty_batch(controls, draws, cost.sigma_inv, coef)
     total = np.where(crashed, cost.crash_cost, total)
     return RolloutResult(costs=total, state_costs=state_costs, crashed=crashed)
 
@@ -338,7 +298,7 @@ class MppiController:
             weights = softmax_weights(res.costs, self.cost.lam)
             updated = mppi_update(self.controls, weights, plan.draws, self.smoothing_window)
             action = self.model.clamp(updated[0])
-            fe = free_energy_mc(res.costs, self.cost.lam).value
+            fe = free_energy_mc(res.costs, self.cost.lam)
         self.controls = shift_control_sequence(updated)
         self.step_index += 1
         return action, StepRecord(fe_real=fe, fe_nom=fe, x_star=x.copy(), degen=degenerate)

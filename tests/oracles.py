@@ -1,0 +1,109 @@
+"""Reference implementations the tests check the library against.
+
+None of these runs inside a controller.  Each one computes, by a second and
+more literal route, a quantity the library computes in batched form: a path
+cost from an explicit trajectory, one step of the control penalty, sampled
+Lipschitz constants, normalized importance weights with the proposal
+correction written out, and the density ratio of one augmented noise sequence.
+"""
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from robust_mppi.costs import CostFunction, control_penalty_coef
+
+Array = np.ndarray
+
+
+def path_cost(cost: CostFunction, trajectory: Array) -> float:
+    """Terminal cost of the last state plus running cost of all states before it.
+
+    ``trajectory`` has shape ``(T+1, n_x)``; a single-state trajectory is pure
+    terminal cost.
+    """
+    trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
+    total = float(cost.terminal_cost(trajectory[-1]))
+    if trajectory.shape[0] > 1:
+        total += float(np.sum(cost.state_cost(trajectory[:-1])))
+    return total
+
+
+def control_cost_term(
+    cost: CostFunction, u: Array, eps: Array, beta_weighted: bool = False
+) -> float:
+    """Single-step penalty ``coef * u^T Sigma^{-1} (u + 2*eps)``."""
+    u = np.asarray(u, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    coef = control_penalty_coef(cost.lam, cost.beta, beta_weighted)
+    return float(coef * (u @ cost.sigma_inv @ (u + 2.0 * eps)))
+
+
+class LipschitzEstimate(NamedTuple):
+    lipschitz_q: float
+    lipschitz_phi: float
+    n_pairs: int
+
+
+def lipschitz_estimate(
+    cost: CostFunction,
+    domain_sampler: Callable[[np.random.Generator, int], Array],
+    n_pairs: int = 10000,
+    seed: int = 0,
+) -> LipschitzEstimate:
+    """Empirical Lipschitz bounds for q and phi from sampled point pairs.
+
+    ``domain_sampler(rng, n)`` must return ``(n, n_x)`` points from the task
+    domain.  Pairs closer than a tiny threshold are discarded; if none remain
+    the domain is degenerate and a ValueError is raised.
+    """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
+    rng = np.random.default_rng(seed)
+    a = np.asarray(domain_sampler(rng, n_pairs), dtype=float)
+    b = np.asarray(domain_sampler(rng, n_pairs), dtype=float)
+    dist = np.linalg.norm(a - b, axis=-1)
+    ok = dist > 1e-12
+    if not np.any(ok):
+        raise ValueError("degenerate domain: all sampled pairs coincide")
+    dq = np.abs(cost.state_cost(a) - cost.state_cost(b))[ok]
+    dphi = np.abs(cost.terminal_cost(a) - cost.terminal_cost(b))[ok]
+    d = dist[ok]
+    return LipschitzEstimate(float(np.max(dq / d)), float(np.max(dphi / d)), int(ok.sum()))
+
+
+def is_weight(costs: Array, controls: Array, draws: Array, sigma_inv: Array, lam: float) -> Array:
+    """Normalized importance weights for rollouts sampled around a control plan.
+
+    ``costs`` are the per-sample state path costs (no control penalty); the
+    correction for sampling around ``controls`` instead of the zero-mean
+    distribution is folded in analytically.  Equals the normalized density
+    ratio ``exp(-S/lam) * p(V) / q(V)`` over the batch.
+    """
+    costs = np.asarray(costs, dtype=float)
+    draws = np.asarray(draws, dtype=float)
+    si_u = controls @ sigma_inv.T  # (T, n_u)
+    # log p(V) - log q(V) = -sum_t (0.5*u_t + eps_t)^T Sigma^{-1} u_t
+    correction = np.einsum("ntu,tu->n", 0.5 * controls[None, :, :] + draws, si_u)
+    log_w = -costs / lam - correction
+    log_w -= np.max(log_w)
+    w = np.exp(log_w)
+    return w / np.sum(w)
+
+
+def augmented_density_ratio(
+    u_seq: Array, k_seq: Array, eps_seq: Array, sigma_inv: Array
+) -> float:
+    """Importance weight of one noise sequence under the shifted proposal.
+
+    The proposal draws controls around ``u + k`` while the target density is
+    zero-mean, so the ratio for a realized noise ``eps`` is
+    ``exp(-0.5 * sum_t (u_t+k_t)^T Sigma^{-1} (u_t+k_t+2 eps_t))``.
+    """
+    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
+    k_seq = np.atleast_2d(np.asarray(k_seq, dtype=float))
+    eps_seq = np.atleast_2d(np.asarray(eps_seq, dtype=float))
+    shifted = u_seq + k_seq
+    quad = np.einsum("tu,uv,tv->", shifted, sigma_inv, shifted + 2.0 * eps_seq)
+    return float(np.exp(-0.5 * quad))

@@ -31,20 +31,16 @@ from robust_mppi.harness import (
     compare_controllers,
     run_closed_loop,
 )
-from robust_mppi.rmppi import (
-    RmppiController,
-    RmppiSettings,
-    augmented_density_ratio,
-    mixed_cost,
-)
+from robust_mppi.rmppi import RmppiController, RmppiSettings, mixed_cost
 from robust_mppi.sampling import (
     STREAM_PLANT,
     MppiController,
     derive_seed,
     free_energy_mc,
-    is_weight,
     shift_control_sequence,
 )
+
+from oracles import augmented_density_ratio, is_weight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DI_STRESS = CONFIGS / "di_stress_x100.ini"
@@ -130,7 +126,7 @@ def test_free_energy_sandwich_holds_on_random_batches():
         lam = float(10.0 ** rng.uniform(-2, 3))
         scale = float(10.0 ** rng.uniform(-2, 4))
         costs = scale * rng.random(n) + scale * rng.standard_normal() ** 2
-        fe = free_energy_mc(costs, lam).value
+        fe = free_energy_mc(costs, lam)
         lo = float(np.min(costs))
         hi = lo + lam * np.log(n)
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))

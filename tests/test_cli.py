@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import robust_mppi
+from robust_mppi import cli
 from robust_mppi.cli import main
 from robust_mppi.config import load_config
-from robust_mppi.harness import RunLog
+from robust_mppi.harness import BoundCheck, RunLog
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,8 +40,17 @@ def fast_args(tmp_path, name, extra=()):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok  ") == 8
+    assert out.count("ok  ") == 2
     assert "FAIL" not in out
+
+
+def test_selftest_fails_when_the_bound_is_violated(monkeypatch, capsys):
+    violated = BoundCheck(checked=1, violations=np.array([True]), rate=1.0, mean_margin=-1.0)
+    monkeypatch.setattr(cli, "verify_bound", lambda log: violated)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("ok  ") == 1
+    assert out.count("FAIL") == 1
 
 
 def test_entry_point_is_installed():
@@ -71,7 +81,7 @@ def test_entry_point_is_installed():
         [sys.executable, "-c", launcher, "selftest"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("ok  ") == 8
+    assert proc.stdout.count("ok  ") == 2
     assert "FAIL" not in proc.stdout
 
     exe = shutil.which("robust-mppi")

@@ -5,14 +5,13 @@ import pytest
 
 from robust_mppi.costs import (
     CostFunction,
-    control_cost_term,
     control_penalty_batch,
     control_penalty_coef,
-    lipschitz_estimate,
-    path_cost,
     penalty_step_terms,
     quadratic_wall_cost,
 )
+
+from oracles import control_cost_term, lipschitz_estimate, path_cost
 
 
 def simple_cost(sigma=None, lam=2.0, beta=0.5):

@@ -108,6 +108,9 @@ LOAD_TIME_REJECTIONS = {
     "sampling.n_samples=15": "sampling.n_samples must be at least 2 \\* rmppi.emv_repeats",
     "dynamics.control_limit=-2": "dynamics.control_limit",
     "dynamics.control_limit=0": "dynamics.control_limit",
+    "rmppi.nsp_samples=0": "rmppi.nsp_samples",
+    "feedback.lambda_c=inf": "feedback.lambda_c",
+    "feedback.lambda_c=0": "feedback.lambda_c",
 }
 
 
@@ -195,6 +198,23 @@ def test_build_cost_rejects_dimension_mismatches():
         build_cost(cfg.with_values(**{"cost.q_weights": "1, 2, 3"}), model)
     with pytest.raises(ValueError, match="crash_box"):
         build_cost(cfg.with_values(**{"harness.crash_box": "10"}), model)
+
+
+# Shapes that only the built system can check; each failed inside numpy at
+# step 0 before it was rejected at build time by name.
+BUILD_TIME_REJECTIONS = {
+    "harness.x0=0,0,0": "harness.x0",
+    "feedback.kind=ilqg feedback.q_track=1,2,3": "feedback.q_track",
+    "feedback.kind=ilqg feedback.r_track=1,1": "feedback.r_track",
+    "feedback.kind=contraction feedback.metric=1,2,3": "feedback.metric",
+}
+
+
+@pytest.mark.parametrize("overrides", list(BUILD_TIME_REJECTIONS))
+def test_shapes_that_would_fail_at_step_zero_are_rejected_when_built(overrides):
+    cfg = load_config(overrides=overrides.split())
+    with pytest.raises(ValueError, match=BUILD_TIME_REJECTIONS[overrides]):
+        build_cost(cfg, build_model(cfg))
 
 
 def test_build_cost_squares_sigma_entries():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
 from robust_mppi.costs import CostFunction
@@ -12,7 +15,6 @@ from robust_mppi.rmppi import (
     RmppiController,
     RmppiSettings,
     TubeMppiController,
-    augmented_density_ratio,
     augmented_rollouts,
     estimate_value_noise,
     free_energy_growth_bound,
@@ -31,6 +33,8 @@ from robust_mppi.sampling import (
     shift_control_sequence,
     softmax_weights,
 )
+
+from oracles import augmented_density_ratio
 
 
 def simple_cost(lam=2.0, beta=0.5, sigma=None, crash_cost=1e4, lipschitz=False):
@@ -92,6 +96,29 @@ def test_mixed_cost_threshold_matches_the_nominal_part():
     alpha = 4.0
     s_star = rng.uniform(0.0, 8.0, size=500)
     s_hat = rng.uniform(0.0, 80.0, size=500)
+    blend = mixed_cost(s_star, s_hat, alpha)
+    assert np.array_equal(blend <= alpha, s_star <= alpha)
+    assert np.all(blend >= s_star)
+
+
+# Halving is exact away from the bottom of the normal range, which is all the
+# equivalence needs, so magnitudes below 1e-300 are drawn as zero.
+blend_values = st.floats(-1e12, 1e12).map(lambda v: 0.0 if abs(v) < 1e-300 else v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 64).flatmap(
+        lambda n: st.tuples(
+            *(hnp.arrays(np.float64, n, elements=blend_values) for _ in range(3)),
+            hnp.arrays(np.bool_, n),
+        )
+    )
+)
+def test_mixed_cost_threshold_equivalence_holds_on_random_triples(triple):
+    s_star, s_hat, alpha, ties = triple
+    # exact ties are the boundary case the equivalence must also cover
+    alpha = np.where(ties, s_star, alpha)
     blend = mixed_cost(s_star, s_hat, alpha)
     assert np.array_equal(blend <= alpha, s_star <= alpha)
     assert np.all(blend >= s_star)
@@ -296,10 +323,10 @@ def test_nominal_propagation_free_energies_match_direct_rollouts():
         model, cost, x, x_prev, x_prop, controls, np.inf, 4, draws
     )
     direct_prev = rollout_batch(model, cost, x_prev, controls, draws, control_term="beta")
-    assert decision.free_energies[0] == free_energy_mc(direct_prev.costs, cost.lam).value
+    assert decision.free_energies[0] == free_energy_mc(direct_prev.costs, cost.lam)
     shifted = shift_control_sequence(controls)
     direct_x = rollout_batch(model, cost, x, shifted, draws, control_term="beta")
-    assert decision.free_energies[4] == free_energy_mc(direct_x.costs, cost.lam).value
+    assert decision.free_energies[4] == free_energy_mc(direct_x.costs, cost.lam)
     repeat = nominal_state_propagation(
         model, cost, x, x_prev, x_prop, controls, np.inf, 4, draws
     )
@@ -379,7 +406,7 @@ def test_tube_step_reset_restarts_the_tube_at_the_measurement():
     u_real = mppi_update(controls, softmax_weights(real.costs, cost.lam), draws, 0)
     assert np.array_equal(result.controls, shift_control_sequence(u_real))
     assert np.array_equal(result.x_star, model.step(x, u_real[0]))
-    assert result.fe_real == free_energy_mc(real.costs, cost.lam).value
+    assert result.fe_real == free_energy_mc(real.costs, cost.lam)
     assert np.array_equal(result.action, model.clamp(u_real[0]))
 
 
@@ -446,7 +473,7 @@ def test_value_noise_estimate_is_deterministic_and_self_consistent():
     emv = estimate_value_noise(costs, 2.0, 6)
     assert emv == estimate_value_noise(costs, 2.0, 6)
     # six contiguous sub-batches of 32; the last 5 samples are dropped
-    estimates = [free_energy_mc(costs[32 * k: 32 * (k + 1)], 2.0).value for k in range(6)]
+    estimates = [free_energy_mc(costs[32 * k: 32 * (k + 1)], 2.0) for k in range(6)]
     assert emv == 3.0 * np.std(estimates, ddof=1)
 
 
@@ -494,10 +521,10 @@ def test_rmppi_value_noise_is_the_batch_means_of_its_nominal_channel():
     )
     assert not np.array_equal(roll.real, roll.nominal_eval)
     lam = controller.cost.lam
-    estimates = [free_energy_mc(roll.nominal_eval[7 * k: 7 * (k + 1)], lam).value
+    estimates = [free_energy_mc(roll.nominal_eval[7 * k: 7 * (k + 1)], lam)
                  for k in range(4)]
     assert rec.emv == 3.0 * np.std(estimates, ddof=1)
-    assert rec.fe_nom == free_energy_mc(roll.nominal_eval, lam).value
+    assert rec.fe_nom == free_energy_mc(roll.nominal_eval, lam)
 
 
 def test_rmppi_step_draws_only_rollout_and_nsp_noise(monkeypatch):

@@ -69,7 +69,7 @@ def test_zero_feedback_augmented_channels_equal_plain_rollouts(batch):
 @PROPERTY_SETTINGS
 @given(
     st.integers(1, 4).flatmap(lambda g: batches(groups=g)),
-    st.sampled_from(["none", "plain", "beta"]),
+    st.sampled_from(["plain", "beta"]),
 )
 def test_one_grouped_rollout_equals_separate_rollouts(batch, control_term):
     model, starts, controls, draws = batch

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from robust_mppi.costs import CostFunction, control_penalty_batch, control_penalty_coef
+from robust_mppi.costs import (
+    CostFunction,
+    control_penalty_batch,
+    control_penalty_coef,
+    quadratic_wall_cost,
+)
 from robust_mppi.dynamics import SystemModel, double_integrator
 from robust_mppi.sampling import (
     DegenerateSamplingError,
@@ -14,13 +19,14 @@ from robust_mppi.sampling import (
     NoisePlan,
     derive_seed,
     free_energy_mc,
-    is_weight,
     mppi_update,
     rollout_batch,
     shift_control_sequence,
     softmax_weights,
     weighted_noise,
 )
+
+from oracles import is_weight, path_cost
 
 
 def simple_cost(lam=2.0, beta=0.5, sigma=None, crash_cost=1e4):
@@ -57,7 +63,7 @@ def test_noise_plan_reproducible_from_seed():
     c = NoisePlan.sample(6, 64, 10, chol)
     assert np.array_equal(a.draws, b.draws)
     assert not np.array_equal(a.draws, c.draws)
-    assert a.n_samples == 64 and a.horizon == 10
+    assert a.draws.shape == (64, 10, 1)
 
 
 def test_noise_plan_matches_requested_covariance():
@@ -78,15 +84,13 @@ def test_noise_plan_rejects_empty_requests():
 
 
 def test_free_energy_equal_costs_is_exact():
-    est = free_energy_mc(np.array([3.0, 3.0, 3.0]), lam=2.0)
-    assert est.value == 3.0
-    assert est.min_cost == 3.0
+    assert free_energy_mc(np.array([3.0, 3.0, 3.0]), lam=2.0) == 3.0
 
 
 def test_free_energy_frozen_two_point_example():
     # lam=1, costs (0, ln 4): F = -log((1 + 1/4)/2) = log(8/5)
-    est = free_energy_mc(np.array([0.0, np.log(4.0)]), lam=1.0)
-    assert np.isclose(est.value, np.log(8.0 / 5.0), rtol=0, atol=1e-15)
+    fe = free_energy_mc(np.array([0.0, np.log(4.0)]), lam=1.0)
+    assert np.isclose(fe, np.log(8.0 / 5.0), rtol=0, atol=1e-15)
 
 
 def test_free_energy_sandwich_property():
@@ -94,8 +98,8 @@ def test_free_energy_sandwich_property():
     for _ in range(50):
         lam = rng.uniform(0.1, 30.0)
         costs = rng.uniform(-10.0, 100.0, size=rng.integers(1, 400))
-        est = free_energy_mc(costs, lam)
-        assert costs.min() <= est.value <= costs.min() + lam * np.log(costs.size) + 1e-10
+        fe = free_energy_mc(costs, lam)
+        assert costs.min() <= fe <= costs.min() + lam * np.log(costs.size) + 1e-10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -111,10 +115,9 @@ def test_batched_free_energy_rows_equal_solo_calls_and_obey_the_sandwich(
 ):
     costs = np.random.default_rng(seed).uniform(-scale, scale, size=(groups, n))
     batched = free_energy_mc(costs, lam)
-    assert batched.value.shape == (groups,)
-    assert batched.n_samples == n
-    for row, value in zip(costs, batched.value):
-        solo = free_energy_mc(row, lam).value
+    assert batched.shape == (groups,)
+    for row, value in zip(costs, batched):
+        solo = free_energy_mc(row, lam)
         assert isinstance(solo, float)
         assert value == solo  # bit for bit
         lo = row.min()
@@ -143,6 +146,25 @@ def test_softmax_weights_shift_invariant():
     a = softmax_weights(costs, lam=5.0)
     b = softmax_weights(costs + 123.0, lam=5.0)
     assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 256),
+    st.floats(0.1, 100.0),
+    st.floats(0.0, 1e3),
+    st.floats(-1e3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_softmax_weights_shift_invariance_holds_on_random_batches(n, lam, scale, shift, seed):
+    costs = np.random.default_rng(seed).uniform(-scale, scale, size=n)
+    a = softmax_weights(costs, lam)
+    b = softmax_weights(costs + shift, lam)
+    # shifting moves each exponent by at most a few ulps of |cost| + |shift|,
+    # about 1e-11 relative at these ranges
+    assert np.allclose(a, b, rtol=1e-9, atol=1e-300)
+    assert np.argmax(a) == np.argmax(b)
+    assert np.isclose(np.sum(b), 1.0, rtol=0, atol=1e-12)
 
 
 def test_softmax_weights_rejects_non_finite():
@@ -174,6 +196,28 @@ def test_is_weight_matches_gaussian_density_ratio_oracle():
     expected = np.exp(log_raw - log_raw.max())
     expected /= expected.sum()
     assert np.allclose(w, expected, rtol=1e-8, atol=1e-12)
+
+
+def test_softmax_of_plain_rollout_costs_equals_the_importance_weights():
+    # The plain control penalty is the proposal correction of is_weight, so
+    # the weights the controllers use are the density-ratio weights.
+    from robust_mppi.dynamics import nonlinear_benchmark
+
+    model = nonlinear_benchmark()
+    horizon, n = 30, 256
+    task = quadratic_wall_cost(np.array([1.0, 0.5]), np.zeros(2))
+    for seed, lam in enumerate(np.geomspace(0.3, 30.0, 20)):
+        rng = np.random.default_rng(seed)
+        cost = CostFunction(
+            task.state_cost, task.terminal_cost, np.eye(1) * 0.6**2, lam=lam, beta=0.5
+        )
+        controls = rng.normal(size=(horizon, 1))
+        x0 = rng.uniform(-1.0, 1.0, size=2)
+        draws = NoisePlan.sample(seed, n, horizon, cost.sigma_chol).draws
+        res = rollout_batch(model, cost, x0, controls, draws, control_term="plain")
+        got = softmax_weights(res.costs, lam)
+        want = is_weight(res.state_costs, controls, draws, cost.sigma_inv, lam)
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_weighted_noise_hand_example():
@@ -230,23 +274,20 @@ def test_rollout_batch_is_pure():
 def test_rollout_state_cost_identity_with_path_cost():
     # the rollout prices states after each step plus the terminal state, so it
     # equals the start-inclusive path cost minus q(start) plus q(end)
-    from robust_mppi.costs import path_cost
     from robust_mppi.dynamics import nominal_trajectory
 
     model = double_integrator()
     cost = simple_cost()
     controls = np.array([[0.3], [0.1], [-0.2], [0.4]])
     x0 = np.array([0.7, -0.1])
-    res = rollout_batch(
-        model, cost, x0, controls, np.zeros((1, 4, 1)), control_term="none"
-    )
+    res = rollout_batch(model, cost, x0, controls, np.zeros((1, 4, 1)))
     traj = nominal_trajectory(model, x0, controls)
     expected = (
         path_cost(cost, traj)
         - float(cost.state_cost(traj[0]))
         + float(cost.state_cost(traj[-1]))
     )
-    assert np.isclose(res.costs[0], expected, rtol=1e-12, atol=0)
+    assert np.isclose(res.state_costs[0], expected, rtol=1e-12, atol=0)
 
 
 def test_rollout_control_term_variants_differ_by_penalty():
@@ -255,7 +296,6 @@ def test_rollout_control_term_variants_differ_by_penalty():
     plan = NoisePlan.sample(9, 10, 5, cost.sigma_chol)
     controls = np.full((5, 1), 0.2)
     x0 = np.zeros(2)
-    none = rollout_batch(model, cost, x0, controls, plan.draws, control_term="none")
     plain = rollout_batch(model, cost, x0, controls, plan.draws, control_term="plain")
     beta = rollout_batch(model, cost, x0, controls, plan.draws, control_term="beta")
     pen_plain = control_penalty_batch(
@@ -264,8 +304,9 @@ def test_rollout_control_term_variants_differ_by_penalty():
     pen_beta = control_penalty_batch(
         controls, plan.draws, cost.sigma_inv, control_penalty_coef(cost.lam, cost.beta, True)
     )
-    assert np.array_equal(plain.costs, none.costs + pen_plain)
-    assert np.array_equal(beta.costs, none.costs + pen_beta)
+    assert np.array_equal(plain.state_costs, beta.state_costs)
+    assert np.array_equal(plain.costs, plain.state_costs + pen_plain)
+    assert np.array_equal(beta.costs, beta.state_costs + pen_beta)
     with pytest.raises(ValueError, match="control_term"):
         rollout_batch(model, cost, x0, controls, plan.draws, control_term="squared")
 
