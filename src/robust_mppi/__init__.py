@@ -13,7 +13,6 @@ extension points (systems, costs, feedback policies and the per-step record
 a controller returns); everything else is imported from its submodule.
 """
 
-from .cli import main
 from .config import load_config
 from .costs import CostFunction
 from .dynamics import SystemModel, register_system
@@ -36,3 +35,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``main`` is imported on first use, not with the package: an eager
+    # import of ``.cli`` makes ``python -m robust_mppi.cli`` warn that the
+    # module was already in sys.modules before it ran.
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

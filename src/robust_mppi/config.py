@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .sampling import SAVGOL_ORDER
+
 
 def _parse_int(s: str) -> int:
     return int(s)
@@ -220,6 +222,28 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
     if not dyn["control_limit"] > 0.0:
         raise ValueError(
             f"dynamics.control_limit must be positive, got {dyn['control_limit']}"
+        )
+    window = samp["smoothing_window"]
+    if window != 0 and window <= SAVGOL_ORDER:
+        raise ValueError(
+            f"sampling.smoothing_window must be 0 (filter off) or above {SAVGOL_ORDER}, "
+            f"the Savitzky-Golay order (values above it filter), got {window}"
+        )
+    if not dist["noise_multiplier"] >= 0.0:
+        raise ValueError(
+            f"disturbance.noise_multiplier must be >= 0, got {dist['noise_multiplier']}"
+        )
+    if not dist["w_bound"] >= 0.0:
+        raise ValueError(f"disturbance.w_bound must be >= 0, got {dist['w_bound']}")
+    if not math.isfinite(cost["crash_cost"]):
+        raise ValueError(f"cost.crash_cost must be finite, got {cost['crash_cost']}")
+    if fb["gamma_window"] < 2:
+        raise ValueError(
+            f"feedback.gamma_window must be >= 2 to fit a tracking rate, got {fb['gamma_window']}"
+        )
+    if not (math.isfinite(fb["effort_weight"]) and fb["effort_weight"] > 0.0):
+        raise ValueError(
+            f"feedback.effort_weight must be finite and positive, got {fb['effort_weight']}"
         )
     if not 0.0 < fb["gamma_clip"] < 0.5:
         raise ValueError(f"feedback.gamma_clip must lie in (0, 0.5), got {fb['gamma_clip']}")

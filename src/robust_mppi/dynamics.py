@@ -19,6 +19,20 @@ Array = np.ndarray
 _FD_EPS = 1e-6
 
 
+def clamp_controls(u: Array, low: Array | None, high: Array | None) -> Array:
+    """Clip a control (batch) to per-channel limits; ``None`` leaves a side open.
+
+    Same values as ``np.clip(u, low, high)``, NaN included.  The ufuncs run
+    directly because np.clip's Python wrapper costs more than the clamp
+    itself, and clamps run at every horizon step of every rollout.
+    """
+    if low is not None:
+        u = np.maximum(u, low)
+    if high is not None:
+        u = np.minimum(u, high)
+    return u
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """A controlled dynamical system ``x_dot = F(x, u)`` integrated with explicit Euler.
@@ -42,9 +56,12 @@ class SystemModel:
         where filling one ``np.empty`` output took 2.4 us (numpy 2.4.6, one
         core of a 2-vCPU Xeon).
     jac:
-        Optional analytic jacobians of ``F`` at a single point,
-        ``(x, u) -> (dF/dx, dF/du)``.  When absent, central finite
-        differences on ``deriv`` are used.
+        Optional analytic jacobians ``(x, u) -> (dF/dx, dF/du)``; broadcasts
+        like ``deriv``.  States ``(..., n_x)`` and controls ``(..., n_u)``
+        give arrays of shape ``(..., n_x, n_x)`` and ``(..., n_x, n_u)``,
+        so a whole trajectory is linearized in one call.  When absent,
+        central finite differences on ``deriv`` are used, perturbing one
+        coordinate across all points at once.
     control_low, control_high:
         Per-channel actuation limits; ``None`` disables clamping.
     """
@@ -66,51 +83,61 @@ class SystemModel:
 
     def clamp(self, u: Array) -> Array:
         """Clip a control (batch) to the actuation limits."""
-        # the ufuncs directly: np.clip's Python wrapper costs more than the
-        # clamp itself, and clamp runs at every horizon step of every rollout
-        if self.control_low is not None:
-            u = np.maximum(u, self.control_low)
-        if self.control_high is not None:
-            u = np.minimum(u, self.control_high)
-        return u
+        return clamp_controls(u, self.control_low, self.control_high)
 
     def step(self, x: Array, u: Array) -> Array:
         """One explicit-Euler step; broadcasts over leading batch axes."""
         return x + self.deriv(x, self.clamp(u)) * self.dt
 
     def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians ``(dF/dx, dF/du)`` of the continuous dynamics at one point."""
+        """Jacobians ``(dF/dx, dF/du)`` of the continuous dynamics.
+
+        Broadcasts over leading axes: states ``(..., n_x)`` and controls
+        ``(..., n_u)`` give ``(..., n_x, n_x)`` and ``(..., n_x, n_u)``.
+        """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.shape != (self.n_x,) or u.shape != (self.n_u,):
+        if x.shape[-1:] != (self.n_x,) or u.shape[-1:] != (self.n_u,):
             raise ValueError(
-                f"jacobians expect a single point of shapes ({self.n_x},)/({self.n_u},), "
+                f"jacobians expect states (..., {self.n_x}) and controls (..., {self.n_u}), "
                 f"got {x.shape}/{u.shape}"
             )
-        if self.jac is not None:
-            a, b = self.jac(x, u)
-            return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return self._fd_jacobians(x, u)
+        if self.jac is None:
+            return self._fd_jacobians(x, u)
+        a, b = self.jac(x, u)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        want_a, want_b = lead + (self.n_x, self.n_x), lead + (self.n_x, self.n_u)
+        if a.shape != want_a or b.shape != want_b:
+            raise ValueError(
+                f"jac of system {self.name!r} returned shapes {a.shape}/{b.shape}, "
+                f"expected {want_a}/{want_b}"
+            )
+        return a, b
 
     def _fd_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        a = np.empty((self.n_x, self.n_x))
-        b = np.empty((self.n_x, self.n_u))
+        """Central differences in ``2 * (n_x + n_u)`` calls of ``deriv``, however many points."""
+        lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        x = np.broadcast_to(x, lead + (self.n_x,))
+        u = np.broadcast_to(u, lead + (self.n_u,))
+        a = np.empty(lead + (self.n_x, self.n_x))
+        b = np.empty(lead + (self.n_x, self.n_u))
         for i in range(self.n_x):
-            h = _FD_EPS * max(1.0, abs(x[i]))
+            h = _FD_EPS * np.maximum(1.0, np.abs(x[..., i]))
             xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            a[:, i] = (self.deriv(xp, u) - self.deriv(xm, u)) / (2.0 * h)
+            xp[..., i] += h
+            xm[..., i] -= h
+            a[..., i] = (self.deriv(xp, u) - self.deriv(xm, u)) / (2.0 * h)[..., None]
         for j in range(self.n_u):
-            h = _FD_EPS * max(1.0, abs(u[j]))
+            h = _FD_EPS * np.maximum(1.0, np.abs(u[..., j]))
             up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            b[:, j] = (self.deriv(x, up) - self.deriv(x, um)) / (2.0 * h)
+            up[..., j] += h
+            um[..., j] -= h
+            b[..., j] = (self.deriv(x, up) - self.deriv(x, um)) / (2.0 * h)[..., None]
         return a, b
 
     def discrete_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians of :meth:`step`, ``(I + dt*dF/dx, dt*dF/du)``."""
+        """Jacobians of :meth:`step`, ``(I + dt*dF/dx, dt*dF/du)``, broadcast the same way."""
         a, b = self.jacobians(x, u)
         return np.eye(self.n_x) + self.dt * a, self.dt * b
 
@@ -143,8 +170,15 @@ def double_integrator(dt: float = 0.02, control_limit: float = 10.0) -> SystemMo
     def deriv(x: Array, u: Array) -> Array:
         return _columns(x[..., 1], u[..., 0])
 
+    a_const = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b_const = np.array([[0.0], [1.0]])
+
     def jac(x: Array, u: Array) -> tuple[Array, Array]:
-        return np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+        lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        return (
+            np.broadcast_to(a_const, lead + (2, 2)).copy(),
+            np.broadcast_to(b_const, lead + (2, 1)).copy(),
+        )
 
     lim = None if control_limit is None else np.array([float(control_limit)])
     return SystemModel(
@@ -177,11 +211,16 @@ def nonlinear_benchmark(
         omega = x[..., 1]
         return _columns(omega, -np.sin(x[..., 0]) - c * omega + u[..., 0])
 
+    b_const = np.array([[0.0], [1.0]])
+
     def jac(x: Array, u: Array) -> tuple[Array, Array]:
-        return (
-            np.array([[0.0, 1.0], [-np.cos(x[0]), -c]]),
-            np.array([[0.0], [1.0]]),
-        )
+        lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        a = np.empty(lead + (2, 2))
+        a[..., 0, 0] = 0.0
+        a[..., 0, 1] = 1.0
+        a[..., 1, 0] = -np.cos(x[..., 0])
+        a[..., 1, 1] = -c
+        return a, np.broadcast_to(b_const, lead + (2, 1)).copy()
 
     lim = None if control_limit is None else np.array([float(control_limit)])
     return SystemModel(

@@ -11,6 +11,8 @@ from typing import Protocol
 
 import numpy as np
 
+from .dynamics import clamp_controls
+
 Array = np.ndarray
 
 
@@ -54,16 +56,13 @@ class LinearGainsPolicy:
     def _gain(self, t: int) -> Array:
         return self.gains[min(t, self.gains.shape[0] - 1)]
 
-    def _clamp(self, u: Array) -> Array:
-        if self.control_low is None and self.control_high is None:
-            return u
-        return np.clip(u, self.control_low, self.control_high)
-
     def apply(self, x: Array, x_star: Array, t: int) -> Array:
-        return self._clamp(self._gain(t) @ (np.asarray(x) - np.asarray(x_star)))
+        u = self._gain(t) @ (np.asarray(x) - np.asarray(x_star))
+        return clamp_controls(u, self.control_low, self.control_high)
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array:
-        return self._clamp((x - x_star) @ self._gain(t).T)
+        u = (x - x_star) @ self._gain(t).T
+        return clamp_controls(u, self.control_low, self.control_high)
 
 
 @dataclass
@@ -95,16 +94,13 @@ class ContractionPolicy:
         self.metric = m
         self._k = (self.b_matrix.T @ m) / self.effort_weight  # (n_u, n_x)
 
-    def _clamp(self, u: Array) -> Array:
-        if self.control_low is None and self.control_high is None:
-            return u
-        return np.clip(u, self.control_low, self.control_high)
-
     def apply(self, x: Array, x_star: Array, t: int) -> Array:
-        return self._clamp(-self._k @ (np.asarray(x) - np.asarray(x_star)))
+        u = -self._k @ (np.asarray(x) - np.asarray(x_star))
+        return clamp_controls(u, self.control_low, self.control_high)
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array:
-        return self._clamp(-(x - x_star) @ self._k.T)
+        u = -(x - x_star) @ self._k.T
+        return clamp_controls(u, self.control_low, self.control_high)
 
     def metric_distance(self, x: Array, x_star: Array) -> float:
         e = np.asarray(x, dtype=float) - np.asarray(x_star, dtype=float)
@@ -135,8 +131,9 @@ def ilqg_gains(
 ) -> LinearGainsPolicy:
     """Finite-horizon LQ tracking gains about a nominal trajectory.
 
-    Linearizes the stepped dynamics along ``nominal_states``/``controls`` and
-    runs the standard Riccati backward pass with the tracking weight matrices
+    Linearizes the stepped dynamics along ``nominal_states``/``controls`` in
+    one broadcast :meth:`SystemModel.discrete_jacobians` call and runs the
+    standard Riccati backward pass with the tracking weight matrices
     ``q_track`` (``(n_x, n_x)``, also the terminal weight) and ``r_track``
     (``(n_u, n_u)``).  The gains are clamped to the model's actuation limits.
     Raises :class:`RiccatiDivergenceError` if the value matrix stops being
@@ -152,15 +149,18 @@ def ilqg_gains(
     q = np.asarray(q_track, dtype=float)
     r = np.asarray(r_track, dtype=float)
 
+    a_all, b_all = model.discrete_jacobians(nominal_states[:-1], controls)
     gains = np.zeros((horizon, model.n_u, model.n_x))
     p = q.copy()
     for t in reversed(range(horizon)):
-        ad, bd = model.discrete_jacobians(nominal_states[t], controls[t])
-        s_uu = r + bd.T @ p @ bd
-        k = np.linalg.solve(s_uu, bd.T @ p @ ad)
+        ad, bd = a_all[t], b_all[t]
+        bt_p = bd.T @ p
+        k = np.linalg.solve(r + bt_p @ bd, bt_p @ ad)
         p = q + ad.T @ p @ (ad - bd @ k)
         p = 0.5 * (p + p.T)
-        if not np.all(np.isfinite(p)) or np.linalg.norm(p) > 1e12:
+        # a NaN or infinite entry makes the norm NaN or infinite, so this
+        # one comparison also catches a value matrix that is not finite
+        if not np.linalg.norm(p) <= 1e12:
             raise RiccatiDivergenceError(t)
         gains[t] = -k
     return LinearGainsPolicy(
@@ -176,10 +176,11 @@ def contraction_feedback(
 ) -> ContractionPolicy:
     """Build the constant-metric policy for a control-affine model.
 
-    The input matrix is taken at the origin with zero control; both bundled
-    systems have state-independent B, which is what the constant-metric
-    certificate assumes.  Corrections are clamped to the model's actuation
-    limits.
+    The input matrix is taken at the origin with zero control.  The
+    constant-metric certificate assumes B does not depend on the state, as in
+    both bundled systems; ``harness.build_policy_factory`` refuses a system
+    whose B varies over the crash box.  Corrections are clamped to the
+    model's actuation limits.
     """
     _, b = model.jacobians(np.zeros(model.n_x), np.zeros(model.n_u))
     return ContractionPolicy(

@@ -140,6 +140,43 @@ def build_cost(cfg: ExperimentConfig, model: SystemModel) -> CostFunction:
     )
 
 
+# Largest difference |B(x) - B| the contraction law accepts, relative to
+# max(1, max |B|).  Central differences on deriv carry a rounding error of
+# about 2.2e-16 * |F| / 1e-6 = 2.2e-10 * |F|, so this stays above that noise
+# for |F| up to about 4e4 on the probed grid, while an input matrix that
+# varies by more than 1e-5 of its size is not the constant B the
+# certificate assumes.
+_B_TOLERANCE = 1e-5
+
+
+def _check_constant_b(cfg: ExperimentConfig, model: SystemModel, b: Array) -> None:
+    """Refuse the contraction law when B varies over the crash box.
+
+    The input matrix is evaluated, with zero control, on the grid
+    ``target + {-1, 0, +1} * crash_box`` in every coordinate (3**n_x points,
+    one broadcast :meth:`SystemModel.jacobians` call); an infinite half-width
+    is probed at ``target +- 1``.
+    """
+    target = np.array(cfg.target, dtype=float)
+    half = np.array(cfg.crash_box, dtype=float)
+    half = np.where(np.isfinite(half), half, 1.0)
+    signs = np.stack(
+        np.meshgrid(*[(-1.0, 0.0, 1.0)] * model.n_x, indexing="ij"), axis=-1
+    ).reshape(-1, model.n_x)
+    grid = target + signs * half
+    _, b_grid = model.jacobians(grid, np.zeros(model.n_u))
+    gap = np.abs(b_grid - b).max(axis=(-2, -1))
+    worst = int(np.argmax(gap))
+    scale = max(1.0, float(np.max(np.abs(b))))
+    if not gap[worst] <= _B_TOLERANCE * scale:
+        raise ValueError(
+            f"feedback.kind=contraction needs an input matrix B that does not depend "
+            f"on the state, but B of system {model.name!r} differs by {gap[worst]:.3g} "
+            f"at x={grid[worst].tolist()} (grid over harness.crash_box around "
+            f"cost.target) from the B the policy uses; use feedback.kind=ilqg or none"
+        )
+
+
 def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     """Return (factory, analytic_gamma).
 
@@ -157,6 +194,7 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
         policy = contraction_feedback(
             model, metric, cfg.lambda_c, effort_weight=cfg.effort_weight
         )
+        _check_constant_b(cfg, model, policy.b_matrix)
         return (lambda x_star, controls: policy), float(np.exp(-cfg.lambda_c * model.dt))
     if cfg.feedback_kind == "ilqg":
         q_track = np.diag(np.array(cfg.q_track, dtype=float))

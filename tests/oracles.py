@@ -4,7 +4,8 @@ None of these runs inside a controller.  Each one computes, by a second and
 more literal route, a quantity the library computes in batched form: a path
 cost from an explicit trajectory, one step of the control penalty, sampled
 Lipschitz constants, normalized importance weights with the proposal
-correction written out, and the density ratio of one augmented noise sequence.
+correction written out, the density ratio of one augmented noise sequence,
+and the LQ tracking gains from a Riccati pass that linearizes point by point.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from robust_mppi.costs import CostFunction, control_penalty_coef
+from robust_mppi.feedback import RiccatiDivergenceError
 
 Array = np.ndarray
 
@@ -107,3 +109,28 @@ def augmented_density_ratio(
     shifted = u_seq + k_seq
     quad = np.einsum("tu,uv,tv->", shifted, sigma_inv, shifted + 2.0 * eps_seq)
     return float(np.exp(-0.5 * quad))
+
+
+def riccati_gains_per_point(
+    model, nominal_states: Array, controls: Array, q: Array, r: Array
+) -> Array:
+    """``(T, n_u, n_x)`` LQ tracking gains, one ``discrete_jacobians`` call per timestep.
+
+    The recursion of ``feedback.ilqg_gains`` written point by point: one
+    linearization per timestep, ``bd.T @ p`` formed twice and finiteness
+    checked entry by entry.  Raises :class:`RiccatiDivergenceError` at the
+    timestep where the value matrix stops being finite or exceeds norm 1e12.
+    """
+    horizon = controls.shape[0]
+    gains = np.zeros((horizon, model.n_u, model.n_x))
+    p = q.copy()
+    for t in reversed(range(horizon)):
+        ad, bd = model.discrete_jacobians(nominal_states[t], controls[t])
+        s_uu = r + bd.T @ p @ bd
+        k = np.linalg.solve(s_uu, bd.T @ p @ ad)
+        p = q + ad.T @ p @ (ad - bd @ k)
+        p = 0.5 * (p + p.T)
+        if not np.all(np.isfinite(p)) or np.linalg.norm(p) > 1e12:
+            raise RiccatiDivergenceError(t)
+        gains[t] = -k
+    return gains

@@ -53,6 +53,19 @@ def test_selftest_fails_when_the_bound_is_violated(monkeypatch, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_module_entry_runs_selftest_without_a_runtime_warning():
+    """``python -m robust_mppi.cli`` must not find the module already imported."""
+    import_root = str(Path(robust_mppi.__file__).parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [import_root, inherited]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "robust_mppi.cli", "selftest"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("ok  ") == 2
+
+
 def test_entry_point_is_installed():
     """The declared ``robust-mppi`` command runs ``selftest`` as its own process.
 

@@ -2,7 +2,8 @@
 
 Each reference below is the earlier row-wise formula, written out here:
 reductions over ``axis=-1``, broadcasts against ``(n_x,)`` vectors,
-``np.clip``, ``np.stack`` and one stacked matmul per sample.
+``np.clip`` (in the model and in both feedback policies), ``np.stack`` and
+one stacked matmul per sample.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from robust_mppi.costs import quadratic_wall_cost
 from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
+from robust_mppi.feedback import ContractionPolicy, LinearGainsPolicy
 from robust_mppi.sampling import NoisePlan
 
 SHAPES = [(), (1,), (7,), (3, 5)]
@@ -85,6 +87,24 @@ def test_clamp_matches_np_clip(low, high):
     u.reshape(-1)[-SPECIALS.size :] = SPECIALS
     for batch in (u, u[0, 0], u[1]):
         assert same_bits(model.clamp(batch), np.clip(batch, lo, hi))
+    # both feedback policies clamp their corrections the same way; identity
+    # gains carry the specials into the corrections (inf * 0 adds NaNs)
+    gains = LinearGainsPolicy(np.eye(2)[None], control_low=lo, control_high=hi)
+    contraction = ContractionPolicy(
+        np.eye(2), rate=1.0, b_matrix=np.eye(2), control_low=lo, control_high=hi
+    )
+    x = u.reshape(-1, 2)
+    x_star = rng.normal(size=x.shape)
+    eye = np.eye(2)
+    with np.errstate(invalid="ignore"):
+        for policy, batch, point in (
+            (gains, (x - x_star) @ eye.T, lambda e: eye @ e),
+            (contraction, -(x - x_star) @ eye.T, lambda e: -eye @ e),
+        ):
+            assert same_bits(policy.apply_batch(x, x_star, 0), np.clip(batch, lo, hi))
+            for i in (0, 1, x.shape[0] - 1):
+                expect = np.clip(point(x[i] - x_star[i]), lo, hi)
+                assert same_bits(policy.apply(x[i], x_star[i], 0), expect)
 
 
 def test_clamp_without_limits_returns_its_input():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robust_mppi.dynamics import (
     DisturbanceModel,
@@ -58,16 +61,15 @@ def test_nonlinear_benchmark_damping_enters_derivative():
     assert np.allclose(out, np.array([2.0, 1.5]), rtol=0, atol=1e-15)
 
 
+def finite_difference_only(model):
+    """The same system with its analytic jacobians removed."""
+    return SystemModel(name="fd", n_x=model.n_x, n_u=model.n_u, dt=model.dt, deriv=model.deriv)
+
+
 @pytest.mark.parametrize("factory", [double_integrator, nonlinear_benchmark])
 def test_analytic_jacobians_match_finite_differences(factory):
     model = factory(dt=0.02, control_limit=None)
-    stripped = SystemModel(
-        name="fd",
-        n_x=model.n_x,
-        n_u=model.n_u,
-        dt=model.dt,
-        deriv=model.deriv,
-    )
+    stripped = finite_difference_only(model)
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = rng.uniform(-2.0, 2.0, size=model.n_x)
@@ -76,6 +78,68 @@ def test_analytic_jacobians_match_finite_differences(factory):
         a_fd, b_fd = stripped.jacobians(x, u)
         assert np.allclose(a_fd, a_ref, atol=1e-5, rtol=0)
         assert np.allclose(b_fd, b_ref, atol=1e-5, rtol=0)
+
+
+JACOBIAN_MODELS = {
+    "double_integrator": double_integrator(dt=0.05),
+    "nonlinear_benchmark": nonlinear_benchmark(),
+    "double_integrator-fd": finite_difference_only(double_integrator(dt=0.05)),
+    "nonlinear_benchmark-fd": finite_difference_only(nonlinear_benchmark()),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(JACOBIAN_MODELS)),
+    lead=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4),
+    shared_control=st.booleans(),
+    data=st.data(),
+)
+def test_batched_jacobians_equal_per_point_calls_bit_for_bit(name, lead, shared_control, data):
+    model = JACOBIAN_MODELS[name]
+    values = st.floats(-1e3, 1e3)
+    x = data.draw(hnp.arrays(float, lead + (model.n_x,), elements=values))
+    u_shape = (model.n_u,) if shared_control else lead + (model.n_u,)
+    u = data.draw(hnp.arrays(float, u_shape, elements=values))
+    u_full = np.broadcast_to(u, lead + (model.n_u,))
+    for method in (model.jacobians, model.discrete_jacobians):
+        a, b = method(x, u)
+        assert a.shape == lead + (model.n_x, model.n_x)
+        assert b.shape == lead + (model.n_x, model.n_u)
+        for idx in np.ndindex(lead):
+            a_pt, b_pt = method(x[idx], u_full[idx])
+            assert same_bits(a[idx], a_pt) and same_bits(b[idx], b_pt)
+
+
+def test_finite_differences_call_deriv_a_fixed_number_of_times():
+    calls = []
+    base = nonlinear_benchmark()
+
+    def counting_deriv(x, u):
+        calls.append(np.shape(x))
+        return base.deriv(x, u)
+
+    model = SystemModel("counted", 2, 1, base.dt, counting_deriv)
+    model.jacobians(np.zeros((30, 2)), np.zeros((30, 1)))
+    assert calls == [(30, 2)] * (2 * (model.n_x + model.n_u))
+
+
+def test_jacobians_name_the_shapes_they_refuse():
+    model = double_integrator()
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2\).*\(\.\.\., 1\).*\(4, 3\)/\(4, 1\)"):
+        model.jacobians(np.zeros((4, 3)), np.zeros((4, 1)))
+    single_point = SystemModel(
+        "single_point", 2, 1, 0.1, model.deriv,
+        jac=lambda x, u: (np.eye(2), np.ones((2, 1))),
+    )
+    assert single_point.jacobians(np.zeros(2), np.zeros(1))[0].shape == (2, 2)
+    shapes = r"single_point.*\(2, 2\)/\(2, 1\).*\(5, 2, 2\)/\(5, 2, 1\)"
+    with pytest.raises(ValueError, match=shapes):
+        single_point.jacobians(np.zeros((5, 2)), np.zeros((5, 1)))
 
 
 def test_discrete_jacobians_are_step_jacobians():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_discrete_are
 
 from robust_mppi.dynamics import double_integrator, nominal_trajectory, nonlinear_benchmark
@@ -15,6 +18,8 @@ from robust_mppi.feedback import (
     fit_gamma_window,
     ilqg_gains,
 )
+
+from oracles import riccati_gains_per_point
 
 DI_METRIC = np.array([[6.0, 3.0], [3.0, 2.0]])
 DI_RATE = 1.2
@@ -121,6 +126,62 @@ def test_riccati_divergence_reports_timestep():
     with pytest.raises(RiccatiDivergenceError) as err:
         ilqg_gains(model, states, controls, 1e8 * np.eye(2), np.array([[1e-12]]))
     assert 0 <= err.value.timestep < 4
+
+
+RICCATI_MODELS = {
+    "double_integrator": double_integrator,
+    "nonlinear_benchmark": nonlinear_benchmark,
+}
+
+
+@st.composite
+def riccati_problems(draw):
+    model = RICCATI_MODELS[draw(st.sampled_from(sorted(RICCATI_MODELS)))](
+        dt=draw(st.floats(1e-3, 0.2)), control_limit=draw(st.sampled_from([None, 8.0]))
+    )
+    horizon = draw(st.integers(1, 40))
+    x0 = draw(hnp.arrays(float, 2, elements=st.floats(-4.0, 4.0)))
+    controls = draw(hnp.arrays(float, (horizon, 1), elements=st.floats(-12.0, 12.0)))
+    q = np.diag(draw(hnp.arrays(float, 2, elements=st.floats(1e-3, 1e3))))
+    r = np.diag(draw(hnp.arrays(float, 1, elements=st.floats(1e-4, 1e3))))
+    return model, nominal_trajectory(model, x0, controls), controls, q, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(riccati_problems())
+def test_ilqg_gains_equal_the_per_point_riccati_pass_bit_for_bit(problem):
+    model, states, controls, q, r = problem
+    policy = ilqg_gains(model, states, controls, q, r)
+    expect = riccati_gains_per_point(model, states, controls, q, r)
+    assert policy.gains.shape == expect.shape
+    assert np.array_equal(policy.gains.view(np.uint64), expect.view(np.uint64))
+
+
+def _nan_state_problem():
+    model = nonlinear_benchmark(control_limit=None)
+    controls = np.zeros((6, 1))
+    states = nominal_trajectory(model, np.array([0.5, 0.0]), controls)
+    states[3, 0] = np.nan
+    return model, states, controls, np.eye(2), np.eye(1)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        (double_integrator(dt=1e8, control_limit=None), np.zeros((5, 2)), np.zeros((4, 1)),
+         1e8 * np.eye(2), np.array([[1e-12]])),
+        (nonlinear_benchmark(dt=1e8, control_limit=None), np.full((9, 2), 0.3),
+         np.zeros((8, 1)), np.eye(2), np.eye(1)),
+        _nan_state_problem(),
+    ],
+    ids=["double_integrator-dt1e8", "nonlinear_benchmark-dt1e8", "nan-state"],
+)
+def test_diverging_riccati_passes_raise_at_the_same_timestep(problem):
+    with pytest.raises(RiccatiDivergenceError) as ours:
+        ilqg_gains(*problem)
+    with pytest.raises(RiccatiDivergenceError) as reference:
+        riccati_gains_per_point(*problem)
+    assert ours.value.timestep == reference.value.timestep
 
 
 def test_contraction_policy_validates_inputs():

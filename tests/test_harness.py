@@ -10,6 +10,7 @@ import pytest
 from robust_mppi import harness
 from robust_mppi.cli import main
 from robust_mppi.config import ExperimentConfig, load_config, render_config
+from robust_mppi.dynamics import SystemModel, nonlinear_benchmark, register_system
 from robust_mppi.feedback import ContractionPolicy, LinearGainsPolicy, ZeroFeedback
 from robust_mppi.harness import (
     RunLog,
@@ -22,6 +23,8 @@ from robust_mppi.harness import (
     summary_table,
     verify_bound,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_run_config(**overrides):
@@ -94,6 +97,8 @@ def test_config_validation_rules():
         load_config(overrides=["sampling.n_samples=1"])
 
 
+NO_FILTER = "sampling.smoothing_window must be 0 \\(filter off\\) or above 3"
+
 # Each value loaded before and then failed or misled the run; the error must
 # name the key.
 LOAD_TIME_REJECTIONS = {
@@ -111,6 +116,19 @@ LOAD_TIME_REJECTIONS = {
     "rmppi.nsp_samples=0": "rmppi.nsp_samples",
     "feedback.lambda_c=inf": "feedback.lambda_c",
     "feedback.lambda_c=0": "feedback.lambda_c",
+    "feedback.gamma_window=-1": "feedback.gamma_window must be >= 2",
+    "feedback.gamma_window=0": "feedback.gamma_window must be >= 2",
+    "feedback.gamma_window=1": "feedback.gamma_window must be >= 2",
+    "feedback.effort_weight=0": "feedback.effort_weight must be finite and positive",
+    "feedback.effort_weight=-1": "feedback.effort_weight must be finite and positive",
+    "feedback.effort_weight=inf": "feedback.effort_weight must be finite and positive",
+    "disturbance.noise_multiplier=-1": "disturbance.noise_multiplier must be >= 0",
+    "disturbance.w_bound=-0.1": "disturbance.w_bound must be >= 0",
+    "cost.crash_cost=inf": "cost.crash_cost must be finite",
+    "cost.crash_cost=-inf": "cost.crash_cost must be finite",
+    "sampling.smoothing_window=-5": NO_FILTER,
+    "sampling.smoothing_window=1": NO_FILTER,
+    "sampling.smoothing_window=3": NO_FILTER,
 }
 
 
@@ -118,6 +136,12 @@ LOAD_TIME_REJECTIONS = {
 def test_values_that_would_fail_mid_run_are_rejected_at_load(override):
     with pytest.raises(ValueError, match=LOAD_TIME_REJECTIONS[override]):
         load_config(overrides=[override])
+
+
+@pytest.mark.parametrize("window", [0, 4, 5, 6, 200])
+def test_smoothing_windows_that_filter_or_turn_it_off_load(window):
+    cfg = load_config(overrides=[f"sampling.smoothing_window={window}"])
+    assert cfg.smoothing_window == window
 
 
 def test_with_values_and_render_round_trip(tmp_path):
@@ -244,6 +268,64 @@ def test_build_policy_factory_kinds():
     assert gamma is None
 
 
+def state_dependent_input(dt=0.02, control_limit=10.0):
+    """``x1' = (1 + x0**2) u``: B depends on the state; no analytic jacobians."""
+
+    def deriv(x, u):
+        out = np.empty(np.broadcast_shapes(x.shape, u.shape[:-1] + (2,)))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = (1.0 + x[..., 0] ** 2) * u[..., 0]
+        return out
+
+    lim = np.array([control_limit])
+    return SystemModel(
+        "state_dependent_input", 2, 1, dt, deriv, control_low=-lim, control_high=lim
+    )
+
+
+def test_contraction_feedback_is_refused_when_b_depends_on_the_state():
+    register_system("state_dependent_input", state_dependent_input)
+    cfg = load_config(overrides=[
+        "experiment.system=state_dependent_input", "feedback.kind=contraction",
+    ])
+    model = build_model(cfg)
+    with pytest.raises(ValueError, match="feedback.kind=contraction.*harness.crash_box"):
+        build_policy_factory(cfg, model)
+    with pytest.raises(ValueError, match="feedback.kind=contraction"):
+        run_closed_loop(cfg.with_values(**{"experiment.steps": "1"}))
+    # the other feedback laws do not assume a constant B
+    for kind in ("ilqg", "none"):
+        build_policy_factory(cfg.with_values(**{"feedback.kind": kind}), model)
+
+
+def test_b_check_probes_infinite_crash_box_sides_at_unit_distance():
+    register_system("state_dependent_input", state_dependent_input)
+    # B(x) = (0, 1 + x0**2) differs from B(0) by 1 at x0 = +-1
+    cfg = load_config(overrides=[
+        "experiment.system=state_dependent_input", "feedback.kind=contraction",
+        "harness.crash_box=inf, inf",
+    ])
+    with pytest.raises(ValueError, match="differs by 1 at x=\\[-1.0, -1.0\\]"):
+        build_policy_factory(cfg, build_model(cfg))
+
+
+def pendulum_without_jacobians(**kwargs):
+    model = nonlinear_benchmark(**kwargs)
+    return SystemModel(model.name, 2, 1, model.dt, model.deriv,
+                       control_low=model.control_low, control_high=model.control_high)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_bundled_scenarios_pass_the_constant_b_check(config):
+    # the finite-difference B carries rounding noise the tolerance must absorb
+    register_system("pendulum_without_jacobians", pendulum_without_jacobians)
+    for system in ("double_integrator", "nonlinear_benchmark", "pendulum_without_jacobians"):
+        overrides = [f"experiment.system={system}", "feedback.kind=contraction"]
+        cfg = load_config(str(config), overrides)
+        factory, _ = build_policy_factory(cfg, build_model(cfg))
+        assert isinstance(factory(np.zeros(2), np.zeros((5, 1))), ContractionPolicy)
+
+
 def test_run_closed_loop_is_deterministic():
     cfg = small_run_config()
     a = run_closed_loop(cfg)
@@ -329,7 +411,7 @@ def record_steps(monkeypatch):
     return records
 
 
-STRESS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "di_stress_x100.ini"
+STRESS_CONFIG = CONFIGS / "di_stress_x100.ini"
 
 # (overrides, counters that must be nonzero): a tube run that resets at every
 # step, and an rmppi run whose threshold is too low for some NSP steps and
