@@ -229,6 +229,12 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
             f"sampling.smoothing_window must be 0 (filter off) or above {SAVGOL_ORDER}, "
             f"the Savitzky-Golay order (values above it filter), got {window}"
         )
+    if window > 0 and samp["horizon"] <= SAVGOL_ORDER:
+        raise ValueError(
+            f"sampling.smoothing_window={window} filters nothing when sampling.horizon "
+            f"is {SAVGOL_ORDER} or less (the filter needs more points than its order), "
+            f"got sampling.horizon={samp['horizon']}; set sampling.smoothing_window=0"
+        )
     if not dist["noise_multiplier"] >= 0.0:
         raise ValueError(
             f"disturbance.noise_multiplier must be >= 0, got {dist['noise_multiplier']}"

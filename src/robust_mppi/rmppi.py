@@ -104,22 +104,24 @@ def augmented_rollouts(
     priced at ``cost.crash_cost`` in every channel.
     """
     starts = np.stack([np.asarray(x0, dtype=float), np.asarray(x0_star, dtype=float)])
-    # group 1 (nominal) stays uncorrected; propagate copies each correction
-    # into its own record, so one buffer serves every horizon step
+    # group 1 (nominal) stays uncorrected, so one buffer serves every horizon
+    # step; only the real group's corrections are kept for pricing
     correction = np.zeros((2, draws.shape[0], controls.shape[-1]))
+    k_real = np.empty(draws.shape)
 
     def feedback(x: Array, t: int) -> Array:
         # the real copy (group 0) tracks the nominal copy (group 1)
-        correction[0] = policy.apply_batch(x[0], x[1], t)
+        k = policy.apply_batch(x[0], x[1], t)
+        k_real[:, t] = k
+        correction[0] = k
         return correction
 
-    state, crashed, ks = propagate(model, cost, starts[:, None], controls, draws, feedback)
+    state, crashed = propagate(model, cost, starts[:, None], controls, draws, feedback)
     state_real, state_nom = state
     crashed = crashed.any(axis=0)
 
     coef_beta = control_penalty_coef(cost.lam, cost.beta, beta_weighted=True)
     coef_plain = control_penalty_coef(cost.lam, cost.beta, beta_weighted=False)
-    k_real = ks[0]
     penalized = state_real + coef_beta * penalty_step_terms(
         k_real, 0.0, cost.sigma_inv
     ).sum(axis=-1)
@@ -127,10 +129,10 @@ def augmented_rollouts(
     real = state_real + coef_beta * penalty_step_terms(
         k_real, draws, cost.sigma_inv
     ).sum(axis=-1)
-    ctrl_plain = control_penalty_batch(controls, draws, cost.sigma_inv, coef_plain)
-    ctrl_beta = control_penalty_batch(controls, draws, cost.sigma_inv, coef_beta)
-    mixed = mixed_cost(state_nom, penalized, alpha) + ctrl_plain
-    nominal_eval = state_nom + ctrl_beta
+    # one unscaled control penalty, scaled by both coefficients
+    ctrl = control_penalty_batch(controls, draws, cost.sigma_inv)
+    mixed = mixed_cost(state_nom, penalized, alpha) + coef_plain * ctrl
+    nominal_eval = state_nom + coef_beta * ctrl
 
     if crashed.any():
         for channel in (state_nom, penalized, real, mixed, nominal_eval):

@@ -4,10 +4,11 @@ Determinism contract: every random stream is derived from the experiment seed
 plus a (step, stream) path through :func:`derive_seed`, so a run is a pure
 function of its config.  Every controller path rolls its samples through one
 kernel, :func:`propagate`, which advances groups of samples under shared
-noise draws with an optional tracking correction.  Per-sample evaluation is
-elementwise and penalties are summed in a fixed order after the horizon loop,
-so a sample's cost does not depend on which other samples or groups share
-its batch.
+noise draws with an optional tracking correction and returns only the state
+costs and crash flags; a caller that prices the corrections records them in
+its own feedback closure.  Per-sample evaluation is elementwise and
+penalties are summed in a fixed order after the horizon loop, so a sample's
+cost does not depend on which other samples or groups share its batch.
 """
 from __future__ import annotations
 
@@ -52,6 +53,12 @@ class NoisePlan:
         sigma_chol = np.atleast_2d(np.asarray(sigma_chol, dtype=float))
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n_samples, horizon, sigma_chol.shape[0]))
+        scale = np.diagonal(sigma_chol)
+        if np.array_equal(sigma_chol, np.diag(scale)):
+            # a diagonal factor scales each column; in place, the same bits
+            # as the matmul without its (N, T, n_u) result
+            z *= scale
+            return cls(draws=z)
         # one (N*T, n_u) matmul, not N stacked (T, n_u) ones; same values
         draws = (z.reshape(-1, z.shape[-1]) @ sigma_chol.T).reshape(z.shape)
         return cls(draws=draws)
@@ -143,7 +150,7 @@ def propagate(
     controls: Array,
     draws: Array,
     feedback: Callable[[Array, int], Array] | None = None,
-) -> tuple[Array, Array, Array | None]:
+) -> tuple[Array, Array]:
     """Roll groups of samples through shared noise and accumulate state cost.
 
     ``starts`` broadcasts to ``(G, N, n_x)``; ``controls`` is one sequence
@@ -154,9 +161,9 @@ def propagate(
     states ``x``; with no ``feedback`` nothing is added.  Rows whose state
     stops being finite are parked at zero and add no further cost.
 
-    Returns the running plus terminal state costs and the crash flags, both
-    ``(G, N)``, and the corrections stacked along the horizon,
-    ``(..., T, n_u)``, or None without ``feedback``.
+    Returns two values: the running plus terminal state costs and the crash
+    flags, both ``(G, N)``.  The corrections are not recorded; a caller that
+    prices them keeps them from inside its ``feedback``.
     """
     n, horizon, n_u = draws.shape
     groups = np.broadcast_shapes(starts.shape[:-2], controls.shape[:-2], (1,))
@@ -164,15 +171,10 @@ def propagate(
     x = np.broadcast_to(starts, groups + (n, model.n_x))
     s = np.zeros(x.shape[:-1])
     alive = None  # row mask, built once some row has gone non-finite
-    ks = None
     for t in range(horizon):
         u = ctrl[:, None, t]
         if feedback is not None:
-            k = feedback(x, t)
-            if ks is None:
-                ks = np.empty(k.shape[:-1] + (horizon, k.shape[-1]))
-            ks[..., t, :] = k
-            u = u + k
+            u = u + feedback(x, t)
         x = model.step(x, u + draws[:, t])
         # one whole-array check per step; a per-row reduction over the short
         # state axis costs about twenty times as much
@@ -185,7 +187,7 @@ def propagate(
     final_cost = cost.terminal_cost(x)
     s += final_cost if alive is None else np.where(alive, final_cost, 0.0)
     crashed = np.zeros(s.shape, dtype=bool) if alive is None else ~alive
-    return s, crashed, ks
+    return s, crashed
 
 
 def rollout_batch(
@@ -216,11 +218,11 @@ def rollout_batch(
     if control_term not in ("plain", "beta"):
         raise ValueError(f"unknown control_term {control_term!r}")
 
-    state_costs, crashed, _ = propagate(model, cost, x0, controls, draws)
+    state_costs, crashed = propagate(model, cost, x0, controls, draws)
     if x0.ndim < 3 and controls.ndim < 3:
         state_costs, crashed = state_costs[0], crashed[0]
     coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
-    total = state_costs + control_penalty_batch(controls, draws, cost.sigma_inv, coef)
+    total = state_costs + coef * control_penalty_batch(controls, draws, cost.sigma_inv)
     total = np.where(crashed, cost.crash_cost, total)
     return RolloutResult(costs=total, state_costs=state_costs, crashed=crashed)
 

@@ -2,10 +2,12 @@
 
 None of these runs inside a controller.  Each one computes, by a second and
 more literal route, a quantity the library computes in batched form: a path
-cost from an explicit trajectory, one step of the control penalty, sampled
-Lipschitz constants, normalized importance weights with the proposal
-correction written out, the density ratio of one augmented noise sequence,
-and the LQ tracking gains from a Riccati pass that linearizes point by point.
+cost from an explicit trajectory, one step of the control penalty, the
+per-step penalty terms by the two ``einsum`` calls the library used before
+it worked on columns, sampled Lipschitz constants, normalized importance
+weights with the proposal correction written out, the density ratio of one
+augmented noise sequence, and the LQ tracking gains from a Riccati pass that
+linearizes point by point.
 """
 from __future__ import annotations
 
@@ -40,6 +42,12 @@ def control_cost_term(
     eps = np.asarray(eps, dtype=float)
     coef = control_penalty_coef(cost.lam, cost.beta, beta_weighted)
     return float(coef * (u @ cost.sigma_inv @ (u + 2.0 * eps)))
+
+
+def penalty_step_terms_einsum(u_eff: Array, eps_t: Array, sigma_inv: Array) -> Array:
+    """``u_eff^T Sigma^{-1} (u_eff + 2*eps_t)`` by two ``einsum`` calls over the last axis."""
+    si = np.einsum("vu,...u->...v", sigma_inv, u_eff)
+    return np.einsum("...v,...v->...", si, u_eff + 2.0 * eps_t)
 
 
 class LipschitzEstimate(NamedTuple):

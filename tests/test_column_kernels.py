@@ -3,7 +3,8 @@
 Each reference below is the earlier row-wise formula, written out here:
 reductions over ``axis=-1``, broadcasts against ``(n_x,)`` vectors,
 ``np.clip`` (in the model and in both feedback policies), ``np.stack`` and
-one stacked matmul per sample.
+one stacked matmul per sample, which a diagonal noise factor now replaces
+with an in-place scaling.
 """
 
 import numpy as np
@@ -147,6 +148,18 @@ def test_noise_plan_matches_stacked_matmul(n_u, n_samples, horizon):
     a = rng.normal(size=(n_u, n_u))
     chol = np.linalg.cholesky(a @ a.T + n_u * np.eye(n_u))
     seed = 1000 + n_u
+    z = np.random.default_rng(seed).standard_normal((n_samples, horizon, n_u))
+    plan = NoisePlan.sample(seed, n_samples, horizon, chol)
+    assert same_bits(plan.draws, z @ chol.T)
+
+
+@pytest.mark.parametrize("n_u", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_samples, horizon", [(1, 1), (7, 3), (256, 30), (4096, 4)])
+def test_noise_plan_with_a_diagonal_factor_matches_the_matmul(n_u, n_samples, horizon):
+    # built the way build_cost builds it, from per-input standard deviations
+    sigma = np.random.default_rng(n_u).uniform(0.1, 3.0, n_u)
+    chol = np.linalg.cholesky(np.diag(sigma**2))
+    seed = 2000 + n_u
     z = np.random.default_rng(seed).standard_normal((n_samples, horizon, n_u))
     plan = NoisePlan.sample(seed, n_samples, horizon, chol)
     assert same_bits(plan.draws, z @ chol.T)

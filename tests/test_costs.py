@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robust_mppi.costs import (
     CostFunction,
@@ -11,7 +14,12 @@ from robust_mppi.costs import (
     quadratic_wall_cost,
 )
 
-from oracles import control_cost_term, lipschitz_estimate, path_cost
+from oracles import (
+    control_cost_term,
+    lipschitz_estimate,
+    path_cost,
+    penalty_step_terms_einsum,
+)
 
 
 def simple_cost(sigma=None, lam=2.0, beta=0.5):
@@ -104,13 +112,76 @@ def test_penalty_step_terms_matches_per_row_quadratic():
         assert np.isclose(terms[i], expected, rtol=1e-12, atol=0)
 
 
+def value_arrays(shape):
+    """Finite entries, a share of them exact zeros (a zero correction, a zero draw)."""
+    values = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    return hnp.arrays(np.float64, shape, elements=values, fill=st.nothing())
+
+
+@st.composite
+def sigma_inverses(draw, n_u):
+    """An SPD ``sigma_inv``: full, or diagonal as every bundled scenario's is."""
+    if draw(st.booleans()):
+        diag = draw(hnp.arrays(np.float64, n_u, elements=st.floats(0.05, 20.0)))
+        return np.linalg.inv(np.diag(diag))
+    a = draw(hnp.arrays(np.float64, (n_u, n_u), elements=st.floats(-2.0, 2.0)))
+    return np.linalg.inv(a @ a.T + 0.5 * np.eye(n_u))
+
+
+@st.composite
+def penalty_inputs(draw):
+    """``u``, ``eps`` (the scalar 0.0 or an array) and ``sigma_inv``.
+
+    The leading shapes have up to three axes and broadcast against each
+    other, as a shared control sequence broadcasts against per-sample draws.
+    """
+    n_u = draw(st.integers(1, 4))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=5))
+    u_shape, eps_shape = (shape + (n_u,) for shape in shapes.input_shapes)
+    u = draw(value_arrays(u_shape))
+    eps = draw(st.one_of(st.just(0.0), value_arrays(eps_shape)))
+    return u, eps, draw(sigma_inverses(n_u))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(penalty_inputs())
+def test_penalty_step_terms_equal_the_einsum_formula(inputs):
+    u, eps, sigma_inv = inputs
+    assert np.array_equal(
+        penalty_step_terms(u, eps, sigma_inv), penalty_step_terms_einsum(u, eps, sigma_inv)
+    )
+
+
+@st.composite
+def penalty_batches(draw):
+    """Shared controls ``(T, n_u)`` or ``(G, T, n_u)``, draws ``(N, T, n_u)``, ``sigma_inv``."""
+    n_u = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 6))
+    groups = draw(st.sampled_from([(), (1,), (3,)]))
+    controls = draw(value_arrays(groups + (horizon, n_u)))
+    draws = draw(value_arrays((draw(st.integers(1, 5)), horizon, n_u)))
+    return controls, draws, draw(sigma_inverses(n_u))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(penalty_batches(), st.floats(0.01, 10.0), st.floats(0.0, 0.99), st.booleans())
+def test_scaled_control_penalty_batch_equals_the_scaled_einsum_sum(
+    batch, lam, beta, beta_weighted
+):
+    controls, draws, sigma_inv = batch
+    coef = control_penalty_coef(lam, beta, beta_weighted)
+    terms = penalty_step_terms_einsum(np.expand_dims(controls, -3), draws, sigma_inv)
+    expected = coef * terms.sum(axis=-1)
+    assert np.array_equal(coef * control_penalty_batch(controls, draws, sigma_inv), expected)
+
+
 def test_control_penalty_batch_matches_stepwise_sum():
     rng = np.random.default_rng(1)
     cost = simple_cost(lam=3.0, beta=0.25)
     controls = rng.normal(size=(5, 1))
     draws = rng.normal(size=(7, 5, 1))
     coef = control_penalty_coef(cost.lam, cost.beta, True)
-    batch = control_penalty_batch(controls, draws, cost.sigma_inv, coef)
+    batch = coef * control_penalty_batch(controls, draws, cost.sigma_inv)
     for i in range(7):
         expected = sum(
             control_cost_term(cost, controls[t], draws[i, t], beta_weighted=True)

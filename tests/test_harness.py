@@ -23,6 +23,7 @@ from robust_mppi.harness import (
     summary_table,
     verify_bound,
 )
+from robust_mppi.sampling import mppi_update
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -100,7 +101,7 @@ def test_config_validation_rules():
 NO_FILTER = "sampling.smoothing_window must be 0 \\(filter off\\) or above 3"
 
 # Each value loaded before and then failed or misled the run; the error must
-# name the key.
+# name the key.  An entry of several space-separated overrides is one load.
 LOAD_TIME_REJECTIONS = {
     "feedback.gamma_clip=0.5": "feedback.gamma_clip",
     "feedback.gamma_clip=0.7": "feedback.gamma_clip",
@@ -129,19 +130,38 @@ LOAD_TIME_REJECTIONS = {
     "sampling.smoothing_window=-5": NO_FILTER,
     "sampling.smoothing_window=1": NO_FILTER,
     "sampling.smoothing_window=3": NO_FILTER,
+    "sampling.horizon=3 sampling.smoothing_window=5":
+        "sampling.smoothing_window=5 filters nothing when sampling.horizon is 3 or less",
+    "sampling.horizon=1 sampling.smoothing_window=200":
+        "sampling.smoothing_window=200 filters nothing .*sampling.horizon=1",
 }
 
 
 @pytest.mark.parametrize("override", list(LOAD_TIME_REJECTIONS))
 def test_values_that_would_fail_mid_run_are_rejected_at_load(override):
     with pytest.raises(ValueError, match=LOAD_TIME_REJECTIONS[override]):
-        load_config(overrides=[override])
+        load_config(overrides=override.split())
 
 
 @pytest.mark.parametrize("window", [0, 4, 5, 6, 200])
 def test_smoothing_windows_that_filter_or_turn_it_off_load(window):
     cfg = load_config(overrides=[f"sampling.smoothing_window={window}"])
     assert cfg.smoothing_window == window
+
+
+def test_a_window_above_a_four_step_horizon_loads_and_filters_the_whole_plan():
+    from scipy.signal import savgol_filter
+
+    cfg = load_config(overrides=["sampling.horizon=4", "sampling.smoothing_window=5"])
+    assert (cfg.horizon, cfg.smoothing_window) == (4, 5)
+    rng = np.random.default_rng(8)
+    controls = rng.normal(size=(cfg.horizon, 1))
+    draws = rng.normal(size=(3, cfg.horizon, 1))
+    w = np.full(3, 1.0 / 3.0)
+    raw = mppi_update(controls, w, draws)
+    smoothed = mppi_update(controls, w, draws, smoothing_window=cfg.smoothing_window)
+    # the window is cut to the horizon, 4 points, one more than the order 3
+    assert np.array_equal(smoothed, savgol_filter(raw, 4, 3, axis=0))
 
 
 def test_with_values_and_render_round_trip(tmp_path):

@@ -4,14 +4,20 @@ Every public top-level function or class in ``src/robust_mppi`` must either
 be referenced by name from library code outside its own definition or be
 exported through the package's ``__all__``.  Anything else is used only by
 tests and belongs in ``tests/oracles.py`` or the test that needs it.
+
+The benchmark's tracer (``perfbench/layers.py``) wraps library functions and
+methods by name, so every name it lists must still resolve; a rename would
+otherwise surface only when a traced benchmark run starts.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import robust_mppi
 
 PACKAGE = Path(robust_mppi.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def names_used(node: ast.AST) -> set[str]:
@@ -43,3 +49,35 @@ def test_every_public_definition_is_used_by_the_library_or_exported():
         and not any(name in used for owner, used in uses if owner is not node)
     ]
     assert not unused, f"public but used only outside the library: {unused}"
+
+
+def tracer_constant(name: str):
+    """The literal value assigned to ``name`` at the top level of the tracer module."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in stmt.targets
+        ):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"{name} is not assigned in {TRACER.name}")
+
+
+def test_every_traced_name_resolves_in_the_library():
+    missing = []
+    for span, (module, attr) in tracer_constant("FUNCTION_SPANS").items():
+        owner = importlib.import_module(f"robust_mppi.{module}")
+        if "." in attr:
+            # a method is wrapped on its class, looked up in the class dict
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name, None)
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(span)
+    feedback = importlib.import_module("robust_mppi.feedback")
+    for cls_name in tracer_constant("APPLY_BATCH_CLASSES"):
+        cls = getattr(feedback, cls_name, None)
+        if cls is None or "apply_batch" not in vars(cls):
+            missing.append(f"feedback.{cls_name}.apply_batch")
+    assert not missing, f"traced names that no longer resolve: {missing}"

@@ -13,9 +13,11 @@ from hypothesis.extra import numpy as hnp
 
 from robust_mppi.costs import CostFunction, quadratic_wall_cost
 from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
-from robust_mppi.feedback import ZeroFeedback
-from robust_mppi.rmppi import augmented_rollouts
+from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback
+from robust_mppi.rmppi import augmented_rollouts, mixed_cost
 from robust_mppi.sampling import NoisePlan, rollout_batch
+
+from oracles import control_cost_term
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -195,3 +197,102 @@ def test_augmented_rollouts_price_a_crash_in_either_copy(batch, gain):
             if crashed:
                 assert value == CRASH_COST.crash_cost
             assert np.array_equal(getattr(alone, name), getattr(roll, name)[i : i + 1])
+
+
+# -- two inputs ----------------------------------------------------------------
+
+
+def two_input_model():
+    """Control-affine test system whose two inputs both reach both states."""
+
+    def deriv(x, u):
+        return np.stack(
+            [
+                x[..., 1] + 0.5 * u[..., 1],
+                -np.sin(x[..., 0]) + u[..., 0] - 0.3 * u[..., 1],
+            ],
+            axis=-1,
+        )
+
+    return SystemModel("two_input", 2, 2, 0.05, deriv)
+
+
+class RecordingPolicy:
+    """Passes corrections through from ``policy`` and keeps each one applied."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.applied = []
+
+    def apply_batch(self, x, x_star, t):
+        k = self.policy.apply_batch(x, x_star, t)
+        self.applied.append(np.array(k))
+        return k
+
+
+nonzero_gains = st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 1.5))
+
+
+@st.composite
+def two_input_batches(draw):
+    n = draw(st.integers(1, 12))
+    horizon = draw(st.integers(1, 8))
+    sd = draw(hnp.arrays(np.float64, 2, elements=st.floats(0.3, 1.5), fill=st.nothing()))
+    rho = draw(st.floats(-0.8, 0.8))
+    sigma = np.array([[sd[0] ** 2, rho * sd[0] * sd[1]], [rho * sd[0] * sd[1], sd[1] ** 2]])
+    cost = CostFunction(
+        state_cost=lambda x: 10.0 + x[..., 0] ** 2 + 0.5 * x[..., 1] ** 2,
+        terminal_cost=lambda x: 20.0 + 3.0 * x[..., 0] ** 2 + x[..., 1] ** 2,
+        sigma=sigma,
+        lam=draw(st.floats(0.5, 10.0)),
+        beta=draw(st.floats(0.0, 0.9)),
+    )
+    starts = draw(hnp.arrays(np.float64, (2, 2), elements=values, fill=st.nothing()))
+    controls = draw(hnp.arrays(
+        np.float64, (horizon, 2), elements=st.floats(-1.0, 1.0), fill=st.nothing()
+    ))
+    gains = draw(hnp.arrays(
+        np.float64, (horizon, 2, 2), elements=nonzero_gains, fill=st.nothing()
+    ))
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, cost.sigma_chol).draws
+    alpha = draw(st.floats(1.0, 1000.0))
+    return cost, starts, controls, LinearGainsPolicy(gains), draws, alpha
+
+
+@PROPERTY_SETTINGS
+@given(two_input_batches())
+def test_two_input_augmented_channels_match_a_per_sample_oracle(batch):
+    """Every channel at n_u = 2 with a full sigma, priced from the corrections applied."""
+    cost, starts, controls, policy, draws, alpha = batch
+    model = two_input_model()
+    recorder = RecordingPolicy(policy)
+    roll = augmented_rollouts(model, cost, starts[0], starts[1], controls, recorder, draws, alpha)
+    assert not roll.crashed.any()
+    corrections = np.stack(recorder.applied, axis=1)  # (N, T, 2)
+    zero = np.zeros(2)
+    for i in range(draws.shape[0]):
+        xr, xn = starts[0], starts[1]
+        state_real = state_nom = 0.0
+        pen_k = pen_real = pen_plain = pen_beta = 0.0
+        for t in range(controls.shape[0]):
+            u, k, eps = controls[t], corrections[i, t], draws[i, t]
+            pen_k += control_cost_term(cost, k, zero, beta_weighted=True)
+            pen_real += control_cost_term(cost, u + k, eps, beta_weighted=True)
+            pen_plain += control_cost_term(cost, u, eps, beta_weighted=False)
+            pen_beta += control_cost_term(cost, u, eps, beta_weighted=True)
+            xr = model.step(xr, u + k + eps)
+            xn = model.step(xn, u + eps)
+            state_real += float(cost.state_cost(xr))
+            state_nom += float(cost.state_cost(xn))
+        state_real += float(cost.terminal_cost(xr))
+        state_nom += float(cost.terminal_cost(xn))
+        penalized = state_real + pen_k
+        expected = {
+            "nominal": state_nom,
+            "penalized": penalized,
+            "real": state_real + pen_real,
+            "mixed": mixed_cost(state_nom, penalized, alpha) + pen_plain,
+            "nominal_eval": state_nom + pen_beta,
+        }
+        for name, value in expected.items():
+            assert np.isclose(getattr(roll, name)[i], value, rtol=1e-12, atol=0), name

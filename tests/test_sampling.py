@@ -298,12 +298,9 @@ def test_rollout_control_term_variants_differ_by_penalty():
     x0 = np.zeros(2)
     plain = rollout_batch(model, cost, x0, controls, plan.draws, control_term="plain")
     beta = rollout_batch(model, cost, x0, controls, plan.draws, control_term="beta")
-    pen_plain = control_penalty_batch(
-        controls, plan.draws, cost.sigma_inv, control_penalty_coef(cost.lam, cost.beta, False)
-    )
-    pen_beta = control_penalty_batch(
-        controls, plan.draws, cost.sigma_inv, control_penalty_coef(cost.lam, cost.beta, True)
-    )
+    pen = control_penalty_batch(controls, plan.draws, cost.sigma_inv)
+    pen_plain = control_penalty_coef(cost.lam, cost.beta, False) * pen
+    pen_beta = control_penalty_coef(cost.lam, cost.beta, True) * pen
     assert np.array_equal(plain.state_costs, beta.state_costs)
     assert np.array_equal(plain.costs, plain.state_costs + pen_plain)
     assert np.array_equal(beta.costs, beta.state_costs + pen_beta)
