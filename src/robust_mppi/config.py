@@ -13,9 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from .sampling import SAVGOL_ORDER
+from typing import Callable, Iterable
 
 
 def _parse_int(s: str) -> int:
@@ -46,72 +44,94 @@ def _parse_vec_or_none(s: str) -> tuple[float, ...] | None:
     return _parse_vec(s)
 
 
-# (parser, default) for every recognized key.  This table is the single
-# source of truth for what a configuration may contain.
+# A rule is (requirement, test); a vector value must pass it in every entry.
+_Rule = tuple[str, Callable]
+
+
+def _at_least(n: int) -> _Rule:
+    return f"be >= {n}", lambda v: v >= n
+
+
+def _one_of(*options: str) -> _Rule:
+    return f"be one of {options}", lambda v: v in options
+
+
+_FINITE: _Rule = ("be finite", math.isfinite)
+_POSITIVE: _Rule = ("be positive", lambda v: v > 0.0)
+_NONNEGATIVE: _Rule = ("be >= 0", lambda v: v >= 0.0)
+_FINITE_POSITIVE: _Rule = ("be finite and positive", lambda v: math.isfinite(v) and v > 0.0)
+_FINITE_NONNEGATIVE: _Rule = ("be finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+
+# (parser, default, rule or None) for every recognized key.  This table is
+# the single source of truth for what a configuration may contain; a value
+# that breaks its key's rule fails at load, naming the key.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
-        "name": (_parse_str, "run"),
-        "system": (_parse_str, "double_integrator"),
-        "controller": (_parse_str, "rmppi"),
-        "steps": (_parse_int, "100"),
-        "seed": (_parse_int, "0"),
-        "output": (_parse_str, "out"),
+        "name": (_parse_str, "run", None),
+        "system": (_parse_str, "double_integrator", None),
+        "controller": (_parse_str, "rmppi", _one_of("mppi", "tube", "rmppi")),
+        "steps": (_parse_int, "100", _at_least(1)),
+        "seed": (_parse_int, "0", _at_least(0)),
+        "output": (_parse_str, "out", None),
     },
     "dynamics": {
-        "dt": (_parse_float, "0.02"),
-        "control_limit": (_parse_float, "10.0"),
-        "damping": (_parse_float, "0.5"),
+        "dt": (_parse_float, "0.02", _FINITE_POSITIVE),
+        "control_limit": (_parse_float, "10.0", _POSITIVE),
+        "damping": (_parse_float, "0.5", None),
     },
     "disturbance": {
-        "noise_multiplier": (_parse_float, "1.0"),
-        "w_bound": (_parse_float, "0.0"),
+        "noise_multiplier": (_parse_float, "1.0", _NONNEGATIVE),
+        "w_bound": (_parse_float, "0.0", _NONNEGATIVE),
     },
     "cost": {
-        "lambda": (_parse_float, "25.0"),
-        "beta": (_parse_float, "0.5"),
-        "sigma": (_parse_vec, "0.6"),
-        "q_weights": (_parse_vec, "1.0, 0.5"),
-        "target": (_parse_vec, "0.0, 0.0"),
-        "wall_offsets": (_parse_vec_or_none, "none"),
-        "wall_slope": (_parse_float, "0.0"),
-        "wall_cap": (_parse_float, "inf"),
-        "terminal_scale": (_parse_float, "1.0"),
-        "crash_cost": (_parse_float, "1e4"),
+        "lambda": (_parse_float, "25.0", _FINITE_POSITIVE),
+        "beta": (_parse_float, "0.5", ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+        "sigma": (_parse_vec, "0.6", _FINITE_POSITIVE),
+        "q_weights": (_parse_vec, "1.0, 0.5", _FINITE_NONNEGATIVE),
+        "target": (_parse_vec, "0.0, 0.0", _FINITE),
+        "wall_offsets": (_parse_vec_or_none, "none", None),
+        "wall_slope": (_parse_float, "0.0", _FINITE_NONNEGATIVE),
+        "wall_cap": (_parse_float, "inf", _POSITIVE),
+        "terminal_scale": (_parse_float, "1.0", _FINITE_NONNEGATIVE),
+        "crash_cost": (_parse_float, "1e4", _FINITE),
     },
     "sampling": {
-        "n_samples": (_parse_int, "512"),
-        "horizon": (_parse_int, "50"),
-        "smoothing_window": (_parse_int, "0"),
+        "n_samples": (_parse_int, "512", _at_least(2)),
+        "horizon": (_parse_int, "50", _at_least(1)),
     },
     "feedback": {
-        "kind": (_parse_str, "none"),
-        "q_track": (_parse_vec, "2.0, 6.0"),
-        "r_track": (_parse_vec, "1.0"),
-        "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0"),
-        "lambda_c": (_parse_float, "1.0"),
-        "effort_weight": (_parse_float, "1.0"),
-        "gamma_window": (_parse_int, "20"),
-        "gamma_clip": (_parse_float, "1e-3"),
+        "kind": (_parse_str, "none", _one_of("none", "ilqg", "contraction")),
+        "q_track": (_parse_vec, "2.0, 6.0", None),
+        "r_track": (_parse_vec, "1.0", None),
+        "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0", None),
+        "lambda_c": (_parse_float, "1.0", _FINITE_POSITIVE),
+        "effort_weight": (_parse_float, "1.0", _FINITE_POSITIVE),
+        "gamma_window": (_parse_int, "20", _at_least(2)),
+        "gamma_clip": (_parse_float, "1e-3", ("lie in (0, 0.5)", lambda v: 0.0 < v < 0.5)),
     },
     "rmppi": {
-        "alpha": (_parse_float, "3000.0"),
-        "n_candidates": (_parse_int, "8"),
-        "nsp_samples": (_parse_int, "64"),
-        "emv_repeats": (_parse_int, "8"),
+        "alpha": (_parse_float, "3000.0", _FINITE),
+        "n_candidates": (_parse_int, "8", _at_least(2)),
+        "nsp_samples": (_parse_int, "64", _at_least(1)),
+        "emv_repeats": (_parse_int, "8", _at_least(2)),
     },
     "harness": {
-        "x0": (_parse_vec, "0.0, 0.0"),
-        "crash_box": (_parse_vec, "10.0, 20.0"),
+        "x0": (_parse_vec, "0.0, 0.0", _FINITE),
+        "crash_box": (_parse_vec, "10.0, 20.0", _POSITIVE),
     },
 }
 
-_CONTROLLERS = ("mppi", "tube", "rmppi")
-_FEEDBACK_KINDS = ("none", "ilqg", "contraction")
+# ExperimentConfig fields named differently from their key; every other
+# field is named after its key.
+_FIELD_NAMES = {"cost.lambda": "lam", "feedback.kind": "feedback_kind"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of one experiment plus the raw string table it came from."""
+    """Typed view of one experiment plus the raw string table it came from.
+
+    There is one field per schema key, named through ``_FIELD_NAMES``.
+    """
 
     name: str
     system: str
@@ -136,7 +156,6 @@ class ExperimentConfig:
     crash_cost: float
     n_samples: int
     horizon: int
-    smoothing_window: int
     feedback_kind: str
     q_track: tuple[float, ...]
     r_track: tuple[float, ...]
@@ -189,127 +208,32 @@ def _table_to_nested(table: dict[tuple[str, str], str]) -> dict[str, dict[str, s
 
 
 def _default_table() -> dict[str, dict[str, str]]:
-    return {s: {k: d for k, (_, d) in keys.items()} for s, keys in _SCHEMA.items()}
+    return {s: {k: d for k, (_, d, _) in keys.items()} for s, keys in _SCHEMA.items()}
 
 
 def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
-    typed: dict[str, dict] = {}
+    values = {}
     for section, keys in _SCHEMA.items():
-        typed[section] = {}
-        for key, (parser, _) in keys.items():
-            value = table[section][key]
+        for key, (parser, _, rule) in keys.items():
+            dotted, text = f"{section}.{key}", table[section][key]
             try:
-                typed[section][key] = parser(value)
+                value = parser(text)
             except ValueError as exc:
-                raise ValueError(f"bad value for {section}.{key}: {value!r} ({exc})")
-
-    exp, dyn, dist = typed["experiment"], typed["dynamics"], typed["disturbance"]
-    cost, samp, fb = typed["cost"], typed["sampling"], typed["feedback"]
-    rmp, har = typed["rmppi"], typed["harness"]
-
-    if exp["controller"] not in _CONTROLLERS:
-        raise ValueError(
-            f"experiment.controller must be one of {_CONTROLLERS}, got {exp['controller']!r}"
-        )
-    if fb["kind"] not in _FEEDBACK_KINDS:
-        raise ValueError(
-            f"feedback.kind must be one of {_FEEDBACK_KINDS}, got {fb['kind']!r}"
-        )
-    if exp["steps"] < 1:
-        raise ValueError("experiment.steps must be positive")
-    if samp["n_samples"] < 2 or samp["horizon"] < 1:
-        raise ValueError("sampling.n_samples must be >= 2 and sampling.horizon >= 1")
-    if not dyn["control_limit"] > 0.0:
-        raise ValueError(
-            f"dynamics.control_limit must be positive, got {dyn['control_limit']}"
-        )
-    window = samp["smoothing_window"]
-    if window != 0 and window <= SAVGOL_ORDER:
-        raise ValueError(
-            f"sampling.smoothing_window must be 0 (filter off) or above {SAVGOL_ORDER}, "
-            f"the Savitzky-Golay order (values above it filter), got {window}"
-        )
-    if window > 0 and samp["horizon"] <= SAVGOL_ORDER:
-        raise ValueError(
-            f"sampling.smoothing_window={window} filters nothing when sampling.horizon "
-            f"is {SAVGOL_ORDER} or less (the filter needs more points than its order), "
-            f"got sampling.horizon={samp['horizon']}; set sampling.smoothing_window=0"
-        )
-    if not dist["noise_multiplier"] >= 0.0:
-        raise ValueError(
-            f"disturbance.noise_multiplier must be >= 0, got {dist['noise_multiplier']}"
-        )
-    if not dist["w_bound"] >= 0.0:
-        raise ValueError(f"disturbance.w_bound must be >= 0, got {dist['w_bound']}")
-    if not math.isfinite(cost["crash_cost"]):
-        raise ValueError(f"cost.crash_cost must be finite, got {cost['crash_cost']}")
-    if fb["gamma_window"] < 2:
-        raise ValueError(
-            f"feedback.gamma_window must be >= 2 to fit a tracking rate, got {fb['gamma_window']}"
-        )
-    if not (math.isfinite(fb["effort_weight"]) and fb["effort_weight"] > 0.0):
-        raise ValueError(
-            f"feedback.effort_weight must be finite and positive, got {fb['effort_weight']}"
-        )
-    if not 0.0 < fb["gamma_clip"] < 0.5:
-        raise ValueError(f"feedback.gamma_clip must lie in (0, 0.5), got {fb['gamma_clip']}")
-    if not (math.isfinite(fb["lambda_c"]) and fb["lambda_c"] > 0.0):
-        raise ValueError(f"feedback.lambda_c must be finite and positive, got {fb['lambda_c']}")
-    for key in ("n_candidates", "emv_repeats"):
-        if rmp[key] < 2:
-            raise ValueError(f"rmppi.{key} must be >= 2, got {rmp[key]}")
-    if rmp["nsp_samples"] < 1:
-        raise ValueError(f"rmppi.nsp_samples must be >= 1, got {rmp['nsp_samples']}")
-    if samp["n_samples"] < 2 * rmp["emv_repeats"]:
+                raise ValueError(f"bad value for {dotted}: {text!r} ({exc})")
+            if rule is not None:
+                requirement, ok = rule
+                vector = isinstance(value, tuple)
+                if not all(ok(v) for v in (value if vector else (value,))):
+                    every = " in every entry" if vector else ""
+                    raise ValueError(f"{dotted} must {requirement}{every}, got {value!r}")
+            values[_FIELD_NAMES.get(dotted, key)] = value
+    if values["n_samples"] < 2 * values["emv_repeats"]:
         raise ValueError(
             "sampling.n_samples must be at least 2 * rmppi.emv_repeats, got "
-            f"{samp['n_samples']} < 2 * {rmp['emv_repeats']}"
+            f"{values['n_samples']} < 2 * {values['emv_repeats']}"
         )
-
-    raw = tuple(
-        (s, k, table[s][k]) for s in _SCHEMA for k in _SCHEMA[s]
-    )
-    return ExperimentConfig(
-        name=exp["name"],
-        system=exp["system"],
-        controller=exp["controller"],
-        steps=exp["steps"],
-        seed=exp["seed"],
-        output=exp["output"],
-        dt=dyn["dt"],
-        control_limit=dyn["control_limit"],
-        damping=dyn["damping"],
-        noise_multiplier=dist["noise_multiplier"],
-        w_bound=dist["w_bound"],
-        lam=cost["lambda"],
-        beta=cost["beta"],
-        sigma=cost["sigma"],
-        q_weights=cost["q_weights"],
-        target=cost["target"],
-        wall_offsets=cost["wall_offsets"],
-        wall_slope=cost["wall_slope"],
-        wall_cap=cost["wall_cap"],
-        terminal_scale=cost["terminal_scale"],
-        crash_cost=cost["crash_cost"],
-        n_samples=samp["n_samples"],
-        horizon=samp["horizon"],
-        smoothing_window=samp["smoothing_window"],
-        feedback_kind=fb["kind"],
-        q_track=fb["q_track"],
-        r_track=fb["r_track"],
-        metric=fb["metric"],
-        lambda_c=fb["lambda_c"],
-        effort_weight=fb["effort_weight"],
-        gamma_window=fb["gamma_window"],
-        gamma_clip=fb["gamma_clip"],
-        alpha=rmp["alpha"],
-        n_candidates=rmp["n_candidates"],
-        nsp_samples=rmp["nsp_samples"],
-        emv_repeats=rmp["emv_repeats"],
-        x0=har["x0"],
-        crash_box=har["crash_box"],
-        raw=raw,
-    )
+    raw = tuple((s, k, table[s][k]) for s in _SCHEMA for k in _SCHEMA[s])
+    return ExperimentConfig(**values, raw=raw)
 
 
 def load_config(path: str | None = None, overrides: Iterable[str] = ()) -> ExperimentConfig:

@@ -212,14 +212,7 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
     factory, analytic_gamma = build_policy_factory(cfg, model)
     x0 = np.array(cfg.x0, dtype=float)
     if cfg.controller == "mppi":
-        return MppiController(
-            model,
-            cost,
-            cfg.n_samples,
-            cfg.horizon,
-            cfg.seed,
-            smoothing_window=cfg.smoothing_window,
-        )
+        return MppiController(model, cost, cfg.n_samples, cfg.horizon, cfg.seed)
     if cfg.controller == "tube":
         return TubeMppiController(
             model,
@@ -230,7 +223,6 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             factory,
             cfg.alpha,
             x_star0=x0,
-            smoothing_window=cfg.smoothing_window,
         )
     if cfg.controller == "rmppi":
         settings = RmppiSettings(
@@ -240,7 +232,6 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             n_candidates=cfg.n_candidates,
             nsp_samples=cfg.nsp_samples,
             emv_repeats=cfg.emv_repeats,
-            smoothing_window=cfg.smoothing_window,
             gamma=analytic_gamma,
             gamma_window=cfg.gamma_window,
             gamma_clip=cfg.gamma_clip,

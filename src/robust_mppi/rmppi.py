@@ -301,7 +301,6 @@ def tube_mppi_step(
     policy: FeedbackPolicy,
     draws: Array,
     alpha: float,
-    smoothing_window: int = 0,
 ) -> TubeStepResult:
     """One tube controller update from the measured and nominal states.
 
@@ -328,12 +327,8 @@ def tube_mppi_step(
     costs_nom, costs_real = res.costs
     fe_nom = free_energy_mc(costs_nom, cost.lam)
     fe_real = free_energy_mc(costs_real, cost.lam)
-    u_nom = mppi_update(
-        controls, softmax_weights(costs_nom, cost.lam), draws, smoothing_window
-    )
-    u_real = mppi_update(
-        controls, softmax_weights(costs_real, cost.lam), draws, smoothing_window
-    )
+    u_nom = mppi_update(controls, softmax_weights(costs_nom, cost.lam), draws)
+    u_real = mppi_update(controls, softmax_weights(costs_real, cost.lam), draws)
     reset = fe_real - fe_nom < alpha
     if reset:
         x_star_next = x.copy()
@@ -366,7 +361,6 @@ class TubeMppiController:
         policy_factory: Callable[[Array, Array], FeedbackPolicy],
         alpha: float,
         x_star0: Array | None = None,
-        smoothing_window: int = 0,
     ) -> None:
         self.model = model
         self.cost = cost
@@ -375,7 +369,6 @@ class TubeMppiController:
         self.seed = int(seed)
         self.policy_factory = policy_factory
         self.alpha = float(alpha)
-        self.smoothing_window = smoothing_window
         self.controls = np.zeros((self.horizon, model.n_u))
         self.x_star = None if x_star0 is None else np.asarray(x_star0, dtype=float).copy()
         self.step_index = 0
@@ -400,12 +393,10 @@ class TubeMppiController:
             policy,
             plan.draws,
             self.alpha,
-            self.smoothing_window,
         )
         self.controls = result.controls
-        x_star_logged = self.x_star if result.degenerate else (
-            x.copy() if result.reset else self.x_star
-        )
+        # a degenerate step never resets, so it logs the nominal it tracked
+        x_star_logged = x.copy() if result.reset else self.x_star
         self.x_star = result.x_star
         self.step_index += 1
         return result.action, StepRecord(
@@ -452,7 +443,6 @@ class RmppiSettings:
     n_candidates: int = 8
     nsp_samples: int = 64
     emv_repeats: int = 8
-    smoothing_window: int = 0
     gamma: float | None = None
     gamma_window: int = 20
     gamma_clip: float = 1e-3
@@ -580,9 +570,7 @@ class RmppiController:
             )
             fe_real = free_energy_mc(roll.real, self.cost.lam)
             fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
-            self.controls = mppi_update(
-                self.controls, w_nom, plan.draws, self.s.smoothing_window
-            )
+            self.controls = mppi_update(self.controls, w_nom, plan.draws)
             self._nsp_pending = True
 
         emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)

@@ -26,9 +26,6 @@ STREAM_ROLLOUT = 1
 STREAM_NSP = 2
 STREAM_PLANT = 4
 
-# Polynomial order of the optional Savitzky-Golay plan smoothing.
-SAVGOL_ORDER = 3
-
 
 class DegenerateSamplingError(RuntimeError):
     """Raised when a sample batch carries no usable information (all crashed)."""
@@ -109,29 +106,12 @@ def shift_control_sequence(controls: Array) -> Array:
     return shifted
 
 
-def mppi_update(
-    controls: Array,
-    weights: Array,
-    draws: Array,
-    smoothing_window: int = 0,
-) -> Array:
-    """Move the control plan toward the weighted noise average.
-
-    ``smoothing_window > 0`` applies a Savitzky-Golay filter of polynomial
-    order :data:`SAVGOL_ORDER` along the horizon after the update; it is off
-    by default.
-    """
+def mppi_update(controls: Array, weights: Array, draws: Array) -> Array:
+    """Move the control plan toward the weighted noise average."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)) or np.sum(weights) <= 0.0:
         raise DegenerateSamplingError("sample weights degenerate (all zero or non-finite)")
-    updated = controls + weighted_noise(weights, draws)
-    if smoothing_window > 0:
-        from scipy.signal import savgol_filter
-
-        window = min(smoothing_window, updated.shape[0])
-        if window > SAVGOL_ORDER:
-            updated = savgol_filter(updated, window, SAVGOL_ORDER, axis=0)
-    return updated
+    return controls + weighted_noise(weights, draws)
 
 
 @dataclass(frozen=True)
@@ -262,23 +242,12 @@ class MppiController:
     two controllers with the same seed see identical draws at the same step.
     """
 
-    name = "mppi"
-
-    def __init__(
-        self,
-        model,
-        cost: CostFunction,
-        n_samples: int,
-        horizon: int,
-        seed: int,
-        smoothing_window: int = 0,
-    ):
+    def __init__(self, model, cost: CostFunction, n_samples: int, horizon: int, seed: int):
         self.model = model
         self.cost = cost
         self.n_samples = n_samples
         self.horizon = horizon
         self.seed = seed
-        self.smoothing_window = smoothing_window
         self.controls = np.zeros((horizon, model.n_u))
         self.step_index = 0
 
@@ -298,7 +267,7 @@ class MppiController:
             fe = float(self.cost.crash_cost)
         else:
             weights = softmax_weights(res.costs, self.cost.lam)
-            updated = mppi_update(self.controls, weights, plan.draws, self.smoothing_window)
+            updated = mppi_update(self.controls, weights, plan.draws)
             action = self.model.clamp(updated[0])
             fe = free_energy_mc(res.costs, self.cost.lam)
         self.controls = shift_control_sequence(updated)

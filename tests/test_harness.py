@@ -1,13 +1,14 @@
 """Configuration handling and the closed-loop simulation harness."""
 
 import configparser
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robust_mppi import harness
+from robust_mppi import config, harness
 from robust_mppi.cli import main
 from robust_mppi.config import ExperimentConfig, load_config, render_config
 from robust_mppi.dynamics import SystemModel, nonlinear_benchmark, register_system
@@ -23,7 +24,6 @@ from robust_mppi.harness import (
     summary_table,
     verify_bound,
 )
-from robust_mppi.sampling import mppi_update
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -98,8 +98,6 @@ def test_config_validation_rules():
         load_config(overrides=["sampling.n_samples=1"])
 
 
-NO_FILTER = "sampling.smoothing_window must be 0 \\(filter off\\) or above 3"
-
 # Each value loaded before and then failed or misled the run; the error must
 # name the key.  An entry of several space-separated overrides is one load.
 LOAD_TIME_REJECTIONS = {
@@ -127,13 +125,30 @@ LOAD_TIME_REJECTIONS = {
     "disturbance.w_bound=-0.1": "disturbance.w_bound must be >= 0",
     "cost.crash_cost=inf": "cost.crash_cost must be finite",
     "cost.crash_cost=-inf": "cost.crash_cost must be finite",
-    "sampling.smoothing_window=-5": NO_FILTER,
-    "sampling.smoothing_window=1": NO_FILTER,
-    "sampling.smoothing_window=3": NO_FILTER,
-    "sampling.horizon=3 sampling.smoothing_window=5":
-        "sampling.smoothing_window=5 filters nothing when sampling.horizon is 3 or less",
-    "sampling.horizon=1 sampling.smoothing_window=200":
-        "sampling.smoothing_window=200 filters nothing .*sampling.horizon=1",
+    # fail at step 0
+    "experiment.seed=-1": "experiment.seed must be >= 0",
+    "cost.target=inf,0": "cost.target must be finite in every entry",
+    "cost.sigma=inf": "cost.sigma must be finite and positive in every entry",
+    # void or weaken the bound
+    "rmppi.alpha=inf": "rmppi.alpha must be finite",
+    "cost.wall_slope=-1000": "cost.wall_slope must be finite and >= 0",
+    # run on with a value that means nothing
+    "cost.wall_cap=-1": "cost.wall_cap must be positive",
+    "cost.wall_cap=0": "cost.wall_cap must be positive",
+    "cost.terminal_scale=-1": "cost.terminal_scale must be finite and >= 0",
+    "harness.x0=inf,0": "harness.x0 must be finite in every entry",
+    "harness.crash_box=10,0": "harness.crash_box must be positive in every entry",
+    "harness.crash_box=-10,20": "harness.crash_box must be positive in every entry",
+    # fail at build with a message that does not name the key
+    "dynamics.dt=0": "dynamics.dt must be finite and positive",
+    "dynamics.dt=-0.02": "dynamics.dt must be finite and positive",
+    "dynamics.dt=inf": "dynamics.dt must be finite and positive",
+    "cost.lambda=inf": "cost.lambda must be finite and positive",
+    "cost.lambda=0": "cost.lambda must be finite and positive",
+    "cost.beta=1": "cost.beta must lie in \\[0, 1\\)",
+    "cost.beta=-0.1": "cost.beta must lie in \\[0, 1\\)",
+    "cost.sigma=0": "cost.sigma must be finite and positive in every entry",
+    "cost.q_weights=1,-0.5": "cost.q_weights must be finite and >= 0 in every entry",
 }
 
 
@@ -143,25 +158,26 @@ def test_values_that_would_fail_mid_run_are_rejected_at_load(override):
         load_config(overrides=override.split())
 
 
-@pytest.mark.parametrize("window", [0, 4, 5, 6, 200])
-def test_smoothing_windows_that_filter_or_turn_it_off_load(window):
-    cfg = load_config(overrides=[f"sampling.smoothing_window={window}"])
-    assert cfg.smoothing_window == window
+def test_the_removed_smoothing_window_key_is_unknown(tmp_path, capsys):
+    unknown = "unknown config key 'sampling.smoothing_window'"
+    with pytest.raises(ValueError, match=unknown):
+        load_config(overrides=["sampling.smoothing_window=0"])
+    ini = tmp_path / "old.ini"
+    ini.write_text("[sampling]\nsmoothing_window = 5\n")
+    with pytest.raises(ValueError, match=unknown):
+        load_config(str(ini))
+    assert main(["run", "-o", "sampling.smoothing_window=5"]) == 2
+    assert unknown in capsys.readouterr().err
 
 
-def test_a_window_above_a_four_step_horizon_loads_and_filters_the_whole_plan():
-    from scipy.signal import savgol_filter
-
-    cfg = load_config(overrides=["sampling.horizon=4", "sampling.smoothing_window=5"])
-    assert (cfg.horizon, cfg.smoothing_window) == (4, 5)
-    rng = np.random.default_rng(8)
-    controls = rng.normal(size=(cfg.horizon, 1))
-    draws = rng.normal(size=(3, cfg.horizon, 1))
-    w = np.full(3, 1.0 / 3.0)
-    raw = mppi_update(controls, w, draws)
-    smoothed = mppi_update(controls, w, draws, smoothing_window=cfg.smoothing_window)
-    # the window is cut to the horizon, 4 points, one more than the order 3
-    assert np.array_equal(smoothed, savgol_filter(raw, 4, 3, axis=0))
+def test_config_fields_are_the_schema_keys():
+    keys = [
+        config._FIELD_NAMES.get(f"{section}.{key}", key)
+        for section, table in config._SCHEMA.items()
+        for key in table
+    ]
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "raw"]
+    assert sorted(keys) == sorted(fields)
 
 
 def test_with_values_and_render_round_trip(tmp_path):

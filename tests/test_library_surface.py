@@ -5,6 +5,10 @@ be referenced by name from library code outside its own definition or be
 exported through the package's ``__all__``.  Anything else is used only by
 tests and belongs in ``tests/oracles.py`` or the test that needs it.
 
+Its only runtime dependency is numpy: ``pyproject.toml`` declares nothing
+else, and no module imports anything outside the standard library, numpy
+and the package itself.
+
 The benchmark's tracer (``perfbench/layers.py``) wraps library functions and
 methods by name, so every name it lists must still resolve; a rename would
 otherwise surface only when a traced benchmark run starts.
@@ -12,12 +16,17 @@ otherwise surface only when a traced benchmark run starts.
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import robust_mppi
 
 PACKAGE = Path(robust_mppi.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "layers.py"
 
 
 def names_used(node: ast.AST) -> set[str]:
@@ -49,6 +58,31 @@ def test_every_public_definition_is_used_by_the_library_or_exported():
         and not any(name in used for owner, used in uses if owner is not node)
     ]
     assert not unused, f"public but used only outside the library: {unused}"
+
+
+def test_pyproject_declares_numpy_as_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared]
+    assert names == ["numpy"], f"runtime dependencies: {declared}"
+
+
+def test_the_library_imports_only_the_standard_library_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "robust_mppi"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            outside += [
+                f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
+            ]
+    assert not outside, f"imports outside the standard library, numpy and the package: {outside}"
 
 
 def tracer_constant(name: str):

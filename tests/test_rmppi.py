@@ -403,7 +403,7 @@ def test_tube_step_reset_restarts_the_tube_at_the_measurement():
     )
     assert result.reset
     real = rollout_batch(model, cost, x, controls, draws, control_term="plain")
-    u_real = mppi_update(controls, softmax_weights(real.costs, cost.lam), draws, 0)
+    u_real = mppi_update(controls, softmax_weights(real.costs, cost.lam), draws)
     assert np.array_equal(result.controls, shift_control_sequence(u_real))
     assert np.array_equal(result.x_star, model.step(x, u_real[0]))
     assert result.fe_real == free_energy_mc(real.costs, cost.lam)
@@ -422,7 +422,7 @@ def test_tube_step_keeps_the_nominal_plan_without_reset():
     )
     assert not result.reset
     nom = rollout_batch(model, cost, x_star, controls, draws, control_term="plain")
-    u_nom = mppi_update(controls, softmax_weights(nom.costs, cost.lam), draws, 0)
+    u_nom = mppi_update(controls, softmax_weights(nom.costs, cost.lam), draws)
     assert np.array_equal(result.controls, shift_control_sequence(u_nom))
     assert np.array_equal(result.x_star, model.step(x_star, u_nom[0]))
 

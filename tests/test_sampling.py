@@ -248,18 +248,6 @@ def test_mppi_update_rejects_degenerate_weights():
         mppi_update(controls, np.array([np.nan, 1.0]), draws)
 
 
-def test_mppi_update_smoothing_matches_scipy_filter():
-    from scipy.signal import savgol_filter
-
-    rng = np.random.default_rng(4)
-    controls = rng.normal(size=(12, 1))
-    draws = rng.normal(size=(3, 12, 1))
-    w = softmax_weights(rng.uniform(0, 1, size=3), 1.0)
-    raw = mppi_update(controls, w, draws)
-    smoothed = mppi_update(controls, w, draws, smoothing_window=5)
-    assert np.array_equal(smoothed, savgol_filter(raw, 5, 3, axis=0))
-
-
 def test_rollout_batch_is_pure():
     model = double_integrator()
     cost = simple_cost()
