@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from .dynamics import _SYSTEM_FACTORIES
+
 
 def _parse_int(s: str) -> int:
     return int(s)
@@ -61,6 +63,8 @@ _POSITIVE: _Rule = ("be positive", lambda v: v > 0.0)
 _NONNEGATIVE: _Rule = ("be >= 0", lambda v: v >= 0.0)
 _FINITE_POSITIVE: _Rule = ("be finite and positive", lambda v: math.isfinite(v) and v > 0.0)
 _FINITE_NONNEGATIVE: _Rule = ("be finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+# checked against the registry at load, so a system registered later counts
+_REGISTERED_SYSTEM: _Rule = ("be a registered system", lambda v: v in _SYSTEM_FACTORIES)
 
 # (parser, default, rule or None) for every recognized key.  This table is
 # the single source of truth for what a configuration may contain; a value
@@ -68,7 +72,7 @@ _FINITE_NONNEGATIVE: _Rule = ("be finite and >= 0", lambda v: math.isfinite(v) a
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
         "name": (_parse_str, "run", None),
-        "system": (_parse_str, "double_integrator", None),
+        "system": (_parse_str, "double_integrator", _REGISTERED_SYSTEM),
         "controller": (_parse_str, "rmppi", _one_of("mppi", "tube", "rmppi")),
         "steps": (_parse_int, "100", _at_least(1)),
         "seed": (_parse_int, "0", _at_least(0)),
@@ -81,7 +85,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "disturbance": {
         "noise_multiplier": (_parse_float, "1.0", _NONNEGATIVE),
-        "w_bound": (_parse_float, "0.0", _NONNEGATIVE),
+        "w_bound": (_parse_float, "0.0", _FINITE_NONNEGATIVE),
     },
     "cost": {
         "lambda": (_parse_float, "25.0", _FINITE_POSITIVE),
@@ -89,7 +93,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "sigma": (_parse_vec, "0.6", _FINITE_POSITIVE),
         "q_weights": (_parse_vec, "1.0, 0.5", _FINITE_NONNEGATIVE),
         "target": (_parse_vec, "0.0, 0.0", _FINITE),
-        "wall_offsets": (_parse_vec_or_none, "none", None),
+        "wall_offsets": (_parse_vec_or_none, "none", _NONNEGATIVE),
         "wall_slope": (_parse_float, "0.0", _FINITE_NONNEGATIVE),
         "wall_cap": (_parse_float, "inf", _POSITIVE),
         "terminal_scale": (_parse_float, "1.0", _FINITE_NONNEGATIVE),
@@ -101,9 +105,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "feedback": {
         "kind": (_parse_str, "none", _one_of("none", "ilqg", "contraction")),
-        "q_track": (_parse_vec, "2.0, 6.0", None),
-        "r_track": (_parse_vec, "1.0", None),
-        "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0", None),
+        "q_track": (_parse_vec, "2.0, 6.0", _FINITE_NONNEGATIVE),
+        "r_track": (_parse_vec, "1.0", _FINITE_POSITIVE),
+        "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0", _FINITE),
         "lambda_c": (_parse_float, "1.0", _FINITE_POSITIVE),
         "effort_weight": (_parse_float, "1.0", _FINITE_POSITIVE),
         "gamma_window": (_parse_int, "20", _at_least(2)),
@@ -220,7 +224,7 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
                 value = parser(text)
             except ValueError as exc:
                 raise ValueError(f"bad value for {dotted}: {text!r} ({exc})")
-            if rule is not None:
+            if rule is not None and value is not None:
                 requirement, ok = rule
                 vector = isinstance(value, tuple)
                 if not all(ok(v) for v in (value if vector else (value,))):
@@ -231,6 +235,14 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ValueError(
             "sampling.n_samples must be at least 2 * rmppi.emv_repeats, got "
             f"{values['n_samples']} < 2 * {values['emv_repeats']}"
+        )
+    # the analytic tracking rate of the contraction law; the growth bound
+    # divides by 1 - rate and needs a positive one
+    rate = math.exp(-values["lambda_c"] * values["dt"])
+    if values["feedback_kind"] == "contraction" and not 0.0 < rate < 1.0:
+        raise ValueError(
+            "exp(-feedback.lambda_c * dynamics.dt) must lie in (0, 1) with "
+            f"feedback.kind=contraction, got {rate} at {values['lambda_c']} * {values['dt']}"
         )
     raw = tuple((s, k, table[s][k]) for s in _SCHEMA for k in _SCHEMA[s])
     return ExperimentConfig(**values, raw=raw)

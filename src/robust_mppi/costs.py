@@ -69,10 +69,6 @@ class CostFunction:
     sigma_chol: Array = None  # type: ignore[assignment]
     sigma_inv: Array = None  # type: ignore[assignment]
 
-    @property
-    def n_u(self) -> int:
-        return self.sigma.shape[0]
-
 
 def control_penalty_coef(lam: float, beta: float, beta_weighted: bool) -> float:
     """The per-step penalty coefficient; ``beta_weighted`` applies the (1-beta) discount."""

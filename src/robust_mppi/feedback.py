@@ -193,60 +193,15 @@ def contraction_feedback(
     )
 
 
-@dataclass(frozen=True)
-class TrackingReport:
-    """Fitted exponential tracking rate for a residual series."""
-
-    gamma_hat: float
-    satisfied: bool
-    boundary: bool
-    perfect: bool
-
-
-def fit_gamma(residuals: Array) -> TrackingReport:
-    """Smallest per-step decay factor that envelopes the residual series.
-
-    gamma_hat is max over t >= 1 of (residuals[t]/residuals[0])^(1/t), clamped
-    to 1.  ``satisfied`` states whether residuals[t] <= gamma_hat^t *
-    residuals[0] for every logged t; with the clamp active and genuine growth
-    in the series it is False.  An all-zero series is perfect tracking with
-    gamma_hat = 0.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim != 1 or residuals.size < 1:
-        raise ValueError("residuals must be a non-empty 1-d array")
-    if np.any(residuals < 0.0) or not np.all(np.isfinite(residuals)):
-        raise ValueError("residuals must be finite and nonnegative")
-    if np.all(residuals == 0.0):
-        return TrackingReport(0.0, satisfied=True, boundary=False, perfect=True)
-    r0 = residuals[0]
-    if r0 <= 0.0:
-        raise ValueError("residuals[0] must be positive unless the series is all zero")
-    if residuals.size == 1:
-        return TrackingReport(0.0, satisfied=True, boundary=False, perfect=False)
-
-    t = np.arange(1, residuals.size)
-    rest = residuals[1:]
-    with np.errstate(divide="ignore"):
-        log_ratios = np.where(rest > 0.0, (np.log(rest) - np.log(r0)) / t, -np.inf)
-    raw = float(np.exp(np.max(log_ratios)))
-    gamma_hat = min(raw, 1.0)
-    # compare in the log domain to keep the by-construction envelope exact
-    with np.errstate(divide="ignore"):
-        ok = np.log(rest, where=rest > 0.0, out=np.full_like(rest, -np.inf)) <= (
-            np.log(gamma_hat) if gamma_hat > 0.0 else -np.inf
-        ) * t + np.log(r0) + 1e-12
-    satisfied = bool(np.all(ok))
-    return TrackingReport(gamma_hat, satisfied=satisfied, boundary=gamma_hat >= 1.0, perfect=False)
-
-
 def fit_gamma_window(residuals, clip_eps: float = 1e-3) -> float:
     """Conservative trailing-window tracking rate for policies with no certificate.
 
-    Fits from the first informative (positive) residual in the window and
-    clamps to [clip_eps, 1 - clip_eps].  With no usable decay information the
-    most conservative value, 1 - clip_eps, is returned.  ``clip_eps`` must lie
-    in (0, 0.5), or the clamp bounds would cross.
+    From the first informative (positive) residual ``r0`` on, the rate is the
+    smallest per-step decay factor that envelopes the rest of the window, the
+    max over t >= 1 of ``(residuals[t] / r0) ** (1/t)``, clamped to
+    [clip_eps, 1 - clip_eps].  With no usable decay information the most
+    conservative value, 1 - clip_eps, is returned.  ``clip_eps`` must lie in
+    (0, 0.5), or the clamp bounds would cross.
     """
     if not 0.0 < clip_eps < 0.5:
         raise ValueError(f"clip_eps must lie in (0, 0.5), got {clip_eps}")
@@ -256,5 +211,11 @@ def fit_gamma_window(residuals, clip_eps: float = 1e-3) -> float:
     if pos.size == 0 or pos[0] >= residuals.size - 1:
         return fallback
     window = residuals[pos[0]:]
-    report = fit_gamma(window)
-    return float(np.clip(report.gamma_hat, clip_eps, fallback))
+    # a NaN rate would make the growth bound NaN, which verify_bound skips as unbounded
+    if np.any(window < 0.0) or not np.all(np.isfinite(window)):
+        raise ValueError("residuals must be finite and nonnegative")
+    t = np.arange(1, window.size)
+    rest = window[1:]
+    with np.errstate(divide="ignore"):
+        log_ratios = np.where(rest > 0.0, (np.log(rest) - np.log(window[0])) / t, -np.inf)
+    return float(np.clip(np.exp(np.max(log_ratios)), clip_eps, fallback))

@@ -191,6 +191,18 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     if cfg.feedback_kind == "contraction":
         n = model.n_x
         metric = np.array(cfg.metric, dtype=float).reshape(n, n)
+        # the same Cholesky test the policy runs; it reads one triangle only,
+        # so symmetry is checked on its own
+        valid = np.array_equal(metric, metric.T)
+        try:
+            np.linalg.cholesky(metric)
+        except np.linalg.LinAlgError:
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"feedback.metric must be a symmetric positive-definite {n}x{n} matrix, "
+                f"got {list(cfg.metric)}"
+            )
         policy = contraction_feedback(
             model, metric, cfg.lambda_c, effort_weight=cfg.effort_weight
         )

@@ -60,17 +60,13 @@ def mixed_cost(s_star: Array | float, s_hat: Array | float, alpha: float) -> Arr
 class AugmentedRollout:
     """Per-sample cost channels from one augmented batch.
 
-    ``nominal`` is the pure state cost of the nominal copy, ``penalized`` adds
-    the feedback-effort penalty to the real copy's state cost, ``real`` is the
-    full importance-corrected cost of the real copy, and ``mixed`` is the
-    capped blend plus the plain control penalty, used to update the plan.
-    ``nominal_eval`` scores the nominal copy the same way candidate states are
-    scored during nominal propagation, so free energies computed from it are
-    comparable across the two code paths.
+    ``real`` is the full importance-corrected cost of the real copy, and
+    ``mixed`` is the capped blend plus the plain control penalty, used to
+    update the plan.  ``nominal_eval`` scores the nominal copy the same way
+    candidate states are scored during nominal propagation, so free energies
+    computed from it are comparable across the two code paths.
     """
 
-    nominal: Array
-    penalized: Array
     real: Array
     mixed: Array
     nominal_eval: Array
@@ -92,13 +88,15 @@ def augmented_rollouts(
     Each sample propagates two copies of the system from the same draws: the
     nominal copy applies ``u + eps`` and the real copy additionally applies
     the tracking correction ``k = policy(x, x_star, t)``.  State costs
-    accumulate after each step, terminal cost at the end.  The channels are
-    then assembled as
+    accumulate after each step, terminal cost at the end.  With the
+    feedback-penalized cost
+    ``penalized = state_real + (lam(1-beta)/2) sum k^T Sigma^{-1} k``, the
+    channels are assembled as
 
-    - ``penalized = state_real + (lam(1-beta)/2) sum k^T Sigma^{-1} k``
     - ``real = state_real + (lam(1-beta)/2) sum (u+k)^T Sigma^{-1} (u+k+2 eps)``
     - ``mixed = mixed_cost(state_nom, penalized, alpha)
       + (lam/2) sum u^T Sigma^{-1} (u+2 eps)``
+    - ``nominal_eval = state_nom + (lam(1-beta)/2) sum u^T Sigma^{-1} (u+2 eps)``
 
     Samples where either copy leaves the finite range are marked crashed and
     priced at ``cost.crash_cost`` in every channel.
@@ -135,16 +133,9 @@ def augmented_rollouts(
     nominal_eval = state_nom + coef_beta * ctrl
 
     if crashed.any():
-        for channel in (state_nom, penalized, real, mixed, nominal_eval):
+        for channel in (real, mixed, nominal_eval):
             channel[crashed] = cost.crash_cost
-    return AugmentedRollout(
-        nominal=state_nom,
-        penalized=penalized,
-        real=real,
-        mixed=mixed,
-        nominal_eval=nominal_eval,
-        crashed=crashed,
-    )
+    return AugmentedRollout(real=real, mixed=mixed, nominal_eval=nominal_eval, crashed=crashed)
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,6 @@ class NominalDecision:
 
     index: int
     candidates: Array
-    free_energies: Array
     feasible: Array
     control_sequence: Array
     fallback: bool
@@ -215,81 +205,48 @@ def nominal_state_propagation(
     return NominalDecision(
         index=index,
         candidates=candidates,
-        free_energies=free_energies,
         feasible=feasible,
         control_sequence=control_sequence,
         fallback=fallback,
     )
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants entering the free-energy growth bound."""
-
-    alpha: float
-    gamma: float
-    horizon: int
-    lipschitz_q: float
-    lipschitz_phi: float
-    emv: float
-    w_bound: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        for name in ("lipschitz_q", "lipschitz_phi", "emv", "w_bound"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-
-
 def free_energy_growth_bound(
-    params: BoundParams,
     model: SystemModel,
+    cost: CostFunction,
+    settings: RmppiSettings,
     x: Array,
     x_star: Array,
     u: Array,
     fe_nominal: float,
+    emv: float,
+    gamma: float,
 ) -> tuple[float, float]:
     """Upper bound on the next increment of the real system's free energy.
 
     The bound combines the slack left under the threshold, twice the
     Monte-Carlo estimation noise, and a tracking term: the worst-case state
     deviation over one step, contracted at rate ``gamma`` and propagated
-    through the stage and terminal cost Lipschitz constants,
+    through the stage and terminal cost Lipschitz constants of ``cost``,
 
     ``(alpha - fe_nominal) + 2*emv
     + (L_phi * gamma^T + L_q * (1 - gamma^T) / (1 - gamma)) * D``
 
-    where ``D`` sums the one-step nominal motion, the current tracking
-    offset and the additive disturbance radius.  Returns the bound and the
-    same bound with the disturbance radius left out of ``D``.
+    where ``alpha``, ``T`` and the disturbance radius ``w_bound`` come
+    from ``settings``, and ``D`` sums the one-step nominal motion, the
+    current tracking offset and that radius.  Returns the bound and the same
+    bound with the disturbance radius left out of ``D``.
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     step_motion = float(np.linalg.norm(model.step(x, u) - x))
     offset = float(np.linalg.norm(x_star - x))
     deviation_no_d = step_motion + offset
-    deviation = deviation_no_d + params.w_bound
-    g_t = params.gamma ** params.horizon
-    factor = params.lipschitz_phi * g_t + params.lipschitz_q * (1.0 - g_t) / (
-        1.0 - params.gamma
-    )
-    slack = (params.alpha - fe_nominal) + 2.0 * params.emv
+    deviation = deviation_no_d + settings.w_bound
+    g_t = gamma**settings.horizon
+    factor = cost.lipschitz_phi * g_t + cost.lipschitz_q * (1.0 - g_t) / (1.0 - gamma)
+    slack = (settings.alpha - fe_nominal) + 2.0 * emv
     return slack + factor * deviation, slack + factor * deviation_no_d
-
-
-@dataclass(frozen=True)
-class TubeStepResult:
-    action: Array
-    controls: Array
-    x_star: Array
-    reset: bool
-    fe_real: float
-    fe_nom: float
-    degenerate: bool
 
 
 def tube_mppi_step(
@@ -301,7 +258,7 @@ def tube_mppi_step(
     policy: FeedbackPolicy,
     draws: Array,
     alpha: float,
-) -> TubeStepResult:
+) -> tuple[Array, Array, Array, StepRecord]:
     """One tube controller update from the measured and nominal states.
 
     Both optimizations share the same draws.  The nominal state resets to the
@@ -309,43 +266,32 @@ def tube_mppi_step(
     when ``fe_real - fe_nom < alpha``; otherwise the nominal plan is kept and
     the nominal state continues open loop.  The executed action adds the
     tracking correction toward the (possibly reset) nominal state.
+
+    Returns the action, the shifted plan, the next nominal state and the
+    step record, which logs the nominal state the action tracked.
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     res = rollout_batch(model, cost, np.stack([x_star, x])[:, None], controls, draws)
     if res.crashed.all(axis=1).any():
         action = model.clamp(controls[0] + policy.apply(x, x_star, 0))
-        return TubeStepResult(
-            action=action,
-            controls=shift_control_sequence(controls),
-            x_star=model.step(x_star, controls[0]),
-            reset=False,
-            fe_real=cost.crash_cost,
-            fe_nom=cost.crash_cost,
-            degenerate=True,
+        # a degenerate step never resets
+        record = StepRecord(
+            fe_real=cost.crash_cost, fe_nom=cost.crash_cost, x_star=x_star.copy(), degen=True
         )
+        return action, shift_control_sequence(controls), model.step(x_star, controls[0]), record
     costs_nom, costs_real = res.costs
     fe_nom = free_energy_mc(costs_nom, cost.lam)
     fe_real = free_energy_mc(costs_real, cost.lam)
     u_nom = mppi_update(controls, softmax_weights(costs_nom, cost.lam), draws)
     u_real = mppi_update(controls, softmax_weights(costs_real, cost.lam), draws)
     reset = fe_real - fe_nom < alpha
-    if reset:
-        x_star_next = x.copy()
-        chosen = u_real
-    else:
-        x_star_next = x_star
-        chosen = u_nom
+    x_star_next, chosen = (x, u_real) if reset else (x_star, u_nom)
     action = model.clamp(chosen[0] + policy.apply(x, x_star_next, 0))
-    return TubeStepResult(
-        action=action,
-        controls=shift_control_sequence(chosen),
-        x_star=model.step(x_star_next, chosen[0]),
-        reset=reset,
-        fe_real=fe_real,
-        fe_nom=fe_nom,
-        degenerate=False,
+    record = StepRecord(
+        fe_real=fe_real, fe_nom=fe_nom, x_star=x_star_next.copy(), degen=False, reset=reset
     )
+    return action, shift_control_sequence(chosen), model.step(x_star_next, chosen[0]), record
 
 
 class TubeMppiController:
@@ -384,7 +330,7 @@ class TubeMppiController:
             self.horizon,
             self.cost.sigma_chol,
         )
-        result = tube_mppi_step(
+        action, self.controls, self.x_star, record = tube_mppi_step(
             self.model,
             self.cost,
             x,
@@ -394,18 +340,8 @@ class TubeMppiController:
             plan.draws,
             self.alpha,
         )
-        self.controls = result.controls
-        # a degenerate step never resets, so it logs the nominal it tracked
-        x_star_logged = x.copy() if result.reset else self.x_star
-        self.x_star = result.x_star
         self.step_index += 1
-        return result.action, StepRecord(
-            fe_real=result.fe_real,
-            fe_nom=result.fe_nom,
-            x_star=x_star_logged.copy(),
-            degen=result.degenerate,
-            reset=result.reset,
-        )
+        return action, record
 
 
 def estimate_value_noise(costs: Array, lam: float, repeats: int) -> float:
@@ -476,6 +412,11 @@ class RmppiController:
                 raise ValueError(f"growth bound needs {name} on the cost")
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        # a fitted rate always lies in (0, 1); see fit_gamma_window
+        if settings.gamma is not None and not 0.0 < settings.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {settings.gamma}")
+        if not (np.isfinite(settings.w_bound) and settings.w_bound >= 0.0):
+            raise ValueError(f"w_bound must be finite and nonnegative, got {settings.w_bound}")
         if settings.emv_repeats < 2 or settings.n_samples < 2 * settings.emv_repeats:
             raise ValueError(
                 "value noise needs emv_repeats >= 2 and n_samples >= 2 * emv_repeats, "
@@ -575,17 +516,8 @@ class RmppiController:
 
         emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
         gamma_hat = self._tracking_gamma()
-        params = BoundParams(
-            alpha=self.s.alpha,
-            gamma=gamma_hat,
-            horizon=self.s.horizon,
-            lipschitz_q=self.cost.lipschitz_q,
-            lipschitz_phi=self.cost.lipschitz_phi,
-            emv=emv,
-            w_bound=self.s.w_bound,
-        )
         bound, bound_no_d = free_energy_growth_bound(
-            params, self.model, x, self.x_star, action, fe_nom
+            self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv, gamma_hat
         )
         self.step_index += 1
         return action, StepRecord(

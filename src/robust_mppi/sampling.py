@@ -119,7 +119,6 @@ class RolloutResult:
     """Per-sample rollout costs plus crash flags."""
 
     costs: Array
-    state_costs: Array
     crashed: Array
 
 
@@ -185,7 +184,7 @@ def rollout_batch(
     ``controls`` is ``(G, T, n_u)``; the results are then ``(G, N)`` and each
     group equals its own ungrouped call.  ``control_term`` selects the
     penalty variant: "plain" (lam/2) or "beta" (lam*(1-beta)/2); the state
-    costs alone are returned as ``state_costs``.  Samples whose state stops
+    costs alone come from :func:`propagate`.  Samples whose state stops
     being finite get ``cost.crash_cost`` and are flagged.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -204,7 +203,7 @@ def rollout_batch(
     coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
     total = state_costs + coef * control_penalty_batch(controls, draws, cost.sigma_inv)
     total = np.where(crashed, cost.crash_cost, total)
-    return RolloutResult(costs=total, state_costs=state_costs, crashed=crashed)
+    return RolloutResult(costs=total, crashed=crashed)
 
 
 @dataclass(frozen=True)

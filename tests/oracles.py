@@ -6,11 +6,13 @@ cost from an explicit trajectory, one step of the control penalty, the
 per-step penalty terms by the two ``einsum`` calls the library used before
 it worked on columns, sampled Lipschitz constants, normalized importance
 weights with the proposal correction written out, the density ratio of one
-augmented noise sequence, and the LQ tracking gains from a Riccati pass that
-linearizes point by point.
+augmented noise sequence, the LQ tracking gains from a Riccati pass that
+linearizes point by point, and the full tracking-rate fit with its envelope
+flags, which ``feedback.fit_gamma_window`` computes on a trailing window.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -142,3 +144,50 @@ def riccati_gains_per_point(
             raise RiccatiDivergenceError(t)
         gains[t] = -k
     return gains
+
+
+@dataclass(frozen=True)
+class TrackingReport:
+    """Fitted exponential tracking rate for a residual series."""
+
+    gamma_hat: float
+    satisfied: bool
+    boundary: bool
+    perfect: bool
+
+
+def fit_gamma(residuals: Array) -> TrackingReport:
+    """Smallest per-step decay factor that envelopes the residual series.
+
+    gamma_hat is max over t >= 1 of (residuals[t]/residuals[0])^(1/t), clamped
+    to 1.  ``satisfied`` states whether residuals[t] <= gamma_hat^t *
+    residuals[0] for every logged t; with the clamp active and genuine growth
+    in the series it is False.  An all-zero series is perfect tracking with
+    gamma_hat = 0.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.ndim != 1 or residuals.size < 1:
+        raise ValueError("residuals must be a non-empty 1-d array")
+    if np.any(residuals < 0.0) or not np.all(np.isfinite(residuals)):
+        raise ValueError("residuals must be finite and nonnegative")
+    if np.all(residuals == 0.0):
+        return TrackingReport(0.0, satisfied=True, boundary=False, perfect=True)
+    r0 = residuals[0]
+    if r0 <= 0.0:
+        raise ValueError("residuals[0] must be positive unless the series is all zero")
+    if residuals.size == 1:
+        return TrackingReport(0.0, satisfied=True, boundary=False, perfect=False)
+
+    t = np.arange(1, residuals.size)
+    rest = residuals[1:]
+    with np.errstate(divide="ignore"):
+        log_ratios = np.where(rest > 0.0, (np.log(rest) - np.log(r0)) / t, -np.inf)
+    raw = float(np.exp(np.max(log_ratios)))
+    gamma_hat = min(raw, 1.0)
+    # compare in the log domain to keep the by-construction envelope exact
+    with np.errstate(divide="ignore"):
+        ok = np.log(rest, where=rest > 0.0, out=np.full_like(rest, -np.inf)) <= (
+            np.log(gamma_hat) if gamma_hat > 0.0 else -np.inf
+        ) * t + np.log(r0) + 1e-12
+    satisfied = bool(np.all(ok))
+    return TrackingReport(gamma_hat, satisfied=satisfied, boundary=gamma_hat >= 1.0, perfect=False)

@@ -21,7 +21,6 @@ from robust_mppi.dynamics import (
 from robust_mppi.feedback import (
     ZeroFeedback,
     contraction_feedback,
-    fit_gamma,
     ilqg_gains,
 )
 from robust_mppi.harness import (
@@ -40,7 +39,7 @@ from robust_mppi.sampling import (
     shift_control_sequence,
 )
 
-from oracles import augmented_density_ratio, is_weight
+from oracles import augmented_density_ratio, fit_gamma, is_weight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DI_STRESS = CONFIGS / "di_stress_x100.ini"

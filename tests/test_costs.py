@@ -71,7 +71,6 @@ def test_sigma_factorizations_are_cached_and_consistent():
     )
     assert np.allclose(cost.sigma_chol @ cost.sigma_chol.T, sigma)
     assert np.allclose(cost.sigma_inv @ sigma, np.eye(2), atol=1e-12)
-    assert cost.n_u == 2
 
 
 def test_path_cost_frozen_example():

@@ -14,12 +14,11 @@ from robust_mppi.feedback import (
     RiccatiDivergenceError,
     ZeroFeedback,
     contraction_feedback,
-    fit_gamma,
     fit_gamma_window,
     ilqg_gains,
 )
 
-from oracles import riccati_gains_per_point
+from oracles import fit_gamma, riccati_gains_per_point
 
 DI_METRIC = np.array([[6.0, 3.0], [3.0, 2.0]])
 DI_RATE = 1.2
@@ -318,3 +317,42 @@ def test_fit_gamma_window_uninformative_series_returns_conservative_rate():
 def test_fit_gamma_window_skips_leading_zeros():
     out = fit_gamma_window(np.array([0.0, 1.0, 0.5, 0.25]))
     assert abs(out - 0.5) < 1e-12
+
+
+residual_values = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+
+
+@st.composite
+def residual_series(draw):
+    """Leading zeros, then a random, flat, or geometric (decaying or growing) series."""
+    lead = [0.0] * draw(st.integers(0, 3))
+    n = draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["random", "flat", "geometric"]))
+    if kind == "random":
+        body = draw(st.lists(residual_values, min_size=n, max_size=n))
+    elif kind == "flat":
+        body = [draw(residual_values)] * n
+    else:
+        r0, ratio = draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-3, 3.0))
+        body = [r0 * ratio**t for t in range(n)]
+    return np.array(lead + body)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(residual_series(), st.floats(1e-6, 0.499))
+def test_fit_gamma_window_equals_the_clipped_oracle_fit(residuals, clip_eps):
+    """The window rate is the oracle's gamma_hat from the first positive residual, clipped."""
+    fallback = 1.0 - clip_eps
+    pos = np.nonzero(residuals > 0.0)[0]
+    if pos.size == 0 or pos[0] >= residuals.size - 1:
+        expected = fallback
+    else:
+        gamma_hat = fit_gamma(residuals[pos[0]:]).gamma_hat
+        expected = float(np.clip(gamma_hat, clip_eps, fallback))
+    assert fit_gamma_window(residuals, clip_eps) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_fit_gamma_window_refuses_a_non_finite_or_negative_residual(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        fit_gamma_window(np.array([0.0, 1.0, bad, 0.5]))

@@ -122,7 +122,7 @@ LOAD_TIME_REJECTIONS = {
     "feedback.effort_weight=-1": "feedback.effort_weight must be finite and positive",
     "feedback.effort_weight=inf": "feedback.effort_weight must be finite and positive",
     "disturbance.noise_multiplier=-1": "disturbance.noise_multiplier must be >= 0",
-    "disturbance.w_bound=-0.1": "disturbance.w_bound must be >= 0",
+    "disturbance.w_bound=-0.1": "disturbance.w_bound must be finite and >= 0",
     "cost.crash_cost=inf": "cost.crash_cost must be finite",
     "cost.crash_cost=-inf": "cost.crash_cost must be finite",
     # fail at step 0
@@ -149,6 +149,21 @@ LOAD_TIME_REJECTIONS = {
     "cost.beta=-0.1": "cost.beta must lie in \\[0, 1\\)",
     "cost.sigma=0": "cost.sigma must be finite and positive in every entry",
     "cost.q_weights=1,-0.5": "cost.q_weights must be finite and >= 0 in every entry",
+    "experiment.system=foo": "experiment.system must be a registered system",
+    "disturbance.w_bound=inf": "disturbance.w_bound must be finite and >= 0",
+    "feedback.kind=contraction feedback.lambda_c=40000": (
+        "exp\\(-feedback.lambda_c \\* dynamics.dt\\) must lie in \\(0, 1\\).*got 0.0"
+    ),
+    "feedback.kind=contraction feedback.lambda_c=1e-300": (
+        "exp\\(-feedback.lambda_c \\* dynamics.dt\\) must lie in \\(0, 1\\).*got 1.0"
+    ),
+    "feedback.metric=1,inf,inf,1": "feedback.metric must be finite in every entry",
+    # run on with a tracking weight that has no meaning for the Riccati pass
+    "feedback.r_track=-1": "feedback.r_track must be finite and positive in every entry",
+    "feedback.r_track=0": "feedback.r_track must be finite and positive in every entry",
+    "feedback.r_track=inf": "feedback.r_track must be finite and positive in every entry",
+    "feedback.q_track=-5,-5": "feedback.q_track must be finite and >= 0 in every entry",
+    "cost.wall_offsets=-1,inf": "cost.wall_offsets must be >= 0 in every entry",
 }
 
 
@@ -156,6 +171,23 @@ LOAD_TIME_REJECTIONS = {
 def test_values_that_would_fail_mid_run_are_rejected_at_load(override):
     with pytest.raises(ValueError, match=LOAD_TIME_REJECTIONS[override]):
         load_config(overrides=override.split())
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "cost.wall_offsets=none",
+        "cost.wall_offsets=0,inf",
+        "cost.wall_offsets=inf,inf",
+        "feedback.q_track=0,0",
+        # no term of the growth bound depends on the damping
+        "dynamics.damping=-5",
+        # the contraction rate is read only with feedback.kind=contraction
+        "feedback.lambda_c=40000",
+    ],
+)
+def test_values_at_the_edge_of_a_load_rule_still_load(override):
+    load_config(overrides=[override])
 
 
 def test_the_removed_smoothing_window_key_is_unknown(tmp_path, capsys):
@@ -275,6 +307,16 @@ def test_shapes_that_would_fail_at_step_zero_are_rejected_when_built(overrides):
     cfg = load_config(overrides=overrides.split())
     with pytest.raises(ValueError, match=BUILD_TIME_REJECTIONS[overrides]):
         build_cost(cfg, build_model(cfg))
+
+
+@pytest.mark.parametrize("metric", ["1,0,0,-1", "1,5,0,1", "0,0,0,0"])
+def test_a_metric_that_is_not_symmetric_positive_definite_is_refused_when_built(metric):
+    cfg = load_config(overrides=["feedback.kind=contraction", f"feedback.metric={metric}"])
+    refused = "feedback.metric must be a symmetric positive-definite 2x2"
+    with pytest.raises(ValueError, match=refused):
+        build_policy_factory(cfg, build_model(cfg))
+    with pytest.raises(ValueError, match="feedback.metric"):
+        run_closed_loop(cfg.with_values(**{"experiment.steps": "1"}))
 
 
 def test_build_cost_squares_sigma_entries():

@@ -3,7 +3,11 @@
 Every public top-level function or class in ``src/robust_mppi`` must either
 be referenced by name from library code outside its own definition or be
 exported through the package's ``__all__``.  Anything else is used only by
-tests and belongs in ``tests/oracles.py`` or the test that needs it.
+tests and belongs in ``tests/oracles.py`` or the test that needs it.  The
+same holds one level down: every dataclass or NamedTuple field and every
+property of a library class must be read as an attribute somewhere in the
+library or in the benchmark's tracer, which counts what the controllers
+return.
 
 Its only runtime dependency is numpy: ``pyproject.toml`` declares nothing
 else, and no module imports anything outside the standard library, numpy
@@ -15,7 +19,9 @@ otherwise surface only when a traced benchmark run starts.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -58,6 +64,33 @@ def test_every_public_definition_is_used_by_the_library_or_exported():
         and not any(name in used for owner, used in uses if owner is not node)
     ]
     assert not unused, f"public but used only outside the library: {unused}"
+
+
+def attributes_read(path: Path) -> set[str]:
+    """Attribute names loaded anywhere in the module at ``path`` (``obj.name``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_field_is_read_by_the_library_or_the_tracer():
+    read = set().union(*(attributes_read(p) for p in [*PACKAGE.glob("*.py"), TRACER]))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"robust_mppi.{path.stem}")
+        for name, cls in vars(module).items():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            if dataclasses.is_dataclass(cls):
+                fields = [f.name for f in dataclasses.fields(cls)]
+            else:
+                fields = list(getattr(cls, "_fields", ()))  # a NamedTuple
+            fields += [attr for attr, value in vars(cls).items() if isinstance(value, property)]
+            unread += [f"{path.stem}.{name}.{f}" for f in fields if f not in read]
+    assert not unread, f"fields no library code or tracer reads: {unread}"
 
 
 def test_pyproject_declares_numpy_as_the_only_runtime_dependency():

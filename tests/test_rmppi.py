@@ -1,5 +1,7 @@
 """Augmented rollouts, mixed cost, nominal propagation, tube loop, growth bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from robust_mppi.costs import CostFunction
 from robust_mppi.dynamics import SystemModel, double_integrator
 from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback, contraction_feedback
 from robust_mppi.rmppi import (
-    BoundParams,
     RmppiController,
     RmppiSettings,
     TubeMppiController,
@@ -134,8 +135,10 @@ def test_augmented_channels_match_a_hand_trace():
     # dt=0.5 double integrator, two zero-noise steps, position gain -1 toward
     # the nominal at (1, 0).  The real copy visits (0, 0.5) then (0.25, 1.0)
     # while the nominal copy stays at (1, 0), so the state sums are 1.3125 and
-    # 2.0; terminal doubles the last square sum.  Both correction penalties
-    # contribute 0.5 * (1 + 1).
+    # 2.0; terminal doubles the last square sum, giving 4.0 for the nominal
+    # copy.  Both correction penalties contribute 0.5 * (1 + 1), giving the
+    # feedback-penalized cost 4.4375; with zero plan and noise the mixed
+    # channel is the mean of the two.
     model = double_integrator(dt=0.5)
     cost = simple_cost(lam=2.0, beta=0.5)
     policy = LinearGainsPolicy(gains=np.array([[[-1.0, 0.0]], [[-1.0, 0.0]]]))
@@ -149,11 +152,10 @@ def test_augmented_channels_match_a_hand_trace():
         np.zeros((1, 2, 1)),
         alpha=1e9,
     )
-    assert roll.nominal[0] == 4.0
-    assert roll.penalized[0] == 4.4375
     assert roll.real[0] == 4.4375
     assert roll.mixed[0] == 4.21875
     assert roll.nominal_eval[0] == 4.0
+    assert 2.0 * roll.mixed[0] - roll.nominal_eval[0] == 4.4375  # the penalized cost
     assert not roll.crashed[0]
 
 
@@ -169,8 +171,6 @@ def test_augmented_channels_collapse_to_plain_rollouts_without_feedback():
     )
     plain = rollout_batch(model, cost, x0, controls, draws, control_term="plain")
     beta = rollout_batch(model, cost, x0, controls, draws, control_term="beta")
-    assert np.array_equal(roll.nominal, plain.state_costs)
-    assert np.array_equal(roll.penalized, plain.state_costs)
     assert np.array_equal(roll.real, beta.costs)
     assert np.array_equal(roll.nominal_eval, beta.costs)
     assert np.array_equal(roll.mixed, plain.costs)
@@ -186,7 +186,7 @@ def test_augmented_rollouts_price_crashed_samples():
         model, cost, x0, x0, np.zeros((8, 1)), ZeroFeedback(1), draws, alpha=100.0
     )
     assert np.array_equal(roll.crashed, np.array([False, True]))
-    for name in ("nominal", "penalized", "real", "mixed", "nominal_eval"):
+    for name in ("real", "mixed", "nominal_eval"):
         channel = getattr(roll, name)
         assert channel[0] == 0.0
         assert channel[1] == 1e4
@@ -311,6 +311,9 @@ def test_nominal_propagation_requires_two_candidates():
 
 
 def test_nominal_propagation_free_energies_match_direct_rollouts():
+    # A candidate is feasible exactly when its free energy is at most alpha,
+    # so setting alpha to a direct rollout's free energy, and to the float
+    # just below it, pins the candidate's estimate bit for bit.
     model = double_integrator(dt=0.05)
     cost = simple_cost()
     rng = np.random.default_rng(29)
@@ -319,55 +322,54 @@ def test_nominal_propagation_free_energies_match_direct_rollouts():
     x = np.array([1.2, -0.4])
     x_prev = np.array([0.8, 0.0])
     x_prop = np.array([0.9, 0.1])
-    decision = nominal_state_propagation(
-        model, cost, x, x_prev, x_prop, controls, np.inf, 4, draws
-    )
+
+    def feasible(alpha):
+        decision = nominal_state_propagation(
+            model, cost, x, x_prev, x_prop, controls, alpha, 4, draws
+        )
+        return decision.feasible
+
     direct_prev = rollout_batch(model, cost, x_prev, controls, draws, control_term="beta")
-    assert decision.free_energies[0] == free_energy_mc(direct_prev.costs, cost.lam)
+    fe_prev = free_energy_mc(direct_prev.costs, cost.lam)
     shifted = shift_control_sequence(controls)
     direct_x = rollout_batch(model, cost, x, shifted, draws, control_term="beta")
-    assert decision.free_energies[4] == free_energy_mc(direct_x.costs, cost.lam)
-    repeat = nominal_state_propagation(
-        model, cost, x, x_prev, x_prop, controls, np.inf, 4, draws
-    )
-    assert np.array_equal(decision.free_energies, repeat.free_energies)
-    assert decision.index == repeat.index
+    fe_x = free_energy_mc(direct_x.costs, cost.lam)
+    for index, fe in ((0, fe_prev), (4, fe_x)):
+        assert feasible(fe)[index]
+        assert not feasible(np.nextafter(fe, -np.inf))[index]
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.2])
 def test_bound_params_reject_gamma_outside_the_open_unit_interval(gamma):
+    # the bound's parameters are checked once, when the controller is built
     with pytest.raises(ValueError, match="gamma"):
-        BoundParams(
-            alpha=10.0, gamma=gamma, horizon=5,
-            lipschitz_q=1.0, lipschitz_phi=1.0, emv=0.0, w_bound=0.0,
-        )
+        make_rmppi(gamma=gamma)
 
 
 def test_bound_params_reject_bad_constants():
-    good = dict(alpha=10.0, gamma=0.5, horizon=5,
-                lipschitz_q=1.0, lipschitz_phi=1.0, emv=0.0, w_bound=0.0)
-    with pytest.raises(ValueError, match="horizon"):
-        BoundParams(**{**good, "horizon": 0})
-    with pytest.raises(ValueError, match="emv"):
-        BoundParams(**{**good, "emv": -0.5})
-    with pytest.raises(ValueError, match="w_bound"):
-        BoundParams(**{**good, "w_bound": np.nan})
+    make_rmppi(gamma=0.5, w_bound=0.0)
+    for w_bound in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="w_bound"):
+            make_rmppi(w_bound=w_bound)
     with pytest.raises(ValueError, match="lipschitz_q"):
-        BoundParams(**{**good, "lipschitz_q": np.inf})
+        make_rmppi(cost=simple_cost(lipschitz=False))
+    bad_q = dataclasses.replace(simple_cost(lipschitz=True), lipschitz_q=np.inf)
+    with pytest.raises(ValueError, match="lipschitz_q"):
+        make_rmppi(cost=bad_q)
 
 
 def test_growth_bound_frozen_arithmetic():
     # factor = 2*0.5^2 + 1*(1 - 0.25)/0.5 = 2.0; the state sits still so the
     # deviation is the tracking offset plus, when included, the ball radius.
     model = double_integrator(dt=0.5)
-    params = BoundParams(
-        alpha=10.0, gamma=0.5, horizon=2,
-        lipschitz_q=1.0, lipschitz_phi=2.0, emv=0.5, w_bound=0.25,
-    )
+    cost = dataclasses.replace(simple_cost(), lipschitz_q=1.0, lipschitz_phi=2.0)
+    bound_settings = RmppiSettings(n_samples=16, horizon=2, alpha=10.0, w_bound=0.25)
     x = np.zeros(2)
     x_star = np.array([1.0, 0.0])
     u = np.zeros(1)
-    with_ball, without = free_energy_growth_bound(params, model, x, x_star, u, fe_nominal=3.0)
+    with_ball, without = free_energy_growth_bound(
+        model, cost, bound_settings, x, x_star, u, fe_nominal=3.0, emv=0.5, gamma=0.5
+    )
     assert with_ball == 10.5
     assert without == 10.0
     assert with_ball - without == 0.5
@@ -379,12 +381,12 @@ def test_tube_step_reset_rule_follows_the_gap_sign():
     draws = NoisePlan.sample(3, 64, 8, cost.sigma_chol).draws
     controls = np.zeros((8, 1))
     policy = ZeroFeedback(1)
-    worse = tube_mppi_step(
+    *_, worse = tube_mppi_step(
         model, cost, np.array([1.0, 0.0]), np.zeros(2), controls, policy, draws, alpha=0.0
     )
     assert worse.fe_real > worse.fe_nom
     assert not worse.reset
-    better = tube_mppi_step(
+    *_, better = tube_mppi_step(
         model, cost, np.zeros(2), np.array([1.0, 0.0]), controls, policy, draws, alpha=0.0
     )
     assert better.fe_real < better.fe_nom
@@ -398,16 +400,17 @@ def test_tube_step_reset_restarts_the_tube_at_the_measurement():
     controls = np.zeros((8, 1))
     x = np.array([0.6, -0.2])
     x_star = np.array([0.1, 0.0])
-    result = tube_mppi_step(
+    action, plan, x_star_next, record = tube_mppi_step(
         model, cost, x, x_star, controls, ZeroFeedback(1), draws, alpha=1e9
     )
-    assert result.reset
+    assert record.reset and not record.degen
     real = rollout_batch(model, cost, x, controls, draws, control_term="plain")
     u_real = mppi_update(controls, softmax_weights(real.costs, cost.lam), draws)
-    assert np.array_equal(result.controls, shift_control_sequence(u_real))
-    assert np.array_equal(result.x_star, model.step(x, u_real[0]))
-    assert result.fe_real == free_energy_mc(real.costs, cost.lam)
-    assert np.array_equal(result.action, model.clamp(u_real[0]))
+    assert np.array_equal(plan, shift_control_sequence(u_real))
+    assert np.array_equal(x_star_next, model.step(x, u_real[0]))
+    assert np.array_equal(record.x_star, x)  # the reset nominal it tracked
+    assert record.fe_real == free_energy_mc(real.costs, cost.lam)
+    assert np.array_equal(action, model.clamp(u_real[0]))
 
 
 def test_tube_step_keeps_the_nominal_plan_without_reset():
@@ -417,14 +420,16 @@ def test_tube_step_keeps_the_nominal_plan_without_reset():
     controls = np.zeros((8, 1))
     x = np.array([0.6, -0.2])
     x_star = np.array([0.1, 0.0])
-    result = tube_mppi_step(
+    _, plan, x_star_next, record = tube_mppi_step(
         model, cost, x, x_star, controls, ZeroFeedback(1), draws, alpha=-1e9
     )
-    assert not result.reset
+    assert not record.reset
     nom = rollout_batch(model, cost, x_star, controls, draws, control_term="plain")
     u_nom = mppi_update(controls, softmax_weights(nom.costs, cost.lam), draws)
-    assert np.array_equal(result.controls, shift_control_sequence(u_nom))
-    assert np.array_equal(result.x_star, model.step(x_star, u_nom[0]))
+    assert np.array_equal(plan, shift_control_sequence(u_nom))
+    assert np.array_equal(x_star_next, model.step(x_star, u_nom[0]))
+    assert np.array_equal(record.x_star, x_star)
+    assert record.fe_nom == free_energy_mc(nom.costs, cost.lam)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -433,14 +438,16 @@ def test_tube_step_degenerate_batch_falls_back():
     cost = simple_cost(crash_cost=5e3)
     x = np.array([2.0, 0.0])
     controls = np.zeros((8, 1))
-    result = tube_mppi_step(
+    action, plan, x_star_next, record = tube_mppi_step(
         model, cost, x, x, controls, ZeroFeedback(1), np.zeros((4, 8, 1)), alpha=10.0
     )
-    assert result.degenerate
-    assert not result.reset
-    assert result.fe_real == 5e3 and result.fe_nom == 5e3
-    assert np.array_equal(result.action, np.zeros(1))
-    assert np.array_equal(result.x_star, model.step(x, controls[0]))
+    assert record.degen
+    assert not record.reset
+    assert record.fe_real == 5e3 and record.fe_nom == 5e3
+    assert np.array_equal(record.x_star, x)
+    assert np.array_equal(action, np.zeros(1))
+    assert np.array_equal(plan, shift_control_sequence(controls))
+    assert np.array_equal(x_star_next, model.step(x, controls[0]))
 
 
 def test_tube_controller_is_deterministic_and_counts_resets():

@@ -15,7 +15,7 @@ from robust_mppi.costs import CostFunction, quadratic_wall_cost
 from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
 from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback
 from robust_mppi.rmppi import augmented_rollouts, mixed_cost
-from robust_mppi.sampling import NoisePlan, rollout_batch
+from robust_mppi.sampling import NoisePlan, propagate, rollout_batch
 
 from oracles import control_cost_term
 
@@ -60,8 +60,6 @@ def test_zero_feedback_augmented_channels_equal_plain_rollouts(batch):
     roll = augmented_rollouts(model, COST, x0, x0, u, ZeroFeedback(1), draws, alpha=np.inf)
     plain = rollout_batch(model, COST, x0, u, draws, control_term="plain")
     beta = rollout_batch(model, COST, x0, u, draws, control_term="beta")
-    assert np.array_equal(roll.nominal, plain.state_costs)
-    assert np.array_equal(roll.penalized, plain.state_costs)
     assert np.array_equal(roll.real, beta.costs)
     assert np.array_equal(roll.nominal_eval, beta.costs)
     assert np.array_equal(roll.mixed, plain.costs)
@@ -76,10 +74,12 @@ def test_zero_feedback_augmented_channels_equal_plain_rollouts(batch):
 def test_one_grouped_rollout_equals_separate_rollouts(batch, control_term):
     model, starts, controls, draws = batch
     grouped = rollout_batch(model, COST, starts[:, None], controls, draws, control_term)
+    grouped_state, _ = propagate(model, COST, starts[:, None], controls, draws)
     for g in range(starts.shape[0]):
         alone = rollout_batch(model, COST, starts[g], controls[g], draws, control_term)
+        alone_state, _ = propagate(model, COST, starts[g], controls[g], draws)
         assert np.array_equal(grouped.costs[g], alone.costs)
-        assert np.array_equal(grouped.state_costs[g], alone.state_costs)
+        assert np.array_equal(grouped_state[g], alone_state[0])
         assert np.array_equal(grouped.crashed[g], alone.crashed)
 
 
@@ -142,16 +142,19 @@ def crashing_batches(draw, groups=1):
 
 
 def check_crash_pricing(model, x0, controls, draws, res):
+    state, crashed = propagate(model, CRASH_COST, x0, controls, draws)
+    assert np.array_equal(crashed[0], res.crashed)
     for i in range(draws.shape[0]):
         ref_cost, ref_crashed = solo_state_cost(model, x0, controls, draws[i])
         assert res.crashed[i] == ref_crashed
         # a crashed row keeps the finite running cost it had when it crashed
-        assert np.isfinite(res.state_costs[i]) and res.state_costs[i] == ref_cost
+        assert np.isfinite(state[0, i]) and state[0, i] == ref_cost
         if ref_crashed:
             assert res.costs[i] == CRASH_COST.crash_cost
         alone = rollout_batch(model, CRASH_COST, x0, controls, draws[i : i + 1], "beta")
+        alone_state, _ = propagate(model, CRASH_COST, x0, controls, draws[i : i + 1])
         assert np.array_equal(alone.costs, res.costs[i : i + 1])
-        assert np.array_equal(alone.state_costs, res.state_costs[i : i + 1])
+        assert np.array_equal(alone_state[0], state[0, i : i + 1])
         assert np.array_equal(alone.crashed, res.crashed[i : i + 1])
 
 
@@ -160,11 +163,13 @@ def check_crash_pricing(model, x0, controls, draws, res):
 def test_rollouts_price_exactly_the_crashed_rows(batch):
     model, starts, controls, draws = batch
     grouped = rollout_batch(model, CRASH_COST, starts[:, None], controls, draws, "beta")
+    grouped_state, _ = propagate(model, CRASH_COST, starts[:, None], controls, draws)
     for g in range(starts.shape[0]):
         one = rollout_batch(model, CRASH_COST, starts[g], controls[g], draws, "beta")
+        one_state, _ = propagate(model, CRASH_COST, starts[g], controls[g], draws)
         check_crash_pricing(model, starts[g], controls[g], draws, one)
         assert np.array_equal(grouped.costs[g], one.costs)
-        assert np.array_equal(grouped.state_costs[g], one.state_costs)
+        assert np.array_equal(grouped_state[g], one_state[0])
         assert np.array_equal(grouped.crashed[g], one.crashed)
 
 
@@ -175,7 +180,7 @@ def test_augmented_rollouts_price_a_crash_in_either_copy(batch, gain):
     x0, x0_star, u = starts[0], starts[1], controls[0]
     policy = ColumnGain(gain)
     roll = augmented_rollouts(model, CRASH_COST, x0, x0_star, u, policy, draws, alpha=50.0)
-    channels = ("nominal", "penalized", "real", "mixed", "nominal_eval")
+    channels = ("real", "mixed", "nominal_eval")
     for i in range(draws.shape[0]):
         xr, xn = x0[None], x0_star[None]
         crashed = False
@@ -288,8 +293,6 @@ def test_two_input_augmented_channels_match_a_per_sample_oracle(batch):
         state_nom += float(cost.terminal_cost(xn))
         penalized = state_real + pen_k
         expected = {
-            "nominal": state_nom,
-            "penalized": penalized,
             "real": state_real + pen_real,
             "mixed": mixed_cost(state_nom, penalized, alpha) + pen_plain,
             "nominal_eval": state_nom + pen_beta,

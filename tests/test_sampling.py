@@ -20,6 +20,7 @@ from robust_mppi.sampling import (
     derive_seed,
     free_energy_mc,
     mppi_update,
+    propagate,
     rollout_batch,
     shift_control_sequence,
     softmax_weights,
@@ -215,8 +216,9 @@ def test_softmax_of_plain_rollout_costs_equals_the_importance_weights():
         x0 = rng.uniform(-1.0, 1.0, size=2)
         draws = NoisePlan.sample(seed, n, horizon, cost.sigma_chol).draws
         res = rollout_batch(model, cost, x0, controls, draws, control_term="plain")
+        state_costs, _ = propagate(model, cost, x0, controls, draws)
         got = softmax_weights(res.costs, lam)
-        want = is_weight(res.state_costs, controls, draws, cost.sigma_inv, lam)
+        want = is_weight(state_costs[0], controls, draws, cost.sigma_inv, lam)
         assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
@@ -268,14 +270,14 @@ def test_rollout_state_cost_identity_with_path_cost():
     cost = simple_cost()
     controls = np.array([[0.3], [0.1], [-0.2], [0.4]])
     x0 = np.array([0.7, -0.1])
-    res = rollout_batch(model, cost, x0, controls, np.zeros((1, 4, 1)))
+    state_costs, _ = propagate(model, cost, x0, controls, np.zeros((1, 4, 1)))
     traj = nominal_trajectory(model, x0, controls)
     expected = (
         path_cost(cost, traj)
         - float(cost.state_cost(traj[0]))
         + float(cost.state_cost(traj[-1]))
     )
-    assert np.isclose(res.state_costs[0], expected, rtol=1e-12, atol=0)
+    assert np.isclose(state_costs[0, 0], expected, rtol=1e-12, atol=0)
 
 
 def test_rollout_control_term_variants_differ_by_penalty():
@@ -289,9 +291,9 @@ def test_rollout_control_term_variants_differ_by_penalty():
     pen = control_penalty_batch(controls, plan.draws, cost.sigma_inv)
     pen_plain = control_penalty_coef(cost.lam, cost.beta, False) * pen
     pen_beta = control_penalty_coef(cost.lam, cost.beta, True) * pen
-    assert np.array_equal(plain.state_costs, beta.state_costs)
-    assert np.array_equal(plain.costs, plain.state_costs + pen_plain)
-    assert np.array_equal(beta.costs, beta.state_costs + pen_beta)
+    state_costs, _ = propagate(model, cost, x0, controls, plan.draws)
+    assert np.array_equal(plain.costs, state_costs[0] + pen_plain)
+    assert np.array_equal(beta.costs, state_costs[0] + pen_beta)
     with pytest.raises(ValueError, match="control_term"):
         rollout_batch(model, cost, x0, controls, plan.draws, control_term="squared")
 
