@@ -87,7 +87,11 @@ class SystemModel:
 
     def step(self, x: Array, u: Array) -> Array:
         """One explicit-Euler step; broadcasts over leading batch axes."""
-        return x + self.deriv(x, self.clamp(u)) * self.dt
+        return self.euler(x, self.clamp(u))
+
+    def euler(self, x: Array, u: Array) -> Array:
+        """The explicit-Euler update ``x + F(x, u) * dt`` for a control already clamped."""
+        return x + self.deriv(x, u) * self.dt
 
     def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         """Jacobians ``(dF/dx, dF/du)`` of the continuous dynamics.
@@ -143,12 +147,17 @@ class SystemModel:
 
 
 def nominal_trajectory(model: SystemModel, x0: Array, controls: Array) -> Array:
-    """Roll a control sequence forward without noise; returns ``(T+1, n_x)`` states."""
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    """Roll a control sequence forward without noise; returns ``(T+1, n_x)`` states.
+
+    Equal bit for bit to ``model.step`` applied state by state.  The clamp is
+    idempotent, so the whole plan is clamped once and each state takes only
+    the Euler update.
+    """
+    controls = model.clamp(np.atleast_2d(np.asarray(controls, dtype=float)))
     states = np.empty((controls.shape[0] + 1, model.n_x))
     states[0] = x0
     for t in range(controls.shape[0]):
-        states[t + 1] = model.step(states[t], controls[t])
+        states[t + 1] = model.euler(states[t], controls[t])
     return states
 
 

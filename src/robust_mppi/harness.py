@@ -191,21 +191,17 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     if cfg.feedback_kind == "contraction":
         n = model.n_x
         metric = np.array(cfg.metric, dtype=float).reshape(n, n)
-        # the same Cholesky test the policy runs; it reads one triangle only,
-        # so symmetry is checked on its own
-        valid = np.array_equal(metric, metric.T)
+        # config load has checked lambda_c and effort_weight, so the policy
+        # refuses only the metric here
         try:
-            np.linalg.cholesky(metric)
-        except np.linalg.LinAlgError:
-            valid = False
-        if not valid:
+            policy = contraction_feedback(
+                model, metric, cfg.lambda_c, effort_weight=cfg.effort_weight
+            )
+        except ValueError as err:
             raise ValueError(
                 f"feedback.metric must be a symmetric positive-definite {n}x{n} matrix, "
-                f"got {list(cfg.metric)}"
-            )
-        policy = contraction_feedback(
-            model, metric, cfg.lambda_c, effort_weight=cfg.effort_weight
-        )
+                f"got {list(cfg.metric)}: {err}"
+            ) from None
         _check_constant_b(cfg, model, policy.b_matrix)
         return (lambda x_star, controls: policy), float(np.exp(-cfg.lambda_c * model.dt))
     if cfg.feedback_kind == "ilqg":

@@ -17,6 +17,8 @@ from robust_mppi.dynamics import (
     register_system,
 )
 
+from test_rollout_properties import two_input_model
+
 
 def test_double_integrator_step_matches_hand_euler():
     model = double_integrator(dt=0.5, control_limit=None)
@@ -156,6 +158,36 @@ def test_nominal_trajectory_shape_and_recursion():
     assert states.shape == (4, 2)
     for t in range(3):
         assert np.array_equal(states[t + 1], model.step(states[t], controls[t]))
+
+
+TRAJECTORY_MODELS = {
+    "double_integrator": double_integrator,
+    "nonlinear_benchmark": nonlinear_benchmark,
+    "two_input": two_input_model,
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(TRAJECTORY_MODELS)),
+    st.sampled_from([None, 2.0]),
+    st.floats(1e-3, 0.2),
+    st.integers(1, 30),
+    st.data(),
+)
+def test_nominal_trajectory_equals_the_step_loop_bit_for_bit(name, limit, dt, horizon, data):
+    # nominal_trajectory clamps the plan once; controls reach well past the
+    # limit so that the clamp does real work
+    model = TRAJECTORY_MODELS[name](dt=dt, control_limit=limit)
+    x0 = data.draw(hnp.arrays(float, 2, elements=st.floats(-4.0, 4.0)))
+    controls = data.draw(
+        hnp.arrays(float, (horizon, model.n_u), elements=st.floats(-12.0, 12.0))
+    )
+    expect = [x0]
+    for t in range(horizon):
+        expect.append(model.step(expect[-1], controls[t]))
+    states = nominal_trajectory(model, x0, controls)
+    assert np.array_equal(states.view(np.uint64), np.array(expect).view(np.uint64))
 
 
 def test_make_system_rejects_unknown_name():

@@ -19,6 +19,7 @@ from robust_mppi.feedback import (
 )
 
 from oracles import fit_gamma, riccati_gains_per_point
+from test_rollout_properties import two_input_model
 
 DI_METRIC = np.array([[6.0, 3.0], [3.0, 2.0]])
 DI_RATE = 1.2
@@ -127,9 +128,12 @@ def test_riccati_divergence_reports_timestep():
     assert 0 <= err.value.timestep < 4
 
 
+# The two-input model keeps the np.linalg.solve branch of ilqg_gains pinned
+# to the oracle; the bundled systems have one input and take the reciprocal.
 RICCATI_MODELS = {
     "double_integrator": double_integrator,
     "nonlinear_benchmark": nonlinear_benchmark,
+    "two_input": two_input_model,
 }
 
 
@@ -140,9 +144,9 @@ def riccati_problems(draw):
     )
     horizon = draw(st.integers(1, 40))
     x0 = draw(hnp.arrays(float, 2, elements=st.floats(-4.0, 4.0)))
-    controls = draw(hnp.arrays(float, (horizon, 1), elements=st.floats(-12.0, 12.0)))
+    controls = draw(hnp.arrays(float, (horizon, model.n_u), elements=st.floats(-12.0, 12.0)))
     q = np.diag(draw(hnp.arrays(float, 2, elements=st.floats(1e-3, 1e3))))
-    r = np.diag(draw(hnp.arrays(float, 1, elements=st.floats(1e-4, 1e3))))
+    r = np.diag(draw(hnp.arrays(float, model.n_u, elements=st.floats(1e-4, 1e3))))
     return model, nominal_trajectory(model, x0, controls), controls, q, r
 
 
@@ -183,10 +187,30 @@ def test_diverging_riccati_passes_raise_at_the_same_timestep(problem):
     assert ours.value.timestep == reference.value.timestep
 
 
+def test_singular_one_input_riccati_step_raises_divergence_not_linalg_error():
+    # r + B'PB is exactly 0 at the last timestep: 0.25 - 0.25 with dt = 0.5 and
+    # P = Q = I.  The solve refused the singular system; the reciprocal of 0
+    # is infinite, the value matrix stops being finite and the pass diverges.
+    model = double_integrator(dt=0.5, control_limit=None)
+    controls = np.zeros((3, 1))
+    states = nominal_trajectory(model, np.zeros(2), controls)
+    problem = (model, states, controls, np.eye(2), np.array([[-0.25]]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(RiccatiDivergenceError) as err:
+            ilqg_gains(*problem)
+        with pytest.raises(np.linalg.LinAlgError):
+            riccati_gains_per_point(*problem)
+    assert err.value.timestep == 2
+
+
 def test_contraction_policy_validates_inputs():
     b = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError, match="positive definite"):
         ContractionPolicy(metric=np.array([[1.0, 2.0], [2.0, 1.0]]), rate=1.0, b_matrix=b)
+    # the Cholesky test reads one triangle, so this one passed it and gave a
+    # negative metric distance, -3, at e = (1, -1)
+    with pytest.raises(ValueError, match="symmetric"):
+        ContractionPolicy(metric=np.array([[1.0, 5.0], [0.0, 1.0]]), rate=1.0, b_matrix=b)
     with pytest.raises(ValueError, match="rate"):
         ContractionPolicy(metric=np.eye(2), rate=0.0, b_matrix=b)
     with pytest.raises(ValueError, match="effort"):

@@ -207,8 +207,11 @@ def test_augmented_rollouts_price_a_crash_in_either_copy(batch, gain):
 # -- two inputs ----------------------------------------------------------------
 
 
-def two_input_model():
-    """Control-affine test system whose two inputs both reach both states."""
+def two_input_model(dt=0.05, control_limit=None):
+    """Control-affine test system whose two inputs both reach both states.
+
+    It has no ``jac``, so its jacobians come from finite differences.
+    """
 
     def deriv(x, u):
         return np.stack(
@@ -219,7 +222,11 @@ def two_input_model():
             axis=-1,
         )
 
-    return SystemModel("two_input", 2, 2, 0.05, deriv)
+    lim = None if control_limit is None else np.full(2, float(control_limit))
+    return SystemModel(
+        "two_input", 2, 2, dt, deriv,
+        control_low=None if lim is None else -lim, control_high=lim,
+    )
 
 
 class RecordingPolicy:
