@@ -84,7 +84,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "damping": (_parse_float, "0.5", None),
     },
     "disturbance": {
-        "noise_multiplier": (_parse_float, "1.0", _NONNEGATIVE),
+        "noise_multiplier": (_parse_float, "1.0", _FINITE_NONNEGATIVE),
         "w_bound": (_parse_float, "0.0", _FINITE_NONNEGATIVE),
     },
     "cost": {

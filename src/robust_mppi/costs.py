@@ -75,7 +75,13 @@ def control_penalty_coef(lam: float, beta: float, beta_weighted: bool) -> float:
     return 0.5 * lam * ((1.0 - beta) if beta_weighted else 1.0)
 
 
-def penalty_step_terms(u_eff: Array, eps_t: Array, sigma_inv: Array) -> Array:
+def penalty_step_terms(
+    u_eff: Array,
+    eps_t: Array,
+    sigma_inv: Array,
+    out: Array | None = None,
+    work: Array | None = None,
+) -> Array:
     """Per-step quadratic form ``u_eff^T Sigma^{-1} (u_eff + 2*eps_t)``.
 
     ``u_eff`` and ``eps_t`` broadcast against each other over leading axes,
@@ -94,30 +100,44 @@ def penalty_step_terms(u_eff: Array, eps_t: Array, sigma_inv: Array) -> Array:
     Xeon), the ``einsum`` form took 1.5-1.8 ms on a ``(4096, 30, 1)``
     correction batch and the columns 0.9-1.2 ms; for one ``(30, 1)`` control
     sequence against ``(4096, 30, 1)`` draws, 1.3-1.4 ms against 0.3 ms.
+
+    ``out``, of the result's shape, receives the result, and ``work``, of
+    ``u_eff``'s leading shape, the ``Sigma^{-1} u_eff`` products; either
+    spares a fresh array and leaves the bits as they are.  Neither may
+    overlap the inputs.
     """
     n_u = u_eff.shape[-1]
     rows = sigma_inv.tolist()
     shape = np.broadcast_shapes(u_eff.shape[:-1], np.shape(eps_t)[:-1])
+    for name, buf, want in (("out", out, shape), ("work", work, u_eff.shape[:-1])):
+        if buf is not None and buf.shape != want:
+            raise ValueError(f"{name} has shape {buf.shape}, expected {want}")
 
-    def step_term(v: int) -> Array:
+    def step_term(v: int, buf: Array | None) -> Array:
         # built in place: at N=4096 each fresh (N, T) temporary costs more in
         # page faults than its arithmetic
-        term = 2.0 * (eps_t if np.ndim(eps_t) == 0 else eps_t[..., v])
-        if np.shape(term) == shape:
+        eps_v = eps_t if np.ndim(eps_t) == 0 else eps_t[..., v]
+        if np.shape(eps_v) == shape:
+            term = np.multiply(2.0, eps_v, out=buf)
             term += u_eff[..., v]
         else:
-            term = u_eff[..., v] + term
-        term *= _two_lane_sum(rows[v][j] * u_eff[..., j] for j in range(n_u))
+            term = np.add(u_eff[..., v], 2.0 * eps_v, out=buf)
+        products = (
+            np.multiply(rows[v][j], u_eff[..., j], out=work if j == 0 else None)
+            for j in range(n_u)
+        )
+        term *= _two_lane_sum(products)
         return term
 
-    return _two_lane_sum(step_term(v) for v in range(n_u))
+    return _two_lane_sum(step_term(v, out if v == 0 else None) for v in range(n_u))
 
 
 def _two_lane_sum(terms: Iterable[Array]) -> Array:
     """``(t0 + t2 + ...) + (t1 + t3 + ...)``, each running sum in index order.
 
-    The sums accumulate in place into ``t0`` and ``t1``, so every term must
-    be a fresh array of one shape.
+    The sums accumulate in place into ``t0`` and ``t1``, so those two must be
+    distinct arrays of the full shape that the caller may overwrite: fresh,
+    or its own scratch buffers, never views of an input.
     """
     lanes = [None, None]
     for j, term in enumerate(terms):
@@ -131,16 +151,19 @@ def _two_lane_sum(terms: Iterable[Array]) -> Array:
     return even
 
 
-def control_penalty_batch(controls: Array, draws: Array, sigma_inv: Array) -> Array:
+def control_penalty_batch(
+    controls: Array, draws: Array, sigma_inv: Array, out: Array | None = None
+) -> Array:
     """Unscaled summed penalty per sample for shared controls and per-sample noise.
 
     ``controls`` is ``(T, n_u)``, or one sequence per group ``(G, T, n_u)``;
     ``draws`` is ``(N, T, n_u)``.  Returns ``(N,)``, or ``(G, N)``; callers
     scale it by :func:`control_penalty_coef`, so one sum serves both
     coefficients.  The reduction order is fixed: per-step terms, then one
-    sum over the horizon.
+    sum over the horizon.  ``out``, ``(N, T)`` or ``(G, N, T)``, receives
+    the per-step terms in place of a fresh array.
     """
-    terms = penalty_step_terms(np.expand_dims(controls, -3), draws, sigma_inv)
+    terms = penalty_step_terms(np.expand_dims(controls, -3), draws, sigma_inv, out)
     return terms.sum(axis=-1)
 
 

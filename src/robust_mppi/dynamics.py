@@ -8,6 +8,7 @@ batch axes: states of shape ``(..., n_x)`` and controls of shape ``(..., n_u)``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -279,8 +280,10 @@ class DisturbanceModel:
     w_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.noise_multiplier < 0.0:
-            raise ValueError("noise_multiplier must be nonnegative")
+        if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0.0):
+            raise ValueError(
+                f"noise_multiplier must be finite and nonnegative, got {self.noise_multiplier}"
+            )
         if self.w_bound < 0.0:
             raise ValueError("w_bound must be nonnegative")
 

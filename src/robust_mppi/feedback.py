@@ -6,6 +6,7 @@ correction control.  Gains are linear before clamping:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -175,9 +176,11 @@ def ilqg_gains(
             k = np.linalg.solve(r + bt_p @ bd, bt_p @ ad)
         p = q + ad.T @ p @ (ad - bd @ k)
         p = 0.5 * (p + p.T)
-        # a NaN or infinite entry makes the norm NaN or infinite, so this
-        # one comparison also catches a value matrix that is not finite
-        if not np.linalg.norm(p) <= 1e12:
+        # the Frobenius norm, by the arithmetic np.linalg.norm runs, without
+        # its wrapper; a NaN or infinite entry makes it NaN or infinite, so
+        # this one comparison also catches a value matrix that is not finite
+        flat = p.ravel()
+        if not math.sqrt(flat @ flat) <= 1e12:
             raise RiccatiDivergenceError(t)
         gains[t] = -k
     return LinearGainsPolicy(

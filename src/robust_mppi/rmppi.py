@@ -36,6 +36,7 @@ from .sampling import (
     mppi_update,
     propagate,
     rollout_batch,
+    scratch,
     shift_control_sequence,
     softmax_weights,
     weighted_noise,
@@ -105,7 +106,7 @@ def augmented_rollouts(
     # group 1 (nominal) stays uncorrected, so one buffer serves every horizon
     # step; only the real group's corrections are kept for pricing
     correction = np.zeros((2, draws.shape[0], controls.shape[-1]))
-    k_real = np.empty(draws.shape)
+    k_real = scratch("k_real", draws.shape)
 
     def feedback(x: Array, t: int) -> Array:
         # the real copy (group 0) tracks the nominal copy (group 1)
@@ -120,15 +121,19 @@ def augmented_rollouts(
 
     coef_beta = control_penalty_coef(cost.lam, cost.beta, beta_weighted=True)
     coef_plain = control_penalty_coef(cost.lam, cost.beta, beta_weighted=False)
+    # the three penalties fill the same (N, T) buffers in turn; each is
+    # summed over the horizon before the next one overwrites them
+    terms = scratch("penalty", draws.shape[:-1])
+    work = scratch("penalty_work", draws.shape[:-1])
     penalized = state_real + coef_beta * penalty_step_terms(
-        k_real, 0.0, cost.sigma_inv
+        k_real, 0.0, cost.sigma_inv, terms, work
     ).sum(axis=-1)
     k_real += controls  # the applied u + k, in place to spare an (N, T, n_u) array
     real = state_real + coef_beta * penalty_step_terms(
-        k_real, draws, cost.sigma_inv
+        k_real, draws, cost.sigma_inv, terms, work
     ).sum(axis=-1)
     # one unscaled control penalty, scaled by both coefficients
-    ctrl = control_penalty_batch(controls, draws, cost.sigma_inv)
+    ctrl = control_penalty_batch(controls, draws, cost.sigma_inv, terms)
     mixed = mixed_cost(state_nom, penalized, alpha) + coef_plain * ctrl
     nominal_eval = state_nom + coef_beta * ctrl
 
@@ -329,6 +334,7 @@ class TubeMppiController:
             self.n_samples,
             self.horizon,
             self.cost.sigma_chol,
+            scratch("draws", (self.n_samples, self.horizon, self.model.n_u)),
         )
         action, self.controls, self.x_star, record = tube_mppi_step(
             self.model,
@@ -447,6 +453,7 @@ class RmppiController:
             self.s.nsp_samples,
             self.s.horizon,
             self.cost.sigma_chol,
+            scratch("nsp_draws", (self.s.nsp_samples, self.s.horizon, self.model.n_u)),
         )
         decision = nominal_state_propagation(
             self.model,
@@ -484,6 +491,7 @@ class RmppiController:
             self.s.n_samples,
             self.s.horizon,
             self.cost.sigma_chol,
+            scratch("draws", (self.s.n_samples, self.s.horizon, self.model.n_u)),
         )
         roll = augmented_rollouts(
             self.model,

@@ -9,9 +9,13 @@ costs and crash flags; a caller that prices the corrections records them in
 its own feedback closure.  Per-sample evaluation is elementwise and
 penalties are summed in a fixed order after the horizon loop, so a sample's
 cost does not depend on which other samples or groups share its batch.
+The large per-step arrays (noise draws, penalty terms, tracking corrections)
+are filled in place in buffers from :func:`scratch`, a per-thread pool kept
+across steps, so a step does not map and fault them afresh.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +29,31 @@ Array = np.ndarray
 STREAM_ROLLOUT = 1
 STREAM_NSP = 2
 STREAM_PLANT = 4
+
+
+class _ScratchPool(threading.local):
+    def __init__(self) -> None:
+        self.buffers: dict[str, Array] = {}
+
+
+_POOL = _ScratchPool()
+
+
+def scratch(role: str, shape: tuple[int, ...]) -> Array:
+    """This thread's float buffer for ``role``, of ``shape``, contents undefined.
+
+    The buffer is kept across calls and reallocated only when the shape asked
+    for under ``role`` changes.  It is overwritten by the next user of the
+    same role in this thread, so a caller must be done with it before then;
+    the controllers use each role within one step.  At N=4096 fresh arrays of
+    this size cost more in page faults than their arithmetic, because the
+    allocator hands them back to the system between steps.
+    """
+    buffers = _POOL.buffers
+    buf = buffers.get(role)
+    if buf is None or buf.shape != shape:
+        buf = buffers[role] = np.empty(shape)
+    return buf
 
 
 class DegenerateSamplingError(RuntimeError):
@@ -44,12 +73,24 @@ class NoisePlan:
     draws: Array  # (n_samples, horizon, n_u)
 
     @classmethod
-    def sample(cls, seed: int, n_samples: int, horizon: int, sigma_chol: Array) -> "NoisePlan":
+    def sample(
+        cls,
+        seed: int,
+        n_samples: int,
+        horizon: int,
+        sigma_chol: Array,
+        out: Array | None = None,
+    ) -> "NoisePlan":
+        """Draw the plan; with ``out``, a float array of the draws' shape, fill
+        and return it in place, with the same bits as a fresh plan."""
         if n_samples < 1 or horizon < 1:
             raise ValueError("n_samples and horizon must be at least 1")
         sigma_chol = np.atleast_2d(np.asarray(sigma_chol, dtype=float))
+        shape = (n_samples, horizon, sigma_chol.shape[0])
+        if out is not None and out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, the draws have shape {shape}")
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n_samples, horizon, sigma_chol.shape[0]))
+        z = rng.standard_normal(shape, out=out)
         scale = np.diagonal(sigma_chol)
         if np.array_equal(sigma_chol, np.diag(scale)):
             # a diagonal factor scales each column; in place, the same bits
@@ -58,6 +99,9 @@ class NoisePlan:
             return cls(draws=z)
         # one (N*T, n_u) matmul, not N stacked (T, n_u) ones; same values
         draws = (z.reshape(-1, z.shape[-1]) @ sigma_chol.T).reshape(z.shape)
+        if out is not None:
+            out[...] = draws
+            draws = out
         return cls(draws=draws)
 
 
@@ -201,7 +245,8 @@ def rollout_batch(
     if x0.ndim < 3 and controls.ndim < 3:
         state_costs, crashed = state_costs[0], crashed[0]
     coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
-    total = state_costs + coef * control_penalty_batch(controls, draws, cost.sigma_inv)
+    terms = scratch("rollout_penalty", controls.shape[:-2] + draws.shape[:-1])
+    total = state_costs + coef * control_penalty_batch(controls, draws, cost.sigma_inv, terms)
     total = np.where(crashed, cost.crash_cost, total)
     return RolloutResult(costs=total, crashed=crashed)
 
@@ -257,6 +302,7 @@ class MppiController:
             self.n_samples,
             self.horizon,
             self.cost.sigma_chol,
+            scratch("draws", (self.n_samples, self.horizon, self.model.n_u)),
         )
         res = rollout_batch(self.model, self.cost, x, self.controls, plan.draws)
         degenerate = bool(res.crashed.all())

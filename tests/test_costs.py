@@ -151,6 +151,18 @@ def test_penalty_step_terms_equal_the_einsum_formula(inputs):
     )
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(penalty_inputs(), st.booleans())
+def test_penalty_step_terms_in_place_equal_the_fresh_call(inputs, with_work):
+    u, eps, sigma_inv = inputs
+    # stale NaNs in the buffers would show in the result
+    out = np.full(np.broadcast_shapes(u.shape[:-1], np.shape(eps)[:-1]), np.nan)
+    work = np.full(u.shape[:-1], np.nan) if with_work else None
+    terms = penalty_step_terms(u, eps, sigma_inv, out, work)
+    assert terms is out
+    assert np.array_equal(terms, penalty_step_terms(u, eps, sigma_inv))
+
+
 @st.composite
 def penalty_batches(draw):
     """Shared controls ``(T, n_u)`` or ``(G, T, n_u)``, draws ``(N, T, n_u)``, ``sigma_inv``."""
@@ -172,6 +184,17 @@ def test_scaled_control_penalty_batch_equals_the_scaled_einsum_sum(
     terms = penalty_step_terms_einsum(np.expand_dims(controls, -3), draws, sigma_inv)
     expected = coef * terms.sum(axis=-1)
     assert np.array_equal(coef * control_penalty_batch(controls, draws, sigma_inv), expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(penalty_batches())
+def test_control_penalty_batch_in_place_equals_the_fresh_call(batch):
+    controls, draws, sigma_inv = batch
+    out = np.full(controls.shape[:-2] + draws.shape[:-1], np.nan)
+    assert np.array_equal(
+        control_penalty_batch(controls, draws, sigma_inv, out),
+        control_penalty_batch(controls, draws, sigma_inv),
+    )
 
 
 def test_control_penalty_batch_matches_stepwise_sum():

@@ -204,6 +204,9 @@ def test_register_system_round_trip():
 def test_disturbance_validation():
     with pytest.raises(ValueError):
         DisturbanceModel(noise_multiplier=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="noise_multiplier must be finite"):
+            DisturbanceModel(noise_multiplier=bad)
     with pytest.raises(ValueError):
         DisturbanceModel(w_bound=-0.1)
 

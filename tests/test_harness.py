@@ -121,7 +121,7 @@ LOAD_TIME_REJECTIONS = {
     "feedback.effort_weight=0": "feedback.effort_weight must be finite and positive",
     "feedback.effort_weight=-1": "feedback.effort_weight must be finite and positive",
     "feedback.effort_weight=inf": "feedback.effort_weight must be finite and positive",
-    "disturbance.noise_multiplier=-1": "disturbance.noise_multiplier must be >= 0",
+    "disturbance.noise_multiplier=-1": "disturbance.noise_multiplier must be finite and >= 0",
     "disturbance.w_bound=-0.1": "disturbance.w_bound must be finite and >= 0",
     "cost.crash_cost=inf": "cost.crash_cost must be finite",
     "cost.crash_cost=-inf": "cost.crash_cost must be finite",
@@ -136,6 +136,8 @@ LOAD_TIME_REJECTIONS = {
     "cost.wall_cap=-1": "cost.wall_cap must be positive",
     "cost.wall_cap=0": "cost.wall_cap must be positive",
     "cost.terminal_scale=-1": "cost.terminal_scale must be finite and >= 0",
+    # infinite plant noise, quietly saturated at the control limit by the clamp
+    "disturbance.noise_multiplier=inf": "disturbance.noise_multiplier must be finite and >= 0",
     "harness.x0=inf,0": "harness.x0 must be finite in every entry",
     "harness.crash_box=10,0": "harness.crash_box must be positive in every entry",
     "harness.crash_box=-10,20": "harness.crash_box must be positive in every entry",
