@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for ``verify-bound``, a log with no violations), 1 a
 completed check that found problems (bound violations, failed selftest), 2
-usage or configuration errors.
+usage, configuration or input errors (a file that is missing, unreadable or
+not a run log).
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ path so that costs assembled by different controllers agree bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -65,9 +65,9 @@ class CostFunction:
         object.__setattr__(self, "sigma_chol", chol)
         object.__setattr__(self, "sigma_inv", np.linalg.inv(sigma))
 
-    # set in __post_init__; declared for type checkers
-    sigma_chol: Array = None  # type: ignore[assignment]
-    sigma_inv: Array = None  # type: ignore[assignment]
+    # computed in __post_init__, never passed in
+    sigma_chol: Array = field(init=False, repr=False)
+    sigma_inv: Array = field(init=False, repr=False)
 
 
 def control_penalty_coef(lam: float, beta: float, beta_weighted: bool) -> float:

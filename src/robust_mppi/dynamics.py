@@ -284,8 +284,8 @@ class DisturbanceModel:
             raise ValueError(
                 f"noise_multiplier must be finite and nonnegative, got {self.noise_multiplier}"
             )
-        if self.w_bound < 0.0:
-            raise ValueError("w_bound must be nonnegative")
+        if not (math.isfinite(self.w_bound) and self.w_bound >= 0.0):
+            raise ValueError(f"w_bound must be finite and nonnegative, got {self.w_bound}")
 
     def control_noise(self, rng: np.random.Generator, sigma_chol: Array) -> Array:
         """One control-channel noise draw with covariance ``multiplier * Sigma``."""

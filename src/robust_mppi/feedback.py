@@ -1,8 +1,10 @@
 """Tracking feedback: finite-horizon LQ gains, constant-metric contraction, rate fitting.
 
-Both policies map a (real state, nominal state, time index) triple to a
-correction control.  Gains are linear before clamping:
-``apply(x* + 2e, x*, t) == 2 * apply(x* + e, x*, t)`` whenever limits are off.
+A policy is one method, ``apply_batch(x, x_star, t)``, mapping real and
+nominal states of shape ``(..., n_x)``, with any leading axes or none, to
+corrections of shape ``(..., n_u)``.  Gains are linear before clamping:
+``apply_batch(x* + 2e, x*, t) == 2 * apply_batch(x* + e, x*, t)`` whenever
+limits are off.
 """
 from __future__ import annotations
 
@@ -18,9 +20,7 @@ Array = np.ndarray
 
 
 class FeedbackPolicy(Protocol):
-    """Anything mapping (real state, nominal state, time index) to a correction."""
-
-    def apply(self, x: Array, x_star: Array, t: int) -> Array: ...
+    """Anything mapping (real states, nominal states, time index) to corrections."""
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array: ...
 
@@ -39,11 +39,8 @@ class ZeroFeedback:
     def __init__(self, n_u: int):
         self.n_u = n_u
 
-    def apply(self, x: Array, x_star: Array, t: int) -> Array:
-        return np.zeros(self.n_u)
-
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array:
-        return np.zeros((x.shape[0], self.n_u))
+        return np.zeros(np.shape(x)[:-1] + (self.n_u,))
 
 
 @dataclass
@@ -56,10 +53,6 @@ class LinearGainsPolicy:
 
     def _gain(self, t: int) -> Array:
         return self.gains[min(t, self.gains.shape[0] - 1)]
-
-    def apply(self, x: Array, x_star: Array, t: int) -> Array:
-        u = self._gain(t) @ (np.asarray(x) - np.asarray(x_star))
-        return clamp_controls(u, self.control_low, self.control_high)
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array:
         u = (x - x_star) @ self._gain(t).T
@@ -98,10 +91,6 @@ class ContractionPolicy:
         self.metric = m
         self._k = (self.b_matrix.T @ m) / self.effort_weight  # (n_u, n_x)
 
-    def apply(self, x: Array, x_star: Array, t: int) -> Array:
-        u = -self._k @ (np.asarray(x) - np.asarray(x_star))
-        return clamp_controls(u, self.control_low, self.control_high)
-
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array:
         u = -(x - x_star) @ self._k.T
         return clamp_controls(u, self.control_low, self.control_high)
@@ -120,7 +109,7 @@ class ContractionPolicy:
         v_now = self.metric_distance(x, x_star)
         if v_now == 0.0:
             return True
-        x_next = model.step(x, u + self.apply(x, x_star, 0))
+        x_next = model.step(x, u + self.apply_batch(x, x_star, 0))
         xs_next = model.step(x_star, u)
         v_next = self.metric_distance(x_next, xs_next)
         return v_next <= v_now * np.exp(-2.0 * self.rate * model.dt) * (1.0 + tol)

@@ -73,6 +73,8 @@ class RunLog:
     summary: dict = field(default_factory=dict)
 
     def column(self, name: str) -> Array:
+        if name not in self.columns:
+            raise ValueError(f"run log has no {name!r} column")
         idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows])
 
@@ -87,7 +89,9 @@ class RunLog:
     def from_csv(cls, path) -> "RunLog":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path} is empty: a run log starts with a header row")
             rows = [[float(v) for v in row] for row in reader if row]
         return cls(columns=header, rows=rows)
 

@@ -29,9 +29,7 @@ from .feedback import FeedbackPolicy, fit_gamma_window
 from .sampling import (
     STREAM_NSP,
     STREAM_ROLLOUT,
-    NoisePlan,
     StepRecord,
-    derive_seed,
     free_energy_mc,
     mppi_update,
     propagate,
@@ -39,6 +37,7 @@ from .sampling import (
     scratch,
     shift_control_sequence,
     softmax_weights,
+    step_draws,
     weighted_noise,
 )
 
@@ -266,11 +265,12 @@ def tube_mppi_step(
 ) -> tuple[Array, Array, Array, StepRecord]:
     """One tube controller update from the measured and nominal states.
 
-    Both optimizations share the same draws.  The nominal state resets to the
-    measured state, and the plan follows the real-state optimization, exactly
-    when ``fe_real - fe_nom < alpha``; otherwise the nominal plan is kept and
-    the nominal state continues open loop.  The executed action adds the
-    tracking correction toward the (possibly reset) nominal state.
+    The real and nominal batches share the same draws.  The nominal state
+    resets to the measured state exactly when ``fe_real - fe_nom < alpha``,
+    and the plan is then updated from the real batch; otherwise from the
+    nominal batch, and the nominal state continues open loop.  The executed
+    action adds the tracking correction toward the (possibly reset) nominal
+    state.
 
     Returns the action, the shifted plan, the next nominal state and the
     step record, which logs the nominal state the action tracked.
@@ -278,23 +278,21 @@ def tube_mppi_step(
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     res = rollout_batch(model, cost, np.stack([x_star, x])[:, None], controls, draws)
-    if res.crashed.all(axis=1).any():
-        action = model.clamp(controls[0] + policy.apply(x, x_star, 0))
-        # a degenerate step never resets
-        record = StepRecord(
-            fe_real=cost.crash_cost, fe_nom=cost.crash_cost, x_star=x_star.copy(), degen=True
-        )
-        return action, shift_control_sequence(controls), model.step(x_star, controls[0]), record
-    costs_nom, costs_real = res.costs
-    fe_nom = free_energy_mc(costs_nom, cost.lam)
-    fe_real = free_energy_mc(costs_real, cost.lam)
-    u_nom = mppi_update(controls, softmax_weights(costs_nom, cost.lam), draws)
-    u_real = mppi_update(controls, softmax_weights(costs_real, cost.lam), draws)
-    reset = fe_real - fe_nom < alpha
-    x_star_next, chosen = (x, u_real) if reset else (x_star, u_nom)
-    action = model.clamp(chosen[0] + policy.apply(x, x_star_next, 0))
+    degen = bool(res.crashed.all(axis=1).any())
+    if degen:
+        # a degenerate step never resets and keeps the plan
+        fe_real = fe_nom = cost.crash_cost
+        reset, x_star_next, chosen = False, x_star, controls
+    else:
+        costs_nom, costs_real = res.costs
+        fe_nom = free_energy_mc(costs_nom, cost.lam)
+        fe_real = free_energy_mc(costs_real, cost.lam)
+        reset = fe_real - fe_nom < alpha
+        x_star_next, costs = (x, costs_real) if reset else (x_star, costs_nom)
+        chosen = mppi_update(controls, softmax_weights(costs, cost.lam), draws)
+    action = model.clamp(chosen[0] + policy.apply_batch(x, x_star_next, 0))
     record = StepRecord(
-        fe_real=fe_real, fe_nom=fe_nom, x_star=x_star_next.copy(), degen=False, reset=reset
+        fe_real=fe_real, fe_nom=fe_nom, x_star=x_star_next.copy(), degen=degen, reset=reset
     )
     return action, shift_control_sequence(chosen), model.step(x_star_next, chosen[0]), record
 
@@ -329,12 +327,8 @@ class TubeMppiController:
         if self.x_star is None:
             self.x_star = x.copy()
         policy = self.policy_factory(self.x_star, self.controls)
-        plan = NoisePlan.sample(
-            derive_seed(self.seed, self.step_index, STREAM_ROLLOUT),
-            self.n_samples,
-            self.horizon,
-            self.cost.sigma_chol,
-            scratch("draws", (self.n_samples, self.horizon, self.model.n_u)),
+        draws = step_draws(
+            self.seed, self.step_index, STREAM_ROLLOUT, self.n_samples, self.horizon, self.cost
         )
         action, self.controls, self.x_star, record = tube_mppi_step(
             self.model,
@@ -343,7 +337,7 @@ class TubeMppiController:
             self.x_star,
             self.controls,
             policy,
-            plan.draws,
+            draws,
             self.alpha,
         )
         self.step_index += 1
@@ -448,12 +442,8 @@ class RmppiController:
             return None
         self._nsp_pending = False
         x_star_prop = self.model.step(self.x_star, self.controls[0])
-        plan = NoisePlan.sample(
-            derive_seed(self.seed, self.step_index, STREAM_NSP),
-            self.s.nsp_samples,
-            self.s.horizon,
-            self.cost.sigma_chol,
-            scratch("nsp_draws", (self.s.nsp_samples, self.s.horizon, self.model.n_u)),
+        draws = step_draws(
+            self.seed, self.step_index, STREAM_NSP, self.s.nsp_samples, self.s.horizon, self.cost
         )
         decision = nominal_state_propagation(
             self.model,
@@ -464,7 +454,7 @@ class RmppiController:
             self.controls,
             self.s.alpha,
             self.s.n_candidates,
-            plan.draws,
+            draws,
         )
         self.x_star = decision.candidates[decision.index].copy()
         self.controls = decision.control_sequence
@@ -486,12 +476,8 @@ class RmppiController:
         violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
             self.model, x, self.x_star, self.controls[0]
         )
-        plan = NoisePlan.sample(
-            derive_seed(self.seed, self.step_index, STREAM_ROLLOUT),
-            self.s.n_samples,
-            self.s.horizon,
-            self.cost.sigma_chol,
-            scratch("draws", (self.s.n_samples, self.s.horizon, self.model.n_u)),
+        draws = step_draws(
+            self.seed, self.step_index, STREAM_ROLLOUT, self.s.n_samples, self.s.horizon, self.cost
         )
         roll = augmented_rollouts(
             self.model,
@@ -500,10 +486,10 @@ class RmppiController:
             self.x_star,
             self.controls,
             policy,
-            plan.draws,
+            draws,
             self.s.alpha,
         )
-        feedback0 = policy.apply(x, self.x_star, 0)
+        feedback0 = policy.apply_batch(x, self.x_star, 0)
         degenerate = bool(roll.crashed.all())
         if degenerate:
             action = self.model.clamp(self.controls[0] + feedback0)
@@ -515,11 +501,11 @@ class RmppiController:
             w_real = softmax_weights(roll.real, self.cost.lam)
             w_nom = softmax_weights(roll.mixed, self.cost.lam)
             action = self.model.clamp(
-                (self.controls[0] + feedback0) + weighted_noise(w_real, plan.draws)[0]
+                (self.controls[0] + feedback0) + weighted_noise(w_real, draws)[0]
             )
             fe_real = free_energy_mc(roll.real, self.cost.lam)
             fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
-            self.controls = mppi_update(self.controls, w_nom, plan.draws)
+            self.controls = mppi_update(self.controls, w_nom, draws)
             self._nsp_pending = True
 
         emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)

@@ -105,6 +105,25 @@ class NoisePlan:
         return cls(draws=draws)
 
 
+# The three controllers' rollouts share one draw buffer; NSP keeps its own.
+_DRAW_ROLES = {STREAM_ROLLOUT: "draws", STREAM_NSP: "nsp_draws"}
+
+
+def step_draws(
+    seed: int, step: int, stream: int, n_samples: int, horizon: int, cost: CostFunction
+) -> Array:
+    """One step's ``(n_samples, horizon, n_u)`` control draws, covariance ``cost.sigma``.
+
+    Drawn by :meth:`NoisePlan.sample` from ``derive_seed(seed, step, stream)``
+    into this thread's scratch buffer for the stream, so they hold until the
+    next call for the same stream.
+    """
+    chol = cost.sigma_chol
+    out = scratch(_DRAW_ROLES[stream], (n_samples, horizon, chol.shape[0]))
+    child = derive_seed(seed, step, stream)
+    return NoisePlan.sample(child, n_samples, horizon, chol, out).draws
+
+
 def free_energy_mc(costs: Array, lam: float) -> float | Array:
     """-lam * log mean(exp(-costs/lam)), evaluated stably against the batch minimum.
 
@@ -297,14 +316,10 @@ class MppiController:
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
-        plan = NoisePlan.sample(
-            derive_seed(self.seed, self.step_index, STREAM_ROLLOUT),
-            self.n_samples,
-            self.horizon,
-            self.cost.sigma_chol,
-            scratch("draws", (self.n_samples, self.horizon, self.model.n_u)),
+        draws = step_draws(
+            self.seed, self.step_index, STREAM_ROLLOUT, self.n_samples, self.horizon, self.cost
         )
-        res = rollout_batch(self.model, self.cost, x, self.controls, plan.draws)
+        res = rollout_batch(self.model, self.cost, x, self.controls, draws)
         degenerate = bool(res.crashed.all())
         if degenerate:
             action = self.model.clamp(self.controls[0])
@@ -312,7 +327,7 @@ class MppiController:
             fe = float(self.cost.crash_cost)
         else:
             weights = softmax_weights(res.costs, self.cost.lam)
-            updated = mppi_update(self.controls, weights, plan.draws)
+            updated = mppi_update(self.controls, weights, draws)
             action = self.model.clamp(updated[0])
             fe = free_energy_mc(res.costs, self.cost.lam)
         self.controls = shift_control_sequence(updated)

@@ -187,7 +187,7 @@ def test_tracking_policies_hold_rates_on_the_double_integrator():
         x_star = np.zeros(2)
         out = [float(np.linalg.norm(x - x_star))]
         for t in range(steps):
-            x = model.step(x, controls[t] + policy.apply(x, x_star, t))
+            x = model.step(x, controls[t] + policy.apply_batch(x, x_star, t))
             x_star = model.step(x_star, controls[t])
             out.append(float(np.linalg.norm(x - x_star)))
         return np.array(out)

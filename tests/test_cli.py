@@ -163,6 +163,25 @@ def test_verify_bound_exit_codes(tmp_path, capsys):
     assert "no bounded steps" in capsys.readouterr().out
 
 
+def test_verify_bound_refuses_an_empty_file_with_exit_2(tmp_path, capsys):
+    blank = tmp_path / "blank.csv"
+    blank.write_text("")
+    assert main(["verify-bound", str(blank)]) == 2
+    assert "blank.csv" in capsys.readouterr().err
+
+
+def test_verify_bound_refuses_a_directory_with_exit_2(tmp_path, capsys):
+    assert main(["verify-bound", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_verify_bound_names_a_missing_column_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "nobound.csv"
+    RunLog(columns=["dfe"], rows=[[0.0], [1.0]]).to_csv(path)
+    assert main(["verify-bound", str(path)]) == 2
+    assert "no 'bound' column" in capsys.readouterr().err
+
+
 def test_compare_writes_comparison(tmp_path, capsys):
     extra = ["experiment.steps=3", "sampling.n_samples=8", "sampling.horizon=4"]
     assert main(["compare", *fast_args(tmp_path, "duo", extra)]) == 0

@@ -89,7 +89,9 @@ def test_clamp_matches_np_clip(low, high):
     for batch in (u, u[0, 0], u[1]):
         assert same_bits(model.clamp(batch), np.clip(batch, lo, hi))
     # both feedback policies clamp their corrections the same way; identity
-    # gains carry the specials into the corrections (inf * 0 adds NaNs)
+    # gains carry the specials into the corrections (inf * 0 adds NaNs).  A
+    # single state takes the batch formula too: ``e @ K.T`` has the bits of
+    # ``K @ e``, and ``-e @ K.T`` those of ``-K @ e`` except for a NaN's sign
     gains = LinearGainsPolicy(np.eye(2)[None], control_low=lo, control_high=hi)
     contraction = ContractionPolicy(
         np.eye(2), rate=1.0, b_matrix=np.eye(2), control_low=lo, control_high=hi
@@ -100,12 +102,12 @@ def test_clamp_matches_np_clip(low, high):
     with np.errstate(invalid="ignore"):
         for policy, batch, point in (
             (gains, (x - x_star) @ eye.T, lambda e: eye @ e),
-            (contraction, -(x - x_star) @ eye.T, lambda e: -eye @ e),
+            (contraction, -(x - x_star) @ eye.T, lambda e: -e @ eye.T),
         ):
             assert same_bits(policy.apply_batch(x, x_star, 0), np.clip(batch, lo, hi))
             for i in (0, 1, x.shape[0] - 1):
                 expect = np.clip(point(x[i] - x_star[i]), lo, hi)
-                assert same_bits(policy.apply(x[i], x_star[i], 0), expect)
+                assert same_bits(policy.apply_batch(x[i], x_star[i], 0), expect)
 
 
 def test_clamp_without_limits_returns_its_input():

@@ -71,6 +71,10 @@ def test_sigma_factorizations_are_cached_and_consistent():
     )
     assert np.allclose(cost.sigma_chol @ cost.sigma_chol.T, sigma)
     assert np.allclose(cost.sigma_inv @ sigma, np.eye(2), atol=1e-12)
+    # both are derived from sigma; passing either is refused, not ignored
+    for name in ("sigma_chol", "sigma_inv"):
+        with pytest.raises(TypeError, match=name):
+            CostFunction(cost.state_cost, cost.terminal_cost, sigma, lam=1.0, **{name: 99 * sigma})
 
 
 def test_path_cost_frozen_example():

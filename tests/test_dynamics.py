@@ -209,6 +209,10 @@ def test_disturbance_validation():
             DisturbanceModel(noise_multiplier=bad)
     with pytest.raises(ValueError):
         DisturbanceModel(w_bound=-0.1)
+    # a non-finite radius would make every state disturbance nan or inf
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="w_bound must be finite"):
+            DisturbanceModel(w_bound=bad)
 
 
 def test_control_noise_variance_scales_with_multiplier():

@@ -19,6 +19,7 @@ from robust_mppi.feedback import (
 )
 
 from oracles import fit_gamma, riccati_gains_per_point
+from test_column_kernels import same_bits
 from test_rollout_properties import two_input_model
 
 DI_METRIC = np.array([[6.0, 3.0], [3.0, 2.0]])
@@ -31,10 +32,9 @@ PEND_RATE = 0.35
 
 def test_zero_feedback_returns_zeros_in_both_shapes():
     policy = ZeroFeedback(2)
-    assert np.array_equal(policy.apply(np.ones(3), np.zeros(3), 0), np.zeros(2))
-    assert np.array_equal(
-        policy.apply_batch(np.ones((5, 3)), np.zeros((5, 3)), 4), np.zeros((5, 2))
-    )
+    for lead in ((), (5,), (2, 5)):
+        x = np.ones(lead + (3,))
+        assert same_bits(policy.apply_batch(x, np.zeros(lead + (3,)), 4), np.zeros(lead + (2,)))
 
 
 def test_linear_gains_policy_is_linear_before_clamping():
@@ -42,8 +42,8 @@ def test_linear_gains_policy_is_linear_before_clamping():
     policy = LinearGainsPolicy(gains)
     e = np.array([0.3, -0.2])
     x_star = np.array([1.0, 1.0])
-    one = policy.apply(x_star + e, x_star, 0)
-    two = policy.apply(x_star + 2 * e, x_star, 0)
+    one = policy.apply_batch(x_star + e, x_star, 0)
+    two = policy.apply_batch(x_star + 2 * e, x_star, 0)
     assert np.allclose(two, 2.0 * one, rtol=1e-15, atol=0)
 
 
@@ -51,24 +51,28 @@ def test_linear_gains_policy_holds_last_gain_beyond_horizon():
     gains = np.array([[[1.0, 0.0]], [[5.0, 0.0]]])
     policy = LinearGainsPolicy(gains)
     x, xs = np.array([1.0, 0.0]), np.zeros(2)
-    assert np.array_equal(policy.apply(x, xs, 99), policy.apply(x, xs, 1))
+    assert np.array_equal(policy.apply_batch(x, xs, 99), policy.apply_batch(x, xs, 1))
 
 
 def test_linear_gains_policy_clamps():
     gains = np.array([[[10.0, 0.0]]])
     policy = LinearGainsPolicy(gains, control_low=np.array([-1.0]), control_high=np.array([1.0]))
-    assert policy.apply(np.array([5.0, 0.0]), np.zeros(2), 0) == pytest.approx(1.0)
+    assert policy.apply_batch(np.array([5.0, 0.0]), np.zeros(2), 0) == pytest.approx(1.0)
 
 
 def test_linear_gains_batch_matches_single_application():
     rng = np.random.default_rng(0)
-    gains = rng.normal(size=(3, 1, 2))
-    policy = LinearGainsPolicy(gains)
-    xs = rng.normal(size=(6, 2))
-    x_star = rng.normal(size=(6, 2))
-    batch = policy.apply_batch(xs, x_star, 1)
-    for i in range(6):
-        assert np.allclose(batch[i], policy.apply(xs[i], x_star[i], 1), rtol=1e-14)
+    for n_x, n_u in [(2, 1), (1, 1), (3, 2), (4, 3)]:
+        gains = rng.normal(size=(3, n_u, n_x))
+        policy = LinearGainsPolicy(gains)
+        xs = rng.normal(size=(6, n_x))
+        x_star = rng.normal(size=(6, n_x))
+        batch = policy.apply_batch(xs, x_star, 1)
+        for i in range(6):
+            single = policy.apply_batch(xs[i], x_star[i], 1)
+            # one state gives the bits of the single-state formula gains[t] @ e
+            assert same_bits(single, gains[1] @ (xs[i] - x_star[i]))
+            assert np.allclose(batch[i], single, rtol=1e-14)
 
 
 def test_ilqg_gains_match_infinite_horizon_riccati_solution():
@@ -107,7 +111,7 @@ def test_ilqg_gains_drive_toward_the_nominal():
     xs = np.zeros(2)
     r0 = np.linalg.norm(x - xs)
     for t in range(300):
-        x = model.step(x, controls[t] + policy.apply(x, xs, t))
+        x = model.step(x, controls[t] + policy.apply_batch(x, xs, t))
         xs = model.step(xs, controls[t])
     assert np.linalg.norm(x - xs) < 0.05 * r0
 
@@ -223,7 +227,19 @@ def test_contraction_policy_gain_formula():
     )
     # K = B^T M / r = [3, 2] / (1/3) = [9, 6]
     e = np.array([0.1, -0.2])
-    assert np.allclose(policy.apply(e, np.zeros(2), 0), -np.array([[9.0, 6.0]]) @ e)
+    assert np.allclose(policy.apply_batch(e, np.zeros(2), 0), -np.array([[9.0, 6.0]]) @ e)
+    # one state gives the bits of the single-state formula -K @ e
+    rng = np.random.default_rng(3)
+    for n_x, n_u in [(1, 1), (2, 1), (3, 2), (4, 3)]:
+        a = rng.normal(size=(n_x, n_x))
+        metric = a @ a.T + n_x * np.eye(n_x)
+        metric = 0.5 * (metric + metric.T)
+        b = rng.normal(size=(n_x, n_u))
+        policy = ContractionPolicy(metric, rate=1.0, b_matrix=b, effort_weight=0.7)
+        k = (b.T @ metric) / 0.7
+        for _ in range(20):
+            x, xs = rng.normal(size=n_x), rng.normal(size=n_x)
+            assert same_bits(policy.apply_batch(x, xs, 0), -k @ (x - xs))
 
 
 def test_contraction_metric_distance_decreases_at_certified_rate_di():
@@ -236,7 +252,7 @@ def test_contraction_metric_distance_decreases_at_certified_rate_di():
         xs = rng.uniform(-3, 3, size=2)
         u = rng.uniform(-2, 2, size=1)
         v0 = policy.metric_distance(x, xs)
-        x1 = model.step(x, u + policy.apply(x, xs, 0))
+        x1 = model.step(x, u + policy.apply_batch(x, xs, 0))
         xs1 = model.step(xs, u)
         assert policy.metric_distance(x1, xs1) <= v0 * decay * (1 + 1e-12)
         assert policy.contraction_step_ok(model, x, xs, u)

@@ -15,7 +15,9 @@ and the package itself.
 
 The benchmark's tracer (``perfbench/layers.py``) wraps library functions and
 methods by name, so every name it lists must still resolve; a rename would
-otherwise surface only when a traced benchmark run starts.
+otherwise surface only when a traced benchmark run starts.  It wraps
+``apply_batch`` on the feedback policy classes it lists, so every policy
+class in ``feedback.py`` must be on that list.
 """
 
 import ast
@@ -25,6 +27,7 @@ import inspect
 import re
 import sys
 from pathlib import Path
+from typing import Protocol
 
 import pytest
 
@@ -148,3 +151,20 @@ def test_every_traced_name_resolves_in_the_library():
         if cls is None or "apply_batch" not in vars(cls):
             missing.append(f"feedback.{cls_name}.apply_batch")
     assert not missing, f"traced names that no longer resolve: {missing}"
+
+
+def test_every_feedback_policy_class_is_traced():
+    # a policy missing from the list would run unwrapped, and its corrections
+    # would drop out of the per-layer numbers without an error
+    feedback = importlib.import_module("robust_mppi.feedback")
+    policies = {
+        name
+        for name, cls in vars(feedback).items()
+        if inspect.isclass(cls)
+        and cls.__module__ == feedback.__name__
+        and "apply_batch" in vars(cls)
+        and Protocol not in cls.__bases__
+    }
+    assert policies, "no feedback policy class found"
+    untraced = policies - set(tracer_constant("APPLY_BATCH_CLASSES"))
+    assert not untraced, f"feedback policies the tracer does not wrap: {sorted(untraced)}"

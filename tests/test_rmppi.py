@@ -207,7 +207,7 @@ def test_real_channel_carries_the_likelihood_correction():
         corrections = np.empty((5, 1))
         state_sum = 0.0
         for t in range(5):
-            corrections[t] = policy.apply(x, xs, t)
+            corrections[t] = policy.apply_batch(x, xs, t)
             x = model.step(x, controls[t] + corrections[t] + draws[i, t])
             xs = model.step(xs, controls[t] + draws[i, t])
             state_sum += cost.state_cost(x)
@@ -432,6 +432,35 @@ def test_tube_step_keeps_the_nominal_plan_without_reset():
     assert record.fe_nom == free_energy_mc(nom.costs, cost.lam)
 
 
+def test_tube_step_action_adds_the_tracking_correction_toward_its_nominal():
+    model = double_integrator(dt=0.05)
+    cost = simple_cost()
+    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol).draws
+    controls = np.zeros((8, 1))
+    x = np.array([0.6, -0.2])
+    x_star = np.array([0.1, 0.0])
+    policy = LinearGainsPolicy(gains=np.tile(np.array([[[-1.5, -0.8]]]), (8, 1, 1)))
+    action, plan, _, record = tube_mppi_step(
+        model, cost, x, x_star, controls, policy, draws, alpha=-1e9
+    )
+    assert not record.reset
+    nom = rollout_batch(model, cost, x_star, controls, draws, control_term="plain")
+    u_nom = mppi_update(controls, softmax_weights(nom.costs, cost.lam), draws)
+    correction = policy.gains[0] @ (x - x_star)
+    assert correction[0] != 0.0
+    assert np.array_equal(action, model.clamp(u_nom[0] + correction))
+    assert np.array_equal(plan, shift_control_sequence(u_nom))  # the plan carries no feedback
+    # a reset moves the nominal onto the measurement, so the correction vanishes
+    action, plan, _, record = tube_mppi_step(
+        model, cost, x, x_star, controls, policy, draws, alpha=1e9
+    )
+    assert record.reset
+    real = rollout_batch(model, cost, x, controls, draws, control_term="plain")
+    u_real = mppi_update(controls, softmax_weights(real.costs, cost.lam), draws)
+    assert np.array_equal(action, model.clamp(u_real[0]))
+    assert np.array_equal(plan, shift_control_sequence(u_real))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_tube_step_degenerate_batch_falls_back():
     model = control_blowup_model()
@@ -535,7 +564,7 @@ def test_rmppi_value_noise_is_the_batch_means_of_its_nominal_channel():
 
 
 def test_rmppi_step_draws_only_rollout_and_nsp_noise(monkeypatch):
-    import robust_mppi.rmppi as rmppi_module
+    import robust_mppi.sampling as sampling_module
 
     drawn = []
 
@@ -543,7 +572,8 @@ def test_rmppi_step_draws_only_rollout_and_nsp_noise(monkeypatch):
         drawn.append((step, stream))
         return derive_seed(master, step, stream)
 
-    monkeypatch.setattr(rmppi_module, "derive_seed", recording_derive_seed)
+    # every controller draw goes through sampling.step_draws
+    monkeypatch.setattr(sampling_module, "derive_seed", recording_derive_seed)
     controller = make_rmppi()
     x = np.array([0.5, -0.2])
     for _ in range(3):
