@@ -1,6 +1,6 @@
 """Experiment configuration: INI files, dotted overrides, strict validation.
 
-A configuration is a two-level table of strings (section, key, value) merged
+A configuration is a table of strings keyed by ``(section, key)``, merged
 from built-in defaults, an optional INI file, and command-line overrides of
 the form ``section.key=value``.  Unknown sections or keys are rejected by
 name so typos fail loudly instead of silently running defaults.  The merged
@@ -18,19 +18,11 @@ from typing import Callable, Iterable
 from .dynamics import _SYSTEM_FACTORIES
 
 
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
 def _parse_float(s: str) -> float:
     value = float(s)
     if math.isnan(value):
         raise ValueError("NaN is not allowed")
     return value
-
-
-def _parse_str(s: str) -> str:
-    return s.strip()
 
 
 def _parse_vec(s: str) -> tuple[float, ...]:
@@ -71,12 +63,12 @@ _REGISTERED_SYSTEM: _Rule = ("be a registered system", lambda v: v in _SYSTEM_FA
 # that breaks its key's rule fails at load, naming the key.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
-        "name": (_parse_str, "run", None),
-        "system": (_parse_str, "double_integrator", _REGISTERED_SYSTEM),
-        "controller": (_parse_str, "rmppi", _one_of("mppi", "tube", "rmppi")),
-        "steps": (_parse_int, "100", _at_least(1)),
-        "seed": (_parse_int, "0", _at_least(0)),
-        "output": (_parse_str, "out", None),
+        "name": (str.strip, "run", None),
+        "system": (str.strip, "double_integrator", _REGISTERED_SYSTEM),
+        "controller": (str.strip, "rmppi", _one_of("mppi", "tube", "rmppi")),
+        "steps": (int, "100", _at_least(1)),
+        "seed": (int, "0", _at_least(0)),
+        "output": (str.strip, "out", None),
     },
     "dynamics": {
         "dt": (_parse_float, "0.02", _FINITE_POSITIVE),
@@ -100,24 +92,22 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "crash_cost": (_parse_float, "1e4", _FINITE),
     },
     "sampling": {
-        "n_samples": (_parse_int, "512", _at_least(2)),
-        "horizon": (_parse_int, "50", _at_least(1)),
+        "n_samples": (int, "512", _at_least(2)),
+        "horizon": (int, "50", _at_least(1)),
     },
     "feedback": {
-        "kind": (_parse_str, "none", _one_of("none", "ilqg", "contraction")),
+        "kind": (str.strip, "none", _one_of("none", "ilqg", "contraction")),
         "q_track": (_parse_vec, "2.0, 6.0", _FINITE_NONNEGATIVE),
         "r_track": (_parse_vec, "1.0", _FINITE_POSITIVE),
         "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0", _FINITE),
         "lambda_c": (_parse_float, "1.0", _FINITE_POSITIVE),
         "effort_weight": (_parse_float, "1.0", _FINITE_POSITIVE),
-        "gamma_window": (_parse_int, "20", _at_least(2)),
-        "gamma_clip": (_parse_float, "1e-3", ("lie in (0, 0.5)", lambda v: 0.0 < v < 0.5)),
     },
     "rmppi": {
         "alpha": (_parse_float, "3000.0", _FINITE),
-        "n_candidates": (_parse_int, "8", _at_least(2)),
-        "nsp_samples": (_parse_int, "64", _at_least(1)),
-        "emv_repeats": (_parse_int, "8", _at_least(2)),
+        "n_candidates": (int, "8", _at_least(2)),
+        "nsp_samples": (int, "64", _at_least(1)),
+        "emv_repeats": (int, "8", _at_least(2)),
     },
     "harness": {
         "x0": (_parse_vec, "0.0, 0.0", _FINITE),
@@ -166,8 +156,6 @@ class ExperimentConfig:
     metric: tuple[float, ...]
     lambda_c: float
     effort_weight: float
-    gamma_window: int
-    gamma_clip: float
     alpha: float
     n_candidates: int
     nsp_samples: int
@@ -182,7 +170,7 @@ class ExperimentConfig:
         for dotted, value in raw_updates.items():
             section, key = _split_dotted(dotted)
             table[(section, key)] = str(value)
-        return _from_table(_table_to_nested(table))
+        return _from_table(table)
 
 
 def _split_dotted(dotted: str) -> tuple[str, str]:
@@ -204,22 +192,11 @@ def _check_known(section: str, key: str | None = None) -> None:
         raise ValueError(f"unknown config key {section + '.' + key!r} (known: {known})")
 
 
-def _table_to_nested(table: dict[tuple[str, str], str]) -> dict[str, dict[str, str]]:
-    nested: dict[str, dict[str, str]] = {s: {} for s in _SCHEMA}
-    for (s, k), v in table.items():
-        nested[s][k] = v
-    return nested
-
-
-def _default_table() -> dict[str, dict[str, str]]:
-    return {s: {k: d for k, (_, d, _) in keys.items()} for s, keys in _SCHEMA.items()}
-
-
-def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
+def _from_table(table: dict[tuple[str, str], str]) -> ExperimentConfig:
     values = {}
     for section, keys in _SCHEMA.items():
         for key, (parser, _, rule) in keys.items():
-            dotted, text = f"{section}.{key}", table[section][key]
+            dotted, text = f"{section}.{key}", table[(section, key)]
             try:
                 value = parser(text)
             except ValueError as exc:
@@ -244,7 +221,7 @@ def _from_table(table: dict[str, dict[str, str]]) -> ExperimentConfig:
             "exp(-feedback.lambda_c * dynamics.dt) must lie in (0, 1) with "
             f"feedback.kind=contraction, got {rate} at {values['lambda_c']} * {values['dt']}"
         )
-    raw = tuple((s, k, table[s][k]) for s in _SCHEMA for k in _SCHEMA[s])
+    raw = tuple((s, k, table[(s, k)]) for s in _SCHEMA for k in _SCHEMA[s])
     return ExperimentConfig(**values, raw=raw)
 
 
@@ -252,26 +229,31 @@ def load_config(path: str | None = None, overrides: Iterable[str] = ()) -> Exper
     """Merge defaults, an optional INI file, and dotted overrides.
 
     Overrides look like ``sampling.n_samples=256`` and win over the file.
-    Unknown sections, keys, or malformed overrides raise ValueError; a path
-    that cannot be read raises FileNotFoundError naming it.
+    Unknown sections, keys, malformed overrides or a file that is not valid
+    INI raise ValueError; a path that cannot be read raises FileNotFoundError
+    naming it.
     """
-    table = _default_table()
+    table = {(s, k): d for s, keys in _SCHEMA.items() for k, (_, d, _) in keys.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # no interpolation, so a value holding '%' reads back as written
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ValueError(f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
         for section in parser.sections():
             _check_known(section)
             for key, value in parser[section].items():
                 _check_known(section, key)
-                table[section][key] = value
+                table[(section, key)] = value
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} must look like section.key=value")
         dotted, value = item.split("=", 1)
         section, key = _split_dotted(dotted.strip())
-        table[section][key] = value.strip()
+        table[(section, key)] = value.strip()
     return _from_table(table)
 
 

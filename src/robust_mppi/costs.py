@@ -238,7 +238,8 @@ def quadratic_wall_cost(
         slope_active = np.zeros_like(w)
         if offsets is not None and wall_slope > 0.0:
             slope_active = np.where(np.isfinite(offsets), wall_slope, 0.0)
-        grad_max = 2.0 * w * half + slope_active
+        # a zero weight adds nothing, also along an unbounded coordinate
+        grad_max = 2.0 * w * np.where(w > 0.0, half, 0.0) + slope_active
         l_q = float(np.linalg.norm(grad_max))
     else:
         l_q = float("nan")

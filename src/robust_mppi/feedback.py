@@ -202,6 +202,10 @@ def contraction_feedback(
     )
 
 
+# Trailing tracking residuals the fitted rate of an uncertified policy reads.
+GAMMA_WINDOW = 20
+
+
 def fit_gamma_window(residuals, clip_eps: float = 1e-3) -> float:
     """Conservative trailing-window tracking rate for policies with no certificate.
 

@@ -92,7 +92,14 @@ class RunLog:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path} is empty: a run log starts with a header row")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for row in filter(None, reader):
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
         return cls(columns=header, rows=rows)
 
 
@@ -222,21 +229,18 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
 
 def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFunction):
     factory, analytic_gamma = build_policy_factory(cfg, model)
-    x0 = np.array(cfg.x0, dtype=float)
     if cfg.controller == "mppi":
         return MppiController(model, cost, cfg.n_samples, cfg.horizon, cfg.seed)
     if cfg.controller == "tube":
         return TubeMppiController(
-            model,
-            cost,
-            cfg.n_samples,
-            cfg.horizon,
-            cfg.seed,
-            factory,
-            cfg.alpha,
-            x_star0=x0,
+            model, cost, cfg.n_samples, cfg.horizon, cfg.seed, factory, cfg.alpha
         )
     if cfg.controller == "rmppi":
+        if not np.isfinite(cost.lipschitz_q):
+            raise ValueError(
+                f"controller rmppi needs a finite harness.crash_box entry for every positive "
+                f"cost.q_weights entry, got {list(cfg.crash_box)} and {list(cfg.q_weights)}"
+            )
         settings = RmppiSettings(
             n_samples=cfg.n_samples,
             horizon=cfg.horizon,
@@ -245,11 +249,9 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             nsp_samples=cfg.nsp_samples,
             emv_repeats=cfg.emv_repeats,
             gamma=analytic_gamma,
-            gamma_window=cfg.gamma_window,
-            gamma_clip=cfg.gamma_clip,
             w_bound=cfg.w_bound,
         )
-        return RmppiController(model, cost, settings, cfg.seed, factory, x_star0=x0)
+        return RmppiController(model, cost, settings, cfg.seed, factory)
     raise ValueError(f"unknown controller {cfg.controller!r}")
 
 

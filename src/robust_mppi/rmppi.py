@@ -25,7 +25,7 @@ from .costs import (
     penalty_step_terms,
 )
 from .dynamics import SystemModel
-from .feedback import FeedbackPolicy, fit_gamma_window
+from .feedback import GAMMA_WINDOW, FeedbackPolicy, fit_gamma_window
 from .sampling import (
     STREAM_NSP,
     STREAM_ROLLOUT,
@@ -309,7 +309,6 @@ class TubeMppiController:
         seed: int,
         policy_factory: Callable[[Array, Array], FeedbackPolicy],
         alpha: float,
-        x_star0: Array | None = None,
     ) -> None:
         self.model = model
         self.cost = cost
@@ -319,7 +318,7 @@ class TubeMppiController:
         self.policy_factory = policy_factory
         self.alpha = float(alpha)
         self.controls = np.zeros((self.horizon, model.n_u))
-        self.x_star = None if x_star0 is None else np.asarray(x_star0, dtype=float).copy()
+        self.x_star: Array | None = None  # set to the first measured state
         self.step_index = 0
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
@@ -380,8 +379,6 @@ class RmppiSettings:
     nsp_samples: int = 64
     emv_repeats: int = 8
     gamma: float | None = None
-    gamma_window: int = 20
-    gamma_clip: float = 1e-3
     w_bound: float = 0.0
 
 
@@ -404,7 +401,6 @@ class RmppiController:
         settings: RmppiSettings,
         seed: int,
         policy_factory: Callable[[Array, Array], FeedbackPolicy],
-        x_star0: Array | None = None,
     ) -> None:
         for name in ("lipschitz_q", "lipschitz_phi"):
             v = getattr(cost, name)
@@ -417,6 +413,9 @@ class RmppiController:
             raise ValueError(f"gamma must lie in (0, 1), got {settings.gamma}")
         if not (np.isfinite(settings.w_bound) and settings.w_bound >= 0.0):
             raise ValueError(f"w_bound must be finite and nonnegative, got {settings.w_bound}")
+        for name, least in (("horizon", 1), ("n_candidates", 2), ("nsp_samples", 1)):
+            if getattr(settings, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(settings, name)}")
         if settings.emv_repeats < 2 or settings.n_samples < 2 * settings.emv_repeats:
             raise ValueError(
                 "value noise needs emv_repeats >= 2 and n_samples >= 2 * emv_repeats, "
@@ -428,10 +427,10 @@ class RmppiController:
         self.seed = int(seed)
         self.policy_factory = policy_factory
         self.controls = np.zeros((settings.horizon, model.n_u))
-        self.x_star = None if x_star0 is None else np.asarray(x_star0, dtype=float).copy()
+        self.x_star: Array | None = None  # set to the first measured state
         self.step_index = 0
         self._nsp_pending = False
-        self._residuals: deque[float] = deque(maxlen=settings.gamma_window)
+        self._residuals: deque[float] = deque(maxlen=GAMMA_WINDOW)
 
     def _resolve_nominal(self, x: Array) -> NominalDecision | None:
         """Run the deferred nominal-state update against the new measurement.
@@ -463,7 +462,7 @@ class RmppiController:
     def _tracking_gamma(self) -> float:
         if self.s.gamma is not None:
             return self.s.gamma
-        return fit_gamma_window(np.array(self._residuals), self.s.gamma_clip)
+        return fit_gamma_window(np.array(self._residuals))
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)

@@ -312,7 +312,6 @@ def test_reduces_to_plain_mppi_when_augmentation_is_disabled():
         ),
         seed,
         lambda x_star, controls: ZeroFeedback(model.n_u),
-        x_star0=x0,
     )
     disturbance = DisturbanceModel(noise_multiplier=1.0, w_bound=0.0)
     x = x0.copy()

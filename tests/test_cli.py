@@ -138,6 +138,29 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "absent.ini" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("steps = 4\n", "no section headers"),
+        ("[experiment]\nsteps = 4\nsteps = 5\n", "already exists"),
+    ],
+    ids=["no-section-header", "duplicate-key"],
+)
+def test_a_config_file_that_is_not_ini_exits_2_naming_it(tmp_path, capsys, text, problem):
+    ini = tmp_path / "broken.ini"
+    ini.write_text(text)
+    assert main(["run", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "broken.ini" in err and problem in err
+
+
+def test_a_config_echo_holding_a_percent_sign_runs_again(tmp_path):
+    assert main(["run", *fast_args(tmp_path, "load%x")]) == 0
+    echo = tmp_path / "load%x" / "config.ini"
+    assert load_config(str(echo)).name == "load%x"
+    assert main(["run", str(echo)]) == 0
+
+
 def test_bad_override_exits_2(capsys):
     assert main(["run", "-o", "sampling.bogus=1"]) == 2
     assert "sampling.bogus" in capsys.readouterr().err
@@ -180,6 +203,20 @@ def test_verify_bound_names_a_missing_column_with_exit_2(tmp_path, capsys):
     RunLog(columns=["dfe"], rows=[[0.0], [1.0]]).to_csv(path)
     assert main(["verify-bound", str(path)]) == 2
     assert "no 'bound' column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "last_row, problem",
+    [("5.0\n", "1 cells, the header has 2"), ("5.0,oops\n", "could not convert")],
+    ids=["truncated-row", "non-numeric-cell"],
+)
+def test_verify_bound_names_the_file_and_line_of_a_bad_row_with_exit_2(
+    tmp_path, capsys, last_row, problem
+):
+    path = tmp_path / "cut.csv"
+    path.write_text("bound,dfe\n5.0,0.0\n5.0,1.0\n" + last_row)
+    assert main(["verify-bound", str(path)]) == 2
+    assert f"cut.csv line 4: {problem}" in capsys.readouterr().err
 
 
 def test_compare_writes_comparison(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +102,6 @@ def test_config_validation_rules():
 # Each value loaded before and then failed or misled the run; the error must
 # name the key.  An entry of several space-separated overrides is one load.
 LOAD_TIME_REJECTIONS = {
-    "feedback.gamma_clip=0.5": "feedback.gamma_clip",
-    "feedback.gamma_clip=0.7": "feedback.gamma_clip",
-    "feedback.gamma_clip=0": "feedback.gamma_clip",
     "cost.wall_cap=nan": "bad value for cost.wall_cap",
     "cost.lambda=nan": "bad value for cost.lambda",
     "cost.wall_offsets=1.5,nan": "bad value for cost.wall_offsets",
@@ -115,9 +113,6 @@ LOAD_TIME_REJECTIONS = {
     "rmppi.nsp_samples=0": "rmppi.nsp_samples",
     "feedback.lambda_c=inf": "feedback.lambda_c",
     "feedback.lambda_c=0": "feedback.lambda_c",
-    "feedback.gamma_window=-1": "feedback.gamma_window must be >= 2",
-    "feedback.gamma_window=0": "feedback.gamma_window must be >= 2",
-    "feedback.gamma_window=1": "feedback.gamma_window must be >= 2",
     "feedback.effort_weight=0": "feedback.effort_weight must be finite and positive",
     "feedback.effort_weight=-1": "feedback.effort_weight must be finite and positive",
     "feedback.effort_weight=inf": "feedback.effort_weight must be finite and positive",
@@ -192,16 +187,53 @@ def test_values_at_the_edge_of_a_load_rule_still_load(override):
     load_config(overrides=[override])
 
 
-def test_the_removed_smoothing_window_key_is_unknown(tmp_path, capsys):
-    unknown = "unknown config key 'sampling.smoothing_window'"
+def assert_removed_key_is_unknown(key, tmp_path, capsys):
+    """A removed key fails at load from an INI file and an override, and ``run`` exits 2."""
+    section, name = key.split(".")
+    unknown = f"unknown config key '{key}'"
     with pytest.raises(ValueError, match=unknown):
-        load_config(overrides=["sampling.smoothing_window=0"])
+        load_config(overrides=[f"{key}=5"])
     ini = tmp_path / "old.ini"
-    ini.write_text("[sampling]\nsmoothing_window = 5\n")
+    ini.write_text(f"[{section}]\n{name} = 5\n")
     with pytest.raises(ValueError, match=unknown):
         load_config(str(ini))
-    assert main(["run", "-o", "sampling.smoothing_window=5"]) == 2
+    assert main(["run", "-o", f"{key}=5"]) == 2
     assert unknown in capsys.readouterr().err
+
+
+def test_the_removed_smoothing_window_key_is_unknown(tmp_path, capsys):
+    assert_removed_key_is_unknown("sampling.smoothing_window", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", ["feedback.gamma_window", "feedback.gamma_clip"])
+def test_the_removed_fitted_rate_keys_are_unknown(key, tmp_path, capsys):
+    assert_removed_key_is_unknown(key, tmp_path, capsys)
+
+
+def schema_keys():
+    return {f"{s}.{k}" for s, keys in config._SCHEMA.items() for k in keys}
+
+
+def test_every_key_the_readme_names_is_a_schema_key():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    named = set()
+    for span in re.findall(r"`([^`]*)`", readme):
+        if re.fullmatch(r"[\w/]+\.(py|ini|csv|json)", span):
+            continue  # a file name, not a key
+        named.update(
+            m.group(0) for m in re.finditer(r"\b([a-z_]+)\.([a-z_0-9]+)\b", span)
+            if m.group(1) in config._SCHEMA
+        )
+    assert named, "the README names no config key"
+    assert named <= schema_keys(), sorted(named - schema_keys())
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_every_key_of_a_bundled_config_is_a_schema_key(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path)
+    keys = {f"{s}.{k}" for s in parser.sections() for k in parser[s]}
+    assert keys <= schema_keys(), sorted(keys - schema_keys())
 
 
 def test_config_fields_are_the_schema_keys():
@@ -464,6 +496,22 @@ def test_summary_table_lists_each_controller():
     assert len(lines) == 3
     assert "controller" in lines[0] and "viol_rate" in lines[0]
     assert "mppi" in lines[1] and "rmppi" in lines[2]
+
+
+def test_a_zero_weight_adds_nothing_to_the_lipschitz_constant_of_an_unbounded_coordinate():
+    cfg = small_run_config(**{"cost.q_weights": "1, 0", "harness.crash_box": "10, inf"})
+    cost = build_cost(cfg, build_model(cfg))
+    assert cost.lipschitz_q == 20.0
+    assert run_closed_loop(cfg).summary["completed"]
+
+
+def test_an_infinite_lipschitz_constant_is_refused_for_rmppi_naming_the_crash_box():
+    cfg = small_run_config(**{"harness.crash_box": "10, inf"})
+    with pytest.raises(ValueError, match="harness.crash_box"):
+        run_closed_loop(cfg)
+    # the controllers that emit no bound keep accepting an unbounded box
+    for controller in ("mppi", "tube"):
+        run_closed_loop(cfg.with_values(**{"experiment.controller": controller}))
 
 
 def test_infinite_control_limit_still_loads():

@@ -11,7 +11,12 @@ from scipy.stats import multivariate_normal
 
 from robust_mppi.costs import CostFunction
 from robust_mppi.dynamics import SystemModel, double_integrator
-from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback, contraction_feedback
+from robust_mppi.feedback import (
+    LinearGainsPolicy,
+    ZeroFeedback,
+    contraction_feedback,
+    fit_gamma_window,
+)
 from robust_mppi.rmppi import (
     RmppiController,
     RmppiSettings,
@@ -65,8 +70,8 @@ def zero_policy_factory(x_star, controls):
     return ZeroFeedback(1)
 
 
-def make_rmppi(model=None, cost=None, seed=7, x_star0=None,
-               policy_factory=zero_policy_factory, **overrides):
+def make_rmppi(model=None, cost=None, seed=7, policy_factory=zero_policy_factory,
+               **overrides):
     model = double_integrator(dt=0.05) if model is None else model
     cost = simple_cost(lipschitz=True) if cost is None else cost
     settings = dict(
@@ -80,7 +85,7 @@ def make_rmppi(model=None, cost=None, seed=7, x_star0=None,
     )
     settings.update(overrides)
     return RmppiController(
-        model, cost, RmppiSettings(**settings), seed, policy_factory, x_star0=x_star0
+        model, cost, RmppiSettings(**settings), seed, policy_factory
     )
 
 
@@ -543,9 +548,9 @@ def test_rmppi_value_noise_is_the_batch_means_of_its_nominal_channel():
     policy = LinearGainsPolicy(gains=np.tile(np.array([[[-1.5, -0.8]]]), (6, 1, 1)))
     x_star0 = np.array([0.1, 0.3])
     controller = make_rmppi(
-        n_samples=30, emv_repeats=4, x_star0=x_star0,
-        policy_factory=lambda x_star, controls: policy,
+        n_samples=30, emv_repeats=4, policy_factory=lambda x_star, controls: policy,
     )
+    controller.x_star = x_star0
     x = np.array([0.5, -0.2])
     _, rec = controller.step(x)
     draws = NoisePlan.sample(
@@ -584,6 +589,32 @@ def test_rmppi_step_draws_only_rollout_and_nsp_noise(monkeypatch):
         (1, STREAM_NSP), (1, STREAM_ROLLOUT),
         (2, STREAM_NSP), (2, STREAM_ROLLOUT),
     ]
+
+
+@pytest.mark.parametrize(
+    "setting, value", [("n_candidates", 1), ("nsp_samples", 0), ("horizon", 0)]
+)
+def test_rmppi_refuses_settings_that_would_fail_at_a_step(setting, value):
+    with pytest.raises(ValueError, match=f"^{setting} must be at least"):
+        make_rmppi(**{setting: value})
+
+
+def test_rmppi_fits_gamma_on_the_last_20_residuals():
+    # alpha below every free energy makes each nominal-state propagation
+    # fall back, so the nominal state stays at the first measured state and
+    # the residuals are the distances chosen here: growth over the first
+    # five steps, then decay at rate 0.8
+    controller = make_rmppi(alpha=-1e6)
+    radii = [0.0, 0.5, 1.0, 2.0, 4.0] + [4.0 * 0.8**k for k in range(1, 21)]
+    residuals = []
+    for r in radii:
+        x = np.array([r, 0.0])
+        _, rec = controller.step(x)
+        residuals.append(float(np.linalg.norm(x - rec.x_star)))
+    assert residuals == radii
+    assert rec.gamma_hat == fit_gamma_window(residuals[-20:])
+    assert rec.gamma_hat == pytest.approx(0.8)
+    assert fit_gamma_window(residuals) == 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("n_samples, emv_repeats", [(7, 4), (32, 1)])
@@ -678,9 +709,8 @@ def test_rmppi_counts_contraction_violations():
     def impossible_rate_factory(x_star, controls):
         return contraction_feedback(double_integrator(dt=0.05), np.eye(2), rate=50.0)
 
-    controller = make_rmppi(
-        policy_factory=impossible_rate_factory, x_star0=np.zeros(2)
-    )
+    controller = make_rmppi(policy_factory=impossible_rate_factory)
+    controller.x_star = np.zeros(2)
     _, rec = controller.step(np.array([1.0, 0.0]))
     assert rec.contraction_violation is True
 
