@@ -229,9 +229,9 @@ def load_config(path: str | None = None, overrides: Iterable[str] = ()) -> Exper
     """Merge defaults, an optional INI file, and dotted overrides.
 
     Overrides look like ``sampling.n_samples=256`` and win over the file.
-    Unknown sections, keys, malformed overrides or a file that is not valid
-    INI raise ValueError; a path that cannot be read raises FileNotFoundError
-    naming it.
+    Unknown sections, keys, malformed overrides, a file that is not valid
+    INI or one with keys in a ``[DEFAULT]`` section raise ValueError; a path
+    that cannot be read raises FileNotFoundError naming it.
     """
     table = {(s, k): d for s, keys in _SCHEMA.items() for k, (_, d, _) in keys.items()}
     if path is not None:
@@ -243,6 +243,14 @@ def load_config(path: str | None = None, overrides: Iterable[str] = ()) -> Exper
             raise ValueError(f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
+        # configparser merges [DEFAULT] keys into every section, or drops
+        # them when no other section is present; refuse them instead
+        if parser.defaults():
+            keys = ", ".join(parser.defaults())
+            raise ValueError(
+                f"config file {path} has keys in a [DEFAULT] section ({keys}); "
+                "put each key under its own section"
+            )
         for section in parser.sections():
             _check_known(section)
             for key, value in parser[section].items():

@@ -144,7 +144,12 @@ def augmented_rollouts(
 
 @dataclass(frozen=True)
 class NominalDecision:
-    """Outcome of one nominal-state propagation."""
+    """Outcome of one nominal-state propagation.
+
+    ``feasible`` has one entry per candidate, ``(r+1,)``.  An entry is True
+    only for a candidate that was rolled out and found feasible; a candidate
+    the nearest-first search skipped reads False.
+    """
 
     index: int
     candidates: Array
@@ -163,6 +168,8 @@ def nominal_state_propagation(
     alpha: float,
     n_candidates: int,
     draws: Array,
+    *,
+    nearest_first: bool = False,
 ) -> NominalDecision:
     """Choose the next nominal state from a line of interpolated candidates.
 
@@ -175,6 +182,14 @@ def nominal_state_propagation(
     at most ``alpha``, the one closest to the real state wins, ties going to
     the lowest index.  If none qualifies the previous nominal state is kept,
     the plan is left unshifted, and ``fallback`` is set.
+
+    By default every candidate is rolled out in one grouped batch.  With
+    ``nearest_first`` the candidates at the minimum distance to ``x`` (usually
+    candidate R alone) are rolled out first; if one qualifies it is the
+    winner of the full search, and the others are never rolled out.
+    Otherwise the rest follow in one more batch.  Each group of a batch gives
+    the same bits as its own rollout, so both orders choose the same index
+    and plan; only ``feasible`` differs, False for the skipped candidates.
     """
     r = int(n_candidates)
     if r < 2:
@@ -195,11 +210,25 @@ def nominal_state_propagation(
 
     shifted = shift_control_sequence(controls)
     plans = np.concatenate([controls[None], np.broadcast_to(shifted, (r,) + shifted.shape)])
-    res = rollout_batch(model, cost, candidates[:, None], plans, draws, control_term="beta")
-    free_energies = free_energy_mc(res.costs, cost.lam)
-
-    feasible = free_energies <= alpha
     distances = np.linalg.norm(candidates - x, axis=1)
+    feasible = np.zeros(r + 1, dtype=bool)
+
+    def evaluate(group: Array) -> None:
+        if group.any():
+            res = rollout_batch(
+                model, cost, candidates[group, None], plans[group], draws, control_term="beta"
+            )
+            feasible[group] = free_energy_mc(res.costs, cost.lam) <= alpha
+
+    rest = np.ones(r + 1, dtype=bool)
+    if nearest_first:
+        # a nearest candidate that qualifies also wins the full search
+        rest = distances != np.min(distances)
+        evaluate(~rest)
+        if feasible.any():
+            rest[:] = False
+    evaluate(rest)
+
     fallback = not feasible.any()
     if fallback:
         index = 0
@@ -430,17 +459,18 @@ class RmppiController:
         self.x_star: Array | None = None  # set to the first measured state
         self.step_index = 0
         self._nsp_pending = False
+        # the nominal starts on the first measured state, as if NSP chose it
+        self._nsp_chose_x = True
         self._residuals: deque[float] = deque(maxlen=GAMMA_WINDOW)
 
-    def _resolve_nominal(self, x: Array) -> NominalDecision | None:
+    def _resolve_nominal(self, x: Array, x_star_prop: Array) -> NominalDecision:
         """Run the deferred nominal-state update against the new measurement.
 
-        Returns the decision, or None when no update was pending.
+        ``x_star_prop`` is the nominal state propagated one step under the
+        plan.  The search tries the candidates nearest ``x`` first when the
+        last update chose the measured state, which it then usually does again.
         """
-        if not self._nsp_pending:
-            return None
         self._nsp_pending = False
-        x_star_prop = self.model.step(self.x_star, self.controls[0])
         draws = step_draws(
             self.seed, self.step_index, STREAM_NSP, self.s.nsp_samples, self.s.horizon, self.cost
         )
@@ -454,7 +484,9 @@ class RmppiController:
             self.s.alpha,
             self.s.n_candidates,
             draws,
+            nearest_first=self._nsp_chose_x,
         )
+        self._nsp_chose_x = decision.index == self.s.n_candidates
         self.x_star = decision.candidates[decision.index].copy()
         self.controls = decision.control_sequence
         return decision
@@ -468,12 +500,20 @@ class RmppiController:
         x = np.asarray(x, dtype=float)
         if self.x_star is None:
             self.x_star = x.copy()
-        decision = self._resolve_nominal(x)
+        # the certificate is checked where the offset is real: before NSP
+        # moves the nominal, on the propagated nominal state and the control
+        # its shifted plan applies at this step
+        decision = None
+        check_star, check_u = self.x_star, self.controls[0]
+        if self._nsp_pending:
+            x_star_prop = self.model.step(self.x_star, self.controls[0])
+            check_star, check_u = x_star_prop, shift_control_sequence(self.controls)[0]
+            decision = self._resolve_nominal(x, x_star_prop)
         self._residuals.append(float(np.linalg.norm(x - self.x_star)))
 
         policy = self.policy_factory(self.x_star, self.controls)
         violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
-            self.model, x, self.x_star, self.controls[0]
+            self.model, x, check_star, check_u
         )
         draws = step_draws(
             self.seed, self.step_index, STREAM_ROLLOUT, self.s.n_samples, self.s.horizon, self.cost

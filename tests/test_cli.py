@@ -154,6 +154,14 @@ def test_a_config_file_that_is_not_ini_exits_2_naming_it(tmp_path, capsys, text,
     assert "broken.ini" in err and problem in err
 
 
+def test_a_config_file_with_default_keys_exits_2_naming_it(tmp_path, capsys):
+    ini = tmp_path / "defaults.ini"
+    ini.write_text("[DEFAULT]\nsteps = 4\n")
+    assert main(["run", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "defaults.ini" in err and "[DEFAULT]" in err
+
+
 def test_a_config_echo_holding_a_percent_sign_runs_again(tmp_path):
     assert main(["run", *fast_args(tmp_path, "load%x")]) == 0
     echo = tmp_path / "load%x" / "config.ini"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robust_mppi import config, harness
+from robust_mppi import config, harness, rmppi
 from robust_mppi.cli import main
 from robust_mppi.config import ExperimentConfig, load_config, render_config
 from robust_mppi.dynamics import SystemModel, nonlinear_benchmark, register_system
@@ -71,6 +71,26 @@ def test_load_config_rejects_unknown_names(tmp_path):
         load_config(str(bad))
     with pytest.raises(FileNotFoundError, match="nope.ini"):
         load_config(str(tmp_path / "nope.ini"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nsteps = 4\n", "[DEFAULT]\nsteps = 4\n\n[experiment]\nseed = 2\n"],
+    ids=["alone", "beside-a-section"],
+)
+def test_load_config_refuses_keys_in_a_default_section(tmp_path, text):
+    # configparser drops such keys when no other section is present and
+    # copies them into every section otherwise
+    ini = tmp_path / "defaults.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError, match=r"defaults\.ini has keys in a \[DEFAULT\] section \(steps\)"):
+        load_config(str(ini))
+
+
+def test_load_config_accepts_an_empty_default_section(tmp_path):
+    ini = tmp_path / "empty_default.ini"
+    ini.write_text("[DEFAULT]\n\n[experiment]\nsteps = 4\n")
+    assert load_config(str(ini)).steps == 4
 
 
 def test_load_config_reads_ini_and_overrides_win(tmp_path):
@@ -594,3 +614,47 @@ def test_dfe_is_the_step_to_step_change_of_fe_real(controller):
     assert len(fe) == 5
     assert dfe[0] == 0.0
     assert np.array_equal(dfe[1:], fe[1:] - fe[:-1])
+
+
+def test_an_overstated_contraction_rate_is_counted_on_every_nsp_step():
+    # the certificate is checked on the propagated nominal state before NSP
+    # moves the nominal onto the measurement, where the offset is real
+    cfg = load_config(str(STRESS_CONFIG), ["experiment.steps=100"])
+    assert run_closed_loop(cfg).summary["contraction_violations"] == 0
+    log = run_closed_loop(cfg.with_values(**{"feedback.lambda_c": "30"}))
+    # step 0 has no pending NSP and starts with the nominal on the measurement
+    assert log.summary["contraction_violations"] == log.summary["steps_run"] - 1 == 99
+
+
+def record_nsp_groups(monkeypatch):
+    """Collect the group count of every rollout_batch call in rmppi, which only NSP makes."""
+    groups = []
+    rollout_batch = rmppi.rollout_batch
+
+    def counted_rollout_batch(model, cost, x0, *args, **kwargs):
+        groups.append(np.shape(x0)[0])
+        return rollout_batch(model, cost, x0, *args, **kwargs)
+
+    monkeypatch.setattr(rmppi, "rollout_batch", counted_rollout_batch)
+    return groups
+
+
+def test_nsp_rolls_out_one_candidate_a_step_while_the_measurement_wins(monkeypatch):
+    groups = record_nsp_groups(monkeypatch)
+    log = run_closed_loop(load_config(str(STRESS_CONFIG), ["experiment.steps=40"]))
+    assert np.all(log.column("cand_idx")[1:] == 8)
+    assert groups == [1] * 39
+
+
+def test_nsp_rolls_out_every_candidate_after_the_measurement_lost(monkeypatch):
+    # the nearest-first search runs only after a step that chose the
+    # measurement, candidate 8; when that fails, the other 8 follow
+    groups = record_nsp_groups(monkeypatch)
+    wall = CONFIGS / "di_wall_compare_x100.ini"
+    log = run_closed_loop(load_config(str(wall), ["experiment.steps=60"]))
+    expected, chose_x = [], True
+    for index in log.column("cand_idx")[1:]:
+        expected += ([1] if index == 8 else [1, 8]) if chose_x else [9]
+        chose_x = index == 8
+    assert groups == expected
+    assert {1, 8, 9} <= set(groups)

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
 from robust_mppi.costs import CostFunction
-from robust_mppi.dynamics import SystemModel, double_integrator
+from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
 from robust_mppi.feedback import (
     LinearGainsPolicy,
     ZeroFeedback,
@@ -342,6 +342,81 @@ def test_nominal_propagation_free_energies_match_direct_rollouts():
     for index, fe in ((0, fe_prev), (4, fe_x)):
         assert feasible(fe)[index]
         assert not feasible(np.nextafter(fe, -np.inf))[index]
+
+
+NSP_MODELS = {
+    "double_integrator": double_integrator(dt=0.05),
+    "nonlinear_benchmark": nonlinear_benchmark(),
+}
+nsp_values = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def nsp_problems(draw):
+    n = draw(st.integers(1, 16))
+    horizon = draw(st.integers(1, 6))
+    r = draw(st.integers(2, 8))
+    x, x_prev, x_prop = (
+        draw(hnp.arrays(np.float64, 2, elements=nsp_values, fill=st.nothing())) for _ in range(3)
+    )
+    if draw(st.booleans()):
+        x_prev = x.copy()  # candidate 0 then ties with candidate R at distance 0
+    controls = draw(hnp.arrays(np.float64, (horizon, 1), elements=nsp_values, fill=st.nothing()))
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, np.eye(1)).draws
+    model = NSP_MODELS[draw(st.sampled_from(sorted(NSP_MODELS)))]
+    alpha_at = draw(st.sampled_from(["nearest", "below_nearest", "other", "none"]))
+    return model, x, x_prev, x_prop, controls, r, draws, alpha_at, draw(st.integers(0, r))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(nsp_problems())
+def test_nearest_first_search_decides_as_the_full_search(problem):
+    model, x, x_prev, x_prop, controls, r, draws, alpha_at, other = problem
+    cost = simple_cost()
+    shifted = shift_control_sequence(controls)
+
+    def decide(alpha, nearest_first):
+        return nominal_state_propagation(
+            model, cost, x, x_prev, x_prop, controls, alpha, r, draws,
+            nearest_first=nearest_first,
+        )
+
+    candidates = decide(np.inf, False).candidates
+    fe = np.array([
+        free_energy_mc(
+            rollout_batch(
+                model, cost, c, controls if i == 0 else shifted, draws, control_term="beta"
+            ).costs,
+            cost.lam,
+        )
+        for i, c in enumerate(candidates)
+    ])
+    distances = np.linalg.norm(candidates - x, axis=1)
+    nearest = distances == distances.min()
+    first = int(np.argmax(nearest))  # the lowest index at the minimum distance
+    alpha = {
+        "nearest": fe[first],
+        "below_nearest": np.nextafter(fe[first], -np.inf),
+        "other": fe[other],
+        "none": np.nextafter(fe.min(), -np.inf),
+    }[alpha_at]
+
+    full = decide(alpha, False)
+    fast = decide(alpha, True)
+    assert np.array_equal(full.feasible, fe <= alpha)
+    assert fast.index == full.index
+    assert fast.fallback == full.fallback
+    assert np.array_equal(fast.candidates, full.candidates)
+    assert np.array_equal(fast.control_sequence, full.control_sequence)
+    # the rest is rolled out only when no nearest candidate qualifies
+    evaluated = nearest if (full.feasible & nearest).any() else np.ones_like(nearest)
+    assert np.array_equal(fast.feasible, full.feasible & evaluated)
+    if alpha_at == "nearest":
+        assert full.index == first and not full.fallback
+    if alpha_at == "below_nearest":
+        assert not full.feasible[first]
+    if alpha_at == "none":
+        assert full.fallback and full.index == 0
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.2])
@@ -713,6 +788,32 @@ def test_rmppi_counts_contraction_violations():
     controller.x_star = np.zeros(2)
     _, rec = controller.step(np.array([1.0, 0.0]))
     assert rec.contraction_violation is True
+
+
+def test_rmppi_checks_the_certificate_before_nsp_moves_the_nominal():
+    model = double_integrator(dt=0.05)
+    policy = contraction_feedback(model, np.eye(2), rate=1.0)
+    checked = []
+
+    class RecordingPolicy:
+        def apply_batch(self, x, x_star, t):
+            return policy.apply_batch(x, x_star, t)
+
+        def contraction_step_ok(self, model, x, x_star, u):
+            checked.append((np.array(x), np.array(x_star), np.array(u)))
+            return True
+
+    controller = make_rmppi(model=model, policy_factory=lambda x_star, controls: RecordingPolicy())
+    x0 = np.array([0.5, -0.2])
+    controller.step(x0)
+    x_star, controls = controller.x_star.copy(), controller.controls.copy()
+    x1 = model.step(x0, np.array([0.3]))
+    controller.step(x1)
+    # no NSP is pending at step 0: the nominal and the plan as they stand
+    assert all(np.array_equal(a, b) for a, b in zip(checked[0], (x0, x0, np.zeros(1))))
+    # then the propagated nominal state and the first control of the shifted plan
+    expected = (x1, model.step(x_star, controls[0]), controls[1])
+    assert all(np.array_equal(a, b) for a, b in zip(checked[1], expected))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
