@@ -73,7 +73,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "dynamics": {
         "dt": (_parse_float, "0.02", _FINITE_POSITIVE),
         "control_limit": (_parse_float, "10.0", _POSITIVE),
-        "damping": (_parse_float, "0.5", None),
+        "damping": (_parse_float, "0.5", _FINITE),
     },
     "disturbance": {
         "noise_multiplier": (_parse_float, "1.0", _FINITE_NONNEGATIVE),

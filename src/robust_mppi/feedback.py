@@ -1,4 +1,8 @@
-"""Tracking feedback: finite-horizon LQ gains, constant-metric contraction, rate fitting.
+"""Tracking feedback: finite-horizon LQ gains, constant-metric contraction.
+
+The constant-metric law certifies its own tracking rate.  A policy without
+such a certificate (iLQG gains, no feedback) is given the fixed rate
+``UNCERTIFIED_RATE``.
 
 A policy is one method, ``apply_batch(x, x_star, t)``, mapping real and
 nominal states of shape ``(..., n_x)``, with any leading axes or none, to
@@ -202,33 +206,9 @@ def contraction_feedback(
     )
 
 
-# Trailing tracking residuals the fitted rate of an uncertified policy reads.
-GAMMA_WINDOW = 20
-
-
-def fit_gamma_window(residuals, clip_eps: float = 1e-3) -> float:
-    """Conservative trailing-window tracking rate for policies with no certificate.
-
-    From the first informative (positive) residual ``r0`` on, the rate is the
-    smallest per-step decay factor that envelopes the rest of the window, the
-    max over t >= 1 of ``(residuals[t] / r0) ** (1/t)``, clamped to
-    [clip_eps, 1 - clip_eps].  With no usable decay information the most
-    conservative value, 1 - clip_eps, is returned.  ``clip_eps`` must lie in
-    (0, 0.5), or the clamp bounds would cross.
-    """
-    if not 0.0 < clip_eps < 0.5:
-        raise ValueError(f"clip_eps must lie in (0, 0.5), got {clip_eps}")
-    residuals = np.asarray(list(residuals), dtype=float)
-    fallback = 1.0 - clip_eps
-    pos = np.nonzero(residuals > 0.0)[0]
-    if pos.size == 0 or pos[0] >= residuals.size - 1:
-        return fallback
-    window = residuals[pos[0]:]
-    # a NaN rate would make the growth bound NaN, which verify_bound skips as unbounded
-    if np.any(window < 0.0) or not np.all(np.isfinite(window)):
-        raise ValueError("residuals must be finite and nonnegative")
-    t = np.arange(1, window.size)
-    rest = window[1:]
-    with np.errstate(divide="ignore"):
-        log_ratios = np.where(rest > 0.0, (np.log(rest) - np.log(window[0])) / t, -np.inf)
-    return float(np.clip(np.exp(np.max(log_ratios)), clip_eps, fallback))
+# The tracking rate the growth bound uses for a policy with no contraction
+# certificate.  The bound's factor
+# ``L_phi*g^T + L_q*(1 - g^T)/(1 - g)`` grows with ``g``, so this ceiling
+# gives a bound at least as large as any rate in (0, 1 - 1e-3] would; a rate
+# fitted on tracking residuals could only make the bound less conservative.
+UNCERTIFIED_RATE = 1.0 - 1e-3

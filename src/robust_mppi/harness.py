@@ -26,6 +26,7 @@ from .dynamics import (
     propagate_real,
 )
 from .feedback import (
+    UNCERTIFIED_RATE,
     LinearGainsPolicy,
     ZeroFeedback,
     contraction_feedback,
@@ -189,16 +190,17 @@ def _check_constant_b(cfg: ExperimentConfig, model: SystemModel, b: Array) -> No
 
 
 def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
-    """Return (factory, analytic_gamma).
+    """Return (factory, gamma): the policy factory and the bound's tracking rate.
 
     The factory maps (nominal state, control plan) to a feedback policy.  For
-    the contraction law the policy is state-independent and the tracking rate
-    has the closed form ``exp(-lambda_c * dt)``; gain-scheduled feedback is
-    rebuilt around the current plan on every call and has no analytic rate.
+    the contraction law the policy is state-independent and its certified
+    rate is ``exp(-lambda_c * dt)``.  Gain-scheduled feedback is rebuilt
+    around the current plan on every call; it and no feedback carry no
+    certificate, and get ``UNCERTIFIED_RATE``.
     """
     if cfg.feedback_kind == "none":
         policy = ZeroFeedback(model.n_u)
-        return (lambda x_star, controls: policy), None
+        return (lambda x_star, controls: policy), UNCERTIFIED_RATE
     if cfg.feedback_kind == "contraction":
         n = model.n_x
         metric = np.array(cfg.metric, dtype=float).reshape(n, n)
@@ -223,12 +225,12 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
             states = nominal_trajectory(model, x_star, controls)
             return ilqg_gains(model, states, controls, q_track, r_track)
 
-        return factory, None
+        return factory, UNCERTIFIED_RATE
     raise ValueError(f"unknown feedback kind {cfg.feedback_kind!r}")
 
 
 def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFunction):
-    factory, analytic_gamma = build_policy_factory(cfg, model)
+    factory, gamma = build_policy_factory(cfg, model)
     if cfg.controller == "mppi":
         return MppiController(model, cost, cfg.n_samples, cfg.horizon, cfg.seed)
     if cfg.controller == "tube":
@@ -248,7 +250,7 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
             n_candidates=cfg.n_candidates,
             nsp_samples=cfg.nsp_samples,
             emv_repeats=cfg.emv_repeats,
-            gamma=analytic_gamma,
+            gamma=gamma,
             w_bound=cfg.w_bound,
         )
         return RmppiController(model, cost, settings, cfg.seed, factory)

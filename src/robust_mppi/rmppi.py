@@ -12,7 +12,6 @@ against the realized increments.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .costs import (
     penalty_step_terms,
 )
 from .dynamics import SystemModel
-from .feedback import GAMMA_WINDOW, FeedbackPolicy, fit_gamma_window
+from .feedback import UNCERTIFIED_RATE, FeedbackPolicy
 from .sampling import (
     STREAM_NSP,
     STREAM_ROLLOUT,
@@ -253,7 +252,6 @@ def free_energy_growth_bound(
     u: Array,
     fe_nominal: float,
     emv: float,
-    gamma: float,
 ) -> tuple[float, float]:
     """Upper bound on the next increment of the real system's free energy.
 
@@ -265,8 +263,8 @@ def free_energy_growth_bound(
     ``(alpha - fe_nominal) + 2*emv
     + (L_phi * gamma^T + L_q * (1 - gamma^T) / (1 - gamma)) * D``
 
-    where ``alpha``, ``T`` and the disturbance radius ``w_bound`` come
-    from ``settings``, and ``D`` sums the one-step nominal motion, the
+    where ``alpha``, ``T``, ``gamma`` and the disturbance radius ``w_bound``
+    come from ``settings``, and ``D`` sums the one-step nominal motion, the
     current tracking offset and that radius.  Returns the bound and the same
     bound with the disturbance radius left out of ``D``.
     """
@@ -276,6 +274,7 @@ def free_energy_growth_bound(
     offset = float(np.linalg.norm(x_star - x))
     deviation_no_d = step_motion + offset
     deviation = deviation_no_d + settings.w_bound
+    gamma = settings.gamma
     g_t = gamma**settings.horizon
     factor = cost.lipschitz_phi * g_t + cost.lipschitz_q * (1.0 - g_t) / (1.0 - gamma)
     slack = (settings.alpha - fe_nominal) + 2.0 * emv
@@ -396,6 +395,8 @@ def estimate_value_noise(costs: Array, lam: float, repeats: int) -> float:
 class RmppiSettings:
     """Knobs for the robust controller beyond model and cost.
 
+    ``gamma`` is the tracking rate the growth bound contracts the deviation
+    at: the certified rate of a contraction policy, or ``UNCERTIFIED_RATE``.
     ``emv_repeats`` is the number of batch means behind ``emv``: the nominal
     channel of each step's ``n_samples`` augmented rollouts is split into
     that many sub-batches, so ``n_samples`` must be at least twice it.
@@ -407,7 +408,7 @@ class RmppiSettings:
     n_candidates: int = 8
     nsp_samples: int = 64
     emv_repeats: int = 8
-    gamma: float | None = None
+    gamma: float = UNCERTIFIED_RATE
     w_bound: float = 0.0
 
 
@@ -437,8 +438,8 @@ class RmppiController:
                 raise ValueError(f"growth bound needs {name} on the cost")
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        # a fitted rate always lies in (0, 1); see fit_gamma_window
-        if settings.gamma is not None and not 0.0 < settings.gamma < 1.0:
+        # the bound's factor divides by 1 - gamma
+        if not 0.0 < settings.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {settings.gamma}")
         if not (np.isfinite(settings.w_bound) and settings.w_bound >= 0.0):
             raise ValueError(f"w_bound must be finite and nonnegative, got {settings.w_bound}")
@@ -461,7 +462,6 @@ class RmppiController:
         self._nsp_pending = False
         # the nominal starts on the first measured state, as if NSP chose it
         self._nsp_chose_x = True
-        self._residuals: deque[float] = deque(maxlen=GAMMA_WINDOW)
 
     def _resolve_nominal(self, x: Array, x_star_prop: Array) -> NominalDecision:
         """Run the deferred nominal-state update against the new measurement.
@@ -491,11 +491,6 @@ class RmppiController:
         self.controls = decision.control_sequence
         return decision
 
-    def _tracking_gamma(self) -> float:
-        if self.s.gamma is not None:
-            return self.s.gamma
-        return fit_gamma_window(np.array(self._residuals))
-
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
         if self.x_star is None:
@@ -509,7 +504,6 @@ class RmppiController:
             x_star_prop = self.model.step(self.x_star, self.controls[0])
             check_star, check_u = x_star_prop, shift_control_sequence(self.controls)[0]
             decision = self._resolve_nominal(x, x_star_prop)
-        self._residuals.append(float(np.linalg.norm(x - self.x_star)))
 
         policy = self.policy_factory(self.x_star, self.controls)
         violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
@@ -548,9 +542,8 @@ class RmppiController:
             self._nsp_pending = True
 
         emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
-        gamma_hat = self._tracking_gamma()
         bound, bound_no_d = free_energy_growth_bound(
-            self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv, gamma_hat
+            self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv
         )
         self.step_index += 1
         return action, StepRecord(
@@ -561,7 +554,7 @@ class RmppiController:
             bound=bound,
             bound_no_d=bound_no_d,
             cand_idx=-1 if decision is None else decision.index,
-            gamma_hat=gamma_hat,
+            gamma_hat=self.s.gamma,
             emv=emv,
             nsp_fallback=decision is not None and decision.fallback,
             contraction_violation=violation,

@@ -7,8 +7,10 @@ per-step penalty terms by the two ``einsum`` calls the library used before
 it worked on columns, sampled Lipschitz constants, normalized importance
 weights with the proposal correction written out, the density ratio of one
 augmented noise sequence, the LQ tracking gains from a Riccati pass that
-linearizes point by point, and the full tracking-rate fit with its envelope
-flags, which ``feedback.fit_gamma_window`` computes on a trailing window.
+linearizes point by point, and the tracking-rate fit with its envelope flags,
+which the acceptance test applies to the contraction law's residuals.  The
+library fits no rate: a policy without a certificate runs at
+``feedback.UNCERTIFIED_RATE``.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.stats import multivariate_normal
 
 from robust_mppi.config import load_config
@@ -29,6 +30,7 @@ from robust_mppi.harness import (
     build_model,
     compare_controllers,
     run_closed_loop,
+    verify_bound,
 )
 from robust_mppi.rmppi import RmppiController, RmppiSettings, mixed_cost
 from robust_mppi.sampling import (
@@ -214,6 +216,7 @@ def test_tracking_policies_hold_rates_on_the_double_integrator():
     assert ok
 
 
+@pytest.mark.slow
 def test_growth_bound_holds_under_heavy_control_noise():
     start = time.perf_counter()
     seeds = range(5)
@@ -250,6 +253,7 @@ def test_growth_bound_holds_under_heavy_control_noise():
     assert ok
 
 
+@pytest.mark.slow
 def test_growth_bound_holds_on_the_nonlinear_benchmark():
     worst = 0.0
     completed = True
@@ -267,6 +271,7 @@ def test_growth_bound_holds_on_the_nonlinear_benchmark():
     assert ok
 
 
+@pytest.mark.slow
 def test_robust_controller_survives_where_plain_sampling_crashes():
     crashes = {"mppi": 0, "tube": 0, "rmppi": 0}
     for seed in range(10):
@@ -279,6 +284,34 @@ def test_robust_controller_survives_where_plain_sampling_crashes():
         ok,
         f"crashes over 10 seeds: mppi={crashes['mppi']} tube={crashes['tube']} "
         f"rmppi={crashes['rmppi']}",
+    )
+    assert ok
+
+
+def test_growth_bound_holds_on_the_wall_with_ilqg_feedback():
+    # iLQG carries no certificate, so the bound contracts at the rate
+    # ceiling.  On this seed the residuals |x - x_star| after nominal-state
+    # propagation are mostly zero, and a rate fitted on them would fail the
+    # bound twice, once by a factor of 3.3.
+    cfg = load_config(
+        WALL_COMPARE,
+        [
+            "feedback.kind=ilqg",
+            "experiment.controller=rmppi",
+            "experiment.steps=600",
+            "experiment.seed=8",
+        ],
+    )
+    log = run_closed_loop(cfg)
+    bound = log.column("bound")[:-1]
+    worst = float(np.max(log.column("dfe")[1:] / bound))
+    violations = int(verify_bound(log).violations.sum())
+    ok = log.summary["steps_run"] == 600 and violations == 0
+    _report(
+        "growth bound covers the wall corridor under iLQG feedback",
+        ok,
+        f"seed 8, {log.summary['steps_run']} steps, {violations} violations, "
+        f"worst dfe/bound {worst:.2f}",
     )
     assert ok
 

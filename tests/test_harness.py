@@ -13,7 +13,12 @@ from robust_mppi import config, harness, rmppi
 from robust_mppi.cli import main
 from robust_mppi.config import ExperimentConfig, load_config, render_config
 from robust_mppi.dynamics import SystemModel, nonlinear_benchmark, register_system
-from robust_mppi.feedback import ContractionPolicy, LinearGainsPolicy, ZeroFeedback
+from robust_mppi.feedback import (
+    UNCERTIFIED_RATE,
+    ContractionPolicy,
+    LinearGainsPolicy,
+    ZeroFeedback,
+)
 from robust_mppi.harness import (
     RunLog,
     build_cost,
@@ -154,6 +159,10 @@ LOAD_TIME_REJECTIONS = {
     # infinite plant noise, quietly saturated at the control limit by the clamp
     "disturbance.noise_multiplier=inf": "disturbance.noise_multiplier must be finite and >= 0",
     "harness.x0=inf,0": "harness.x0 must be finite in every entry",
+    # an infinite damping times a zero rate is NaN: every sample crashes on
+    # the first step and the run ends with exit 0
+    "experiment.system=nonlinear_benchmark dynamics.damping=inf": "dynamics.damping must be finite",
+    "dynamics.damping=-inf": "dynamics.damping must be finite",
     "harness.crash_box=10,0": "harness.crash_box must be positive in every entry",
     "harness.crash_box=-10,20": "harness.crash_box must be positive in every entry",
     # fail at build with a message that does not name the key
@@ -197,7 +206,8 @@ def test_values_that_would_fail_mid_run_are_rejected_at_load(override):
         "cost.wall_offsets=0,inf",
         "cost.wall_offsets=inf,inf",
         "feedback.q_track=0,0",
-        # no term of the growth bound depends on the damping
+        # a negative damping pumps energy in, but no term of the growth bound
+        # depends on the damping
         "dynamics.damping=-5",
         # the contraction rate is read only with feedback.kind=contraction
         "feedback.lambda_c=40000",
@@ -384,7 +394,7 @@ def test_build_policy_factory_kinds():
     model = build_model(cfg)
     factory, gamma = build_policy_factory(cfg, model)
     assert isinstance(factory(np.zeros(2), np.zeros((5, 1))), ZeroFeedback)
-    assert gamma is None
+    assert gamma == UNCERTIFIED_RATE
 
     c_cfg = cfg.with_values(**{"feedback.kind": "contraction", "feedback.lambda_c": "1.2"})
     factory, gamma = build_policy_factory(c_cfg, model)
@@ -397,7 +407,7 @@ def test_build_policy_factory_kinds():
     policy = factory(np.zeros(2), np.zeros((5, 1)))
     assert isinstance(policy, LinearGainsPolicy)
     assert policy.gains.shape == (5, 1, 2)
-    assert gamma is None
+    assert gamma == UNCERTIFIED_RATE
 
 
 def state_dependent_input(dt=0.02, control_limit=10.0):

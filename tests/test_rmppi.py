@@ -12,10 +12,10 @@ from scipy.stats import multivariate_normal
 from robust_mppi.costs import CostFunction
 from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
 from robust_mppi.feedback import (
+    UNCERTIFIED_RATE,
     LinearGainsPolicy,
     ZeroFeedback,
     contraction_feedback,
-    fit_gamma_window,
 )
 from robust_mppi.rmppi import (
     RmppiController,
@@ -443,16 +443,65 @@ def test_growth_bound_frozen_arithmetic():
     # deviation is the tracking offset plus, when included, the ball radius.
     model = double_integrator(dt=0.5)
     cost = dataclasses.replace(simple_cost(), lipschitz_q=1.0, lipschitz_phi=2.0)
-    bound_settings = RmppiSettings(n_samples=16, horizon=2, alpha=10.0, w_bound=0.25)
+    bound_settings = RmppiSettings(
+        n_samples=16, horizon=2, alpha=10.0, gamma=0.5, w_bound=0.25
+    )
     x = np.zeros(2)
     x_star = np.array([1.0, 0.0])
     u = np.zeros(1)
     with_ball, without = free_energy_growth_bound(
-        model, cost, bound_settings, x, x_star, u, fe_nominal=3.0, emv=0.5, gamma=0.5
+        model, cost, bound_settings, x, x_star, u, fe_nominal=3.0, emv=0.5
     )
     assert with_ball == 10.5
     assert without == 10.0
     assert with_ball - without == 0.5
+
+
+@st.composite
+def bound_problems(draw):
+    """Lipschitz constants, horizon, states, offset, radius and the rates to compare."""
+    lipschitz_q, lipschitz_phi = draw(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2))
+    cost = dataclasses.replace(
+        simple_cost(), lipschitz_q=lipschitz_q, lipschitz_phi=lipschitz_phi
+    )
+    settings_ = RmppiSettings(
+        n_samples=16,
+        horizon=draw(st.integers(1, 200)),
+        alpha=draw(st.floats(-1e4, 1e4)),
+        w_bound=draw(st.floats(0.0, 10.0)),
+    )
+    vectors = hnp.arrays(float, 2, elements=st.floats(-10.0, 10.0))
+    x, x_star = draw(vectors), draw(vectors)
+    u = draw(hnp.arrays(float, 1, elements=st.floats(-10.0, 10.0)))
+    fe_nominal, emv = draw(st.floats(-1e4, 1e4)), draw(st.floats(0.0, 1e3))
+    rates = draw(st.lists(st.floats(0.0, UNCERTIFIED_RATE, exclude_min=True), max_size=8))
+    return cost, settings_, x, x_star, u, fe_nominal, emv, rates
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bound_problems())
+def test_growth_bound_is_nondecreasing_in_the_tracking_rate(problem):
+    """The bound at UNCERTIFIED_RATE covers the bound at every smaller rate.
+
+    The factor ``L_phi*g^T + L_q*(1 + g + ... + g^(T-1))`` grows with g;
+    the closed form divides two rounded differences, so neighbouring rates
+    may order their bounds the wrong way by a few ulps of the sum's terms.
+    """
+    cost, settings_, x, x_star, u, fe_nominal, emv, rates = problem
+    model = double_integrator(dt=0.05)
+    rates = sorted(set(rates) | {UNCERTIFIED_RATE})
+    bounds = []
+    for gamma in rates:
+        at_rate = dataclasses.replace(settings_, gamma=gamma)
+        bounds.append(
+            free_energy_growth_bound(model, cost, at_rate, x, x_star, u, fe_nominal, emv)
+        )
+    slack = abs(settings_.alpha - fe_nominal) + 2.0 * emv
+    for (lo, lo_no_d), (hi, hi_no_d) in zip(bounds, bounds[1:]):
+        assert hi >= lo - 1e-12 * (slack + abs(hi))
+        assert hi_no_d >= lo_no_d - 1e-12 * (slack + abs(hi_no_d))
+    top = bounds[-1][0]
+    assert all(b <= top + 1e-12 * (slack + abs(top)) for b, _ in bounds)
 
 
 def test_tube_step_reset_rule_follows_the_gap_sign():
@@ -674,11 +723,12 @@ def test_rmppi_refuses_settings_that_would_fail_at_a_step(setting, value):
         make_rmppi(**{setting: value})
 
 
-def test_rmppi_fits_gamma_on_the_last_20_residuals():
+def test_rmppi_holds_an_uncertified_policy_at_the_rate_ceiling():
     # alpha below every free energy makes each nominal-state propagation
     # fall back, so the nominal state stays at the first measured state and
-    # the residuals are the distances chosen here: growth over the first
-    # five steps, then decay at rate 0.8
+    # the residuals are the distances chosen here: zero on the first step,
+    # growth over the next four, then decay at rate 0.8.  A policy with no
+    # certificate gets the ceiling on every step, whatever its residuals show.
     controller = make_rmppi(alpha=-1e6)
     radii = [0.0, 0.5, 1.0, 2.0, 4.0] + [4.0 * 0.8**k for k in range(1, 21)]
     residuals = []
@@ -686,10 +736,8 @@ def test_rmppi_fits_gamma_on_the_last_20_residuals():
         x = np.array([r, 0.0])
         _, rec = controller.step(x)
         residuals.append(float(np.linalg.norm(x - rec.x_star)))
+        assert rec.gamma_hat == 1.0 - 1e-3
     assert residuals == radii
-    assert rec.gamma_hat == fit_gamma_window(residuals[-20:])
-    assert rec.gamma_hat == pytest.approx(0.8)
-    assert fit_gamma_window(residuals) == 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("n_samples, emv_repeats", [(7, 4), (32, 1)])
@@ -755,9 +803,11 @@ def test_rmppi_honors_a_fixed_tracking_rate():
 def test_rmppi_rate_fallback_with_an_uninformative_window():
     controller = make_rmppi()
     _, rec = controller.step(np.array([0.5, -0.2]))
-    # the first residual is zero (the nominal starts at the measurement), so
-    # the trailing window has no decay information yet
+    # the first residual is zero (the nominal starts at the measurement) and
+    # carries no decay information; a policy without a certificate runs at
+    # the rate ceiling from the first step on
     assert rec.gamma_hat == 1.0 - 1e-3
+    assert rec.gamma_hat == UNCERTIFIED_RATE
 
 
 def test_rmppi_bound_wiring_matches_its_parts():
