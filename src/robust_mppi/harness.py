@@ -122,6 +122,17 @@ def build_cost(cfg: ExperimentConfig, model: SystemModel) -> CostFunction:
         raise ValueError("harness.crash_box must match the state dimension")
     if len(cfg.x0) != model.n_x:
         raise ValueError("harness.x0 must match the state dimension")
+    # the same strict test as the crash check, so a start on the edge runs
+    if np.any(np.abs(np.subtract(cfg.x0, cfg.target)) > np.array(cfg.crash_box)):
+        raise ValueError(
+            "harness.x0 lies outside the crash box: every entry of "
+            "|harness.x0 - cost.target| must be at most harness.crash_box"
+        )
+    if cfg.wall_offsets is not None and len(cfg.wall_offsets) not in (1, model.n_x):
+        raise ValueError(
+            f"cost.wall_offsets must have 1 or n_x = {model.n_x} entries, "
+            f"got {len(cfg.wall_offsets)}"
+        )
     if cfg.feedback_kind == "ilqg" and len(cfg.q_track) != model.n_x:
         raise ValueError("feedback.q_track must match the state dimension")
     if cfg.feedback_kind == "ilqg" and len(cfg.r_track) != model.n_u:

@@ -415,13 +415,16 @@ class RmppiSettings:
 class RmppiController:
     """Robust controller: augmented sampling, tracking feedback, bound output.
 
-    Each call to :meth:`step` first resolves the nominal-state update deferred
-    from the previous call (it needs the newly measured state), then rebuilds
-    the tracking policy about the nominal plan, evaluates the augmented batch,
-    and produces the action ``U_0 + K(x - x_star) + weighted noise`` where the
-    noise weights come from the real-cost channel and the plan update weights
-    from the mixed channel.  The step record carries the forward-looking growth
-    bound for the next free-energy increment.
+    Each call to :meth:`step` first moves the nominal state, which needs the
+    newly measured state: on every step after the first it propagates the
+    nominal one step under the plan and shifts the plan, then, unless the
+    previous step was degenerate (every sample crashed), runs nominal-state
+    propagation from that pair.  It then rebuilds the tracking policy about
+    the nominal plan, evaluates the augmented batch, and produces the action
+    ``U_0 + K(x - x_star) + weighted noise`` where the noise weights come from
+    the real-cost channel and the plan update weights from the mixed channel.
+    The step record carries the nominal state the action tracked and the
+    forward-looking growth bound for the next free-energy increment.
     """
 
     def __init__(
@@ -459,37 +462,10 @@ class RmppiController:
         self.controls = np.zeros((settings.horizon, model.n_u))
         self.x_star: Array | None = None  # set to the first measured state
         self.step_index = 0
-        self._nsp_pending = False
-        # the nominal starts on the first measured state, as if NSP chose it
-        self._nsp_chose_x = True
-
-    def _resolve_nominal(self, x: Array, x_star_prop: Array) -> NominalDecision:
-        """Run the deferred nominal-state update against the new measurement.
-
-        ``x_star_prop`` is the nominal state propagated one step under the
-        plan.  The search tries the candidates nearest ``x`` first when the
-        last update chose the measured state, which it then usually does again.
-        """
-        self._nsp_pending = False
-        draws = step_draws(
-            self.seed, self.step_index, STREAM_NSP, self.s.nsp_samples, self.s.horizon, self.cost
-        )
-        decision = nominal_state_propagation(
-            self.model,
-            self.cost,
-            x,
-            self.x_star,
-            x_star_prop,
-            self.controls,
-            self.s.alpha,
-            self.s.n_candidates,
-            draws,
-            nearest_first=self._nsp_chose_x,
-        )
-        self._nsp_chose_x = decision.index == self.s.n_candidates
-        self.x_star = decision.candidates[decision.index].copy()
-        self.controls = decision.control_sequence
-        return decision
+        # how the next step moves the nominal: None after a degenerate step
+        # (open loop under the plan), otherwise NSP's search order, nearest
+        # first after NSP chose the measured state or after a step without NSP
+        self._nsp_nearest_first: bool | None = True
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
@@ -500,10 +476,31 @@ class RmppiController:
         # its shifted plan applies at this step
         decision = None
         check_star, check_u = self.x_star, self.controls[0]
-        if self._nsp_pending:
+        if self.step_index > 0:
             x_star_prop = self.model.step(self.x_star, self.controls[0])
-            check_star, check_u = x_star_prop, shift_control_sequence(self.controls)[0]
-            decision = self._resolve_nominal(x, x_star_prop)
+            shifted = shift_control_sequence(self.controls)
+            check_star, check_u = x_star_prop, shifted[0]
+            if self._nsp_nearest_first is None:
+                self.x_star, self.controls = x_star_prop, shifted
+            else:
+                nsp_draws = step_draws(
+                    self.seed, self.step_index, STREAM_NSP, self.s.nsp_samples, self.s.horizon,
+                    self.cost,
+                )
+                decision = nominal_state_propagation(
+                    self.model,
+                    self.cost,
+                    x,
+                    self.x_star,
+                    x_star_prop,
+                    self.controls,
+                    self.s.alpha,
+                    self.s.n_candidates,
+                    nsp_draws,
+                    nearest_first=self._nsp_nearest_first,
+                )
+                self.x_star = decision.candidates[decision.index].copy()
+                self.controls = decision.control_sequence
 
         policy = self.policy_factory(self.x_star, self.controls)
         violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
@@ -528,8 +525,7 @@ class RmppiController:
             action = self.model.clamp(self.controls[0] + feedback0)
             fe_real = self.cost.crash_cost
             fe_nom = self.cost.crash_cost
-            self.x_star = self.model.step(self.x_star, self.controls[0])
-            self.controls = shift_control_sequence(self.controls)
+            self._nsp_nearest_first = None
         else:
             w_real = softmax_weights(roll.real, self.cost.lam)
             w_nom = softmax_weights(roll.mixed, self.cost.lam)
@@ -539,7 +535,7 @@ class RmppiController:
             fe_real = free_energy_mc(roll.real, self.cost.lam)
             fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
             self.controls = mppi_update(self.controls, w_nom, draws)
-            self._nsp_pending = True
+            self._nsp_nearest_first = decision is None or decision.index == self.s.n_candidates
 
         emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
         bound, bound_no_d = free_energy_growth_bound(

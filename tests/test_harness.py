@@ -356,13 +356,17 @@ def test_build_cost_rejects_dimension_mismatches():
         build_cost(cfg.with_values(**{"harness.crash_box": "10"}), model)
 
 
-# Shapes that only the built system can check; each failed inside numpy at
-# step 0 before it was rejected at build time by name.
+# Values that only the built system can check; each failed inside numpy
+# (or, for a start outside the crash box, ended the run as a crash on step 0)
+# before it was rejected at build time by name.
 BUILD_TIME_REJECTIONS = {
     "harness.x0=0,0,0": "harness.x0",
     "feedback.kind=ilqg feedback.q_track=1,2,3": "feedback.q_track",
     "feedback.kind=ilqg feedback.r_track=1,1": "feedback.r_track",
     "feedback.kind=contraction feedback.metric=1,2,3": "feedback.metric",
+    "cost.wall_offsets=1,1,1 cost.wall_slope=10": "cost.wall_offsets",
+    "harness.x0=50,0": "harness.x0.*cost.target.*harness.crash_box",
+    "cost.target=0,50": "harness.x0.*cost.target.*harness.crash_box",
 }
 
 
@@ -371,6 +375,23 @@ def test_shapes_that_would_fail_at_step_zero_are_rejected_when_built(overrides):
     cfg = load_config(overrides=overrides.split())
     with pytest.raises(ValueError, match=BUILD_TIME_REJECTIONS[overrides]):
         build_cost(cfg, build_model(cfg))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # the crash check is strict, so a start on the box edge runs
+        ("harness.x0=10,-20",),
+        ("cost.target=-10,20",),
+        # one offset broadcasts to every coordinate
+        ("cost.wall_offsets=1", "cost.wall_slope=10"),
+    ],
+)
+def test_values_next_to_the_build_time_rejections_are_accepted(overrides):
+    cfg = load_config(overrides=overrides)
+    cost = build_cost(cfg, build_model(cfg))
+    assert np.isfinite(cost.state_cost(np.array(cfg.x0)))
+    assert np.isfinite(cost.lipschitz_q)
 
 
 @pytest.mark.parametrize("metric", ["1,0,0,-1", "1,5,0,1", "0,0,0,0"])
@@ -668,3 +689,31 @@ def test_nsp_rolls_out_every_candidate_after_the_measurement_lost(monkeypatch):
         chose_x = index == 8
     assert groups == expected
     assert {1, 8, 9} <= set(groups)
+
+
+@pytest.mark.parametrize(
+    "config, steps", [("di_wall_compare_x100.ini", 150), ("di_stress_x100.ini", 60)]
+)
+def test_the_nsp_search_order_never_shows_in_a_closed_loop(config, steps, monkeypatch, tmp_path):
+    nsp = rmppi.nominal_state_propagation
+    cfg = load_config(str(CONFIGS / config), [f"experiment.steps={steps}"])
+    runs = {}
+    for forced in (None, True, False):
+        orders = []
+
+        def forced_nsp(*args, nearest_first):
+            orders.append(nearest_first)
+            return nsp(*args, nearest_first=nearest_first if forced is None else forced)
+
+        monkeypatch.setattr(rmppi, "nominal_state_propagation", forced_nsp)
+        groups = record_nsp_groups(monkeypatch)
+        path = tmp_path / f"{forced}.csv"
+        run_closed_loop(cfg).to_csv(path)
+        monkeypatch.undo()
+        runs[forced] = path.read_bytes(), set(orders), sum(groups)
+    assert runs[True][0] == runs[None][0]
+    assert runs[False][0] == runs[None][0]
+    # the forced orders did run differently
+    assert runs[True][2] < runs[False][2]
+    if config == "di_wall_compare_x100.ini":
+        assert runs[None][1] == {True, False}

@@ -420,13 +420,13 @@ def test_nearest_first_search_decides_as_the_full_search(problem):
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.2])
-def test_bound_params_reject_gamma_outside_the_open_unit_interval(gamma):
+def test_rmppi_rejects_a_tracking_rate_outside_the_open_unit_interval(gamma):
     # the bound's parameters are checked once, when the controller is built
     with pytest.raises(ValueError, match="gamma"):
         make_rmppi(gamma=gamma)
 
 
-def test_bound_params_reject_bad_constants():
+def test_rmppi_rejects_bad_bound_constants_when_built():
     make_rmppi(gamma=0.5, w_bound=0.0)
     for w_bound in (np.nan, np.inf, -0.5):
         with pytest.raises(ValueError, match="w_bound"):
@@ -788,8 +788,9 @@ def test_rmppi_resolves_the_nominal_update_one_step_late():
     controller = make_rmppi()
     x = np.array([0.5, -0.2])
     _, rec0 = controller.step(x)
-    assert rec0.cand_idx == -1
-    assert controller._nsp_pending
+    # the first step runs no NSP; a step that is not degenerate leaves it
+    # to the next one
+    assert rec0.cand_idx == -1 and not rec0.degen
     _, rec1 = controller.step(controller.model.step(x, np.zeros(1)))
     assert 0 <= rec1.cand_idx <= 4
 
@@ -800,12 +801,11 @@ def test_rmppi_honors_a_fixed_tracking_rate():
     assert rec.gamma_hat == 0.8
 
 
-def test_rmppi_rate_fallback_with_an_uninformative_window():
+def test_rmppi_runs_an_uncertified_policy_at_the_rate_ceiling_from_step_zero():
     controller = make_rmppi()
     _, rec = controller.step(np.array([0.5, -0.2]))
-    # the first residual is zero (the nominal starts at the measurement) and
-    # carries no decay information; a policy without a certificate runs at
-    # the rate ceiling from the first step on
+    # on step 0 the nominal sits on the measurement, so no tracking has been
+    # observed; a policy without a certificate runs at the ceiling anyway
     assert rec.gamma_hat == 1.0 - 1e-3
     assert rec.gamma_hat == UNCERTIFIED_RATE
 
@@ -877,10 +877,18 @@ def test_rmppi_degenerate_batch_falls_back():
     assert rec.degen is True
     assert np.array_equal(action, np.zeros(1))
     assert rec.fe_real == controller.cost.crash_cost
+    # the row logs the nominal its action tracked, the first measured state,
+    # so the bound's offset term is zero
+    assert np.array_equal(rec.x_star, x)
     assert np.isfinite(rec.bound)
-    assert not controller._nsp_pending
+    assert (rec.bound, rec.bound_no_d) == free_energy_growth_bound(
+        model, controller.cost, controller.s, x, x, action, rec.fe_nom, rec.emv
+    )
     _, rec1 = controller.step(x)
+    # after a degenerate step the nominal moves open loop under the plan,
+    # which the degenerate step left unchanged (zeros); no NSP runs
     assert rec1.cand_idx == -1
+    assert np.array_equal(rec1.x_star, model.step(x, np.zeros(1)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
