@@ -3,7 +3,8 @@
 Exit codes: 0 success (for ``verify-bound``, a log with no violations), 1 a
 completed check that found problems (bound violations, failed selftest), 2
 usage, configuration or input errors (a file that is missing, unreadable or
-not a run log).
+not a run log) and a run whose iLQG tracking gains diverged
+(``feedback.kind=ilqg`` on a system whose linearization is not stabilizable).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
+from .feedback import RiccatiDivergenceError
 from .harness import RunLog, compare_controllers, run_closed_loop, summary_table, verify_bound
 
 
@@ -133,6 +135,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RiccatiDivergenceError as exc:
+        print(f"error: feedback.kind=ilqg: {exc}; try another feedback.kind", file=sys.stderr)
         return 2
 
 

@@ -64,7 +64,9 @@ class SystemModel:
         central finite differences on ``deriv`` are used, perturbing one
         coordinate across all points at once.
     control_low, control_high:
-        Per-channel actuation limits; ``None`` disables clamping.
+        Per-channel actuation limits; ``None`` disables clamping.  They must
+        bracket zero, so that a zero tracking correction stays zero after
+        the clamp (see :class:`~robust_mppi.feedback.FeedbackPolicy`).
     """
 
     name: str
@@ -81,6 +83,10 @@ class SystemModel:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_x < 1 or self.n_u < 1:
             raise ValueError("state and control dimensions must be at least 1")
+        for name, outside in (("control_low", np.greater), ("control_high", np.less)):
+            limit = getattr(self, name)
+            if limit is not None and np.any(outside(limit, 0.0)):
+                raise ValueError(f"{name} must keep zero inside the actuation limits, got {limit}")
 
     def clamp(self, u: Array) -> Array:
         """Clip a control (batch) to the actuation limits."""

@@ -24,7 +24,16 @@ Array = np.ndarray
 
 
 class FeedbackPolicy(Protocol):
-    """Anything mapping (real states, nominal states, time index) to corrections."""
+    """Anything mapping (real states, nominal states, time index) to corrections.
+
+    A zero offset must give an exactly zero correction:
+    ``apply_batch(s, s, t)`` is zero for every finite ``s`` and every ``t``.
+    ``rmppi.augmented_rollouts`` relies on it to roll out only the nominal
+    copy when both copies start on the same state.  The three policies here
+    meet it whenever the limits they clamp to bracket zero, as
+    :class:`~robust_mppi.dynamics.SystemModel` requires of the model's limits,
+    which the builders below pass on.
+    """
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array: ...
 

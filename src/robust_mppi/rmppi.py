@@ -99,39 +99,58 @@ def augmented_rollouts(
 
     Samples where either copy leaves the finite range are marked crashed and
     priced at ``cost.crash_cost`` in every channel.
+
+    When the two copies start on the same state, as after nominal-state
+    propagation chose the measured state, only the nominal copy is rolled
+    out: a zero offset gives a zero correction (see
+    :class:`~robust_mppi.feedback.FeedbackPolicy`), so the real copy would
+    repeat it bit for bit, ``state_real = state_nom`` and
+    ``penalized = state_nom``, and ``real`` has the bits of ``nominal_eval``.
     """
-    starts = np.stack([np.asarray(x0, dtype=float), np.asarray(x0_star, dtype=float)])
-    # group 1 (nominal) stays uncorrected, so one buffer serves every horizon
-    # step; only the real group's corrections are kept for pricing
-    correction = np.zeros((2, draws.shape[0], controls.shape[-1]))
-    k_real = scratch("k_real", draws.shape)
+    x0 = np.asarray(x0, dtype=float)
+    x0_star = np.asarray(x0_star, dtype=float)
+    twin = np.array_equal(x0, x0_star)
+    if twin:
+        # the +0.0 the nominal copy's zero correction adds, so signed zeros match
+        state, crashed = propagate(model, cost, x0_star[None, None], controls + 0.0, draws)
+    else:
+        # group 1 (nominal) stays uncorrected, so one buffer serves every
+        # horizon step; only the real group's corrections are kept for pricing
+        correction = np.zeros((2, draws.shape[0], controls.shape[-1]))
+        k_real = scratch("k_real", draws.shape)
 
-    def feedback(x: Array, t: int) -> Array:
-        # the real copy (group 0) tracks the nominal copy (group 1)
-        k = policy.apply_batch(x[0], x[1], t)
-        k_real[:, t] = k
-        correction[0] = k
-        return correction
+        def feedback(x: Array, t: int) -> Array:
+            # the real copy (group 0) tracks the nominal copy (group 1)
+            k = policy.apply_batch(x[0], x[1], t)
+            k_real[:, t] = k
+            correction[0] = k
+            return correction
 
-    state, crashed = propagate(model, cost, starts[:, None], controls, draws, feedback)
-    state_real, state_nom = state
+        starts = np.stack([x0, x0_star])[:, None]
+        state, crashed = propagate(model, cost, starts, controls, draws, feedback)
     crashed = crashed.any(axis=0)
 
     coef_beta = control_penalty_coef(cost.lam, cost.beta, beta_weighted=True)
     coef_plain = control_penalty_coef(cost.lam, cost.beta, beta_weighted=False)
-    # the three penalties fill the same (N, T) buffers in turn; each is
-    # summed over the horizon before the next one overwrites them
+    # the penalties fill the same (N, T) buffer in turn; each is summed over
+    # the horizon before the next one overwrites it.  One unscaled control
+    # penalty is scaled by both coefficients.
     terms = scratch("penalty", draws.shape[:-1])
-    work = scratch("penalty_work", draws.shape[:-1])
-    penalized = state_real + coef_beta * penalty_step_terms(
-        k_real, 0.0, cost.sigma_inv, terms, work
-    ).sum(axis=-1)
-    k_real += controls  # the applied u + k, in place to spare an (N, T, n_u) array
-    real = state_real + coef_beta * penalty_step_terms(
-        k_real, draws, cost.sigma_inv, terms, work
-    ).sum(axis=-1)
-    # one unscaled control penalty, scaled by both coefficients
     ctrl = control_penalty_batch(controls, draws, cost.sigma_inv, terms)
+    if twin:
+        # a zero correction has a zero penalty
+        state_real = state_nom = penalized = state[0]
+        real_ctrl = ctrl
+    else:
+        state_real, state_nom = state
+        work = scratch("penalty_work", draws.shape[:-1])
+        penalized = state_real + coef_beta * penalty_step_terms(
+            k_real, 0.0, cost.sigma_inv, terms, work
+        ).sum(axis=-1)
+        k_real += controls  # the applied u + k, in place to spare an (N, T, n_u) array
+        real_ctrl = penalty_step_terms(k_real, draws, cost.sigma_inv, terms, work).sum(axis=-1)
+    # three fresh arrays: the crash fill below writes each channel in place
+    real = state_real + coef_beta * real_ctrl
     mixed = mixed_cost(state_nom, penalized, alpha) + coef_plain * ctrl
     nominal_eval = state_nom + coef_beta * ctrl
 
@@ -424,7 +443,8 @@ class RmppiController:
     ``U_0 + K(x - x_star) + weighted noise`` where the noise weights come from
     the real-cost channel and the plan update weights from the mixed channel.
     The step record carries the nominal state the action tracked and the
-    forward-looking growth bound for the next free-energy increment.
+    forward-looking growth bound for the next free-energy increment, which
+    is infinite after a degenerate step.
     """
 
     def __init__(
@@ -520,11 +540,15 @@ class RmppiController:
             self.s.alpha,
         )
         feedback0 = policy.apply_batch(x, self.x_star, 0)
+        emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
         degenerate = bool(roll.crashed.all())
         if degenerate:
             action = self.model.clamp(self.controls[0] + feedback0)
             fe_real = self.cost.crash_cost
             fe_nom = self.cost.crash_cost
+            # every sample crashed: there is no free energy to bound the
+            # next increment from
+            bound = bound_no_d = np.inf
             self._nsp_nearest_first = None
         else:
             w_real = softmax_weights(roll.real, self.cost.lam)
@@ -534,13 +558,12 @@ class RmppiController:
             )
             fe_real = free_energy_mc(roll.real, self.cost.lam)
             fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
+            bound, bound_no_d = free_energy_growth_bound(
+                self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv
+            )
             self.controls = mppi_update(self.controls, w_nom, draws)
             self._nsp_nearest_first = decision is None or decision.index == self.s.n_candidates
 
-        emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
-        bound, bound_no_d = free_energy_growth_bound(
-            self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv
-        )
         self.step_index += 1
         return action, StepRecord(
             fe_real=fe_real,

@@ -7,7 +7,8 @@ per-step penalty terms by the two ``einsum`` calls the library used before
 it worked on columns, sampled Lipschitz constants, normalized importance
 weights with the proposal correction written out, the density ratio of one
 augmented noise sequence, the LQ tracking gains from a Riccati pass that
-linearizes point by point, and the tracking-rate fit with its envelope flags,
+linearizes point by point, the augmented batch rolled out as two copies
+whatever its starts, and the tracking-rate fit with its envelope flags,
 which the acceptance test applies to the contraction law's residuals.  The
 library fits no rate: a policy without a certificate runs at
 ``feedback.UNCERTIFIED_RATE``.
@@ -19,8 +20,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from robust_mppi.costs import CostFunction, control_penalty_coef
+from robust_mppi.costs import (
+    CostFunction,
+    control_penalty_batch,
+    control_penalty_coef,
+    penalty_step_terms,
+)
 from robust_mppi.feedback import RiccatiDivergenceError
+from robust_mppi.rmppi import AugmentedRollout, mixed_cost
+from robust_mppi.sampling import propagate
 
 Array = np.ndarray
 
@@ -121,6 +129,42 @@ def augmented_density_ratio(
     shifted = u_seq + k_seq
     quad = np.einsum("tu,uv,tv->", shifted, sigma_inv, shifted + 2.0 * eps_seq)
     return float(np.exp(-0.5 * quad))
+
+
+def augmented_rollouts_two_copies(
+    model, cost: CostFunction, x0: Array, x0_star: Array, controls: Array, policy,
+    draws: Array, alpha: float,
+) -> AugmentedRollout:
+    """``rmppi.augmented_rollouts`` rolling out the real and the nominal copy.
+
+    The library rolls out the nominal copy alone when the two starts are
+    equal; this keeps the two-copy route for every start, with the tracking
+    correction applied and priced, and fresh arrays for the buffers.
+    """
+    starts = np.stack([np.asarray(x0, dtype=float), np.asarray(x0_star, dtype=float)])
+    correction = np.zeros((2, draws.shape[0], controls.shape[-1]))
+    k_real = np.empty(draws.shape)
+
+    def feedback(x: Array, t: int) -> Array:
+        k = policy.apply_batch(x[0], x[1], t)
+        k_real[:, t] = k
+        correction[0] = k
+        return correction
+
+    state, crashed = propagate(model, cost, starts[:, None], controls, draws, feedback)
+    state_real, state_nom = state
+    crashed = crashed.any(axis=0)
+    coef_beta = control_penalty_coef(cost.lam, cost.beta, beta_weighted=True)
+    coef_plain = control_penalty_coef(cost.lam, cost.beta, beta_weighted=False)
+    penalized = state_real + coef_beta * penalty_step_terms(k_real, 0.0, cost.sigma_inv).sum(-1)
+    applied = k_real + controls
+    real = state_real + coef_beta * penalty_step_terms(applied, draws, cost.sigma_inv).sum(-1)
+    ctrl = control_penalty_batch(controls, draws, cost.sigma_inv)
+    mixed = mixed_cost(state_nom, penalized, alpha) + coef_plain * ctrl
+    nominal_eval = state_nom + coef_beta * ctrl
+    for channel in (real, mixed, nominal_eval):
+        channel[crashed] = cost.crash_cost
+    return AugmentedRollout(real=real, mixed=mixed, nominal_eval=nominal_eval, crashed=crashed)
 
 
 def riccati_gains_per_point(

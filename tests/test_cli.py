@@ -16,6 +16,7 @@ import robust_mppi
 from robust_mppi import cli
 from robust_mppi.cli import main
 from robust_mppi.config import load_config
+from robust_mppi.dynamics import SystemModel, register_system
 from robust_mppi.harness import BoundCheck, RunLog
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -172,6 +173,27 @@ def test_a_config_echo_holding_a_percent_sign_runs_again(tmp_path):
 def test_bad_override_exits_2(capsys):
     assert main(["run", "-o", "sampling.bogus=1"]) == 2
     assert "sampling.bogus" in capsys.readouterr().err
+
+
+def infinite_deriv_system(dt=0.02, control_limit=10.0):
+    """A system whose derivative is infinite everywhere, so no LQ pass converges on it."""
+
+    def deriv(x, u):
+        return np.full(np.broadcast_shapes(x.shape, u.shape[:-1] + (2,)), np.inf)
+
+    lim = np.array([control_limit])
+    return SystemModel("infinite_deriv", 2, 1, dt, deriv, control_low=-lim, control_high=lim)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_diverging_ilqg_pass_exits_2_naming_the_feedback_kind(tmp_path, capsys):
+    register_system("infinite_deriv", infinite_deriv_system)
+    extra = ["experiment.system=infinite_deriv", "feedback.kind=ilqg"]
+    assert main(["run", *fast_args(tmp_path, "diverged", extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: feedback.kind=ilqg: Riccati backward pass diverged")
+    assert not (tmp_path / "diverged").exists()
 
 
 def test_verify_bound_exit_codes(tmp_path, capsys):

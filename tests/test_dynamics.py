@@ -41,6 +41,34 @@ def test_step_clamps_control_at_limits():
     assert np.array_equal(hard, at_limit)
 
 
+@pytest.mark.parametrize(
+    "low, high, field",
+    [
+        ([0.5], None, "control_low"),
+        ([-1.0, 0.1], [1.0, 1.0], "control_low"),
+        (None, [-0.5], "control_high"),
+        ([-1.0, -1.0], [1.0, -0.1], "control_high"),
+    ],
+)
+def test_control_limits_must_keep_zero_admissible(low, high, field):
+    # a zero tracking correction must stay zero after the clamp
+    n_u = len(low if low is not None else high)
+    limits = {
+        "control_low": None if low is None else np.array(low),
+        "control_high": None if high is None else np.array(high),
+    }
+    with pytest.raises(ValueError, match=f"^{field} must keep zero inside"):
+        SystemModel("limits", 2, n_u, 0.1, lambda x, u: x, **limits)
+
+
+def test_control_limits_that_touch_zero_are_accepted():
+    for low, high in (([0.0], [1.0]), ([-1.0], [0.0]), ([0.0], [0.0]), ([-0.0], None)):
+        model = SystemModel("limits", 2, 1, 0.1, lambda x, u: x,
+                            control_low=None if low is None else np.array(low),
+                            control_high=None if high is None else np.array(high))
+        assert np.array_equal(model.clamp(np.zeros(1)), np.zeros(1))
+
+
 def test_step_broadcasts_over_batches():
     model = double_integrator(dt=0.1)
     xs = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.0]])

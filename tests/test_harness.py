@@ -489,6 +489,42 @@ def test_bundled_scenarios_pass_the_constant_b_check(config):
         assert isinstance(factory(np.zeros(2), np.zeros((5, 1))), ContractionPolicy)
 
 
+def fused_spring(dt=0.02, control_limit=10.0):
+    """A spring whose rollouts blow up past position 0.8; the plant's single state never does."""
+
+    def deriv(x, u):
+        out = np.empty(np.broadcast_shapes(x.shape, u.shape[:-1] + (2,)))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = -x[..., 0] + u[..., 0]
+        if x.ndim > 1:
+            out[..., 1] = np.where(x[..., 0] > 0.8, np.inf, out[..., 1])
+        return out
+
+    lim = np.array([control_limit])
+    return SystemModel("fused_spring", 2, 1, dt, deriv, control_low=-lim, control_high=lim)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_consecutive_degenerate_rows_carry_no_bound_to_violate():
+    # from x0 = (0, 3) the spring soon carries every rollout past position
+    # 0.8 within the horizon, and from then on every step is degenerate:
+    # its free energy is crash_cost and its increment 0
+    register_system("fused_spring", fused_spring)
+    log = run_closed_loop(small_run_config(**{
+        "experiment.system": "fused_spring", "feedback.kind": "none", "harness.x0": "0, 3",
+        "experiment.steps": "12", "sampling.horizon": "10",
+    }))
+    degen = log.column("degen").astype(bool)
+    assert np.sum(degen[:-1] & degen[1:]) >= 5
+    assert np.all(log.column("bound")[degen] == np.inf)
+    assert np.all(log.column("bound_no_d")[degen] == np.inf)
+    assert np.all(np.isfinite(log.column("bound")[~degen]))
+    check = verify_bound(log)
+    # only the rows that were not degenerate are held to a bound
+    assert check.checked == np.sum(~degen[:-1])
+    assert log.summary["bound_checked_steps"] == check.checked
+
+
 def test_run_closed_loop_is_deterministic():
     cfg = small_run_config()
     a = run_closed_loop(cfg)

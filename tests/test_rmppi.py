@@ -877,13 +877,10 @@ def test_rmppi_degenerate_batch_falls_back():
     assert rec.degen is True
     assert np.array_equal(action, np.zeros(1))
     assert rec.fe_real == controller.cost.crash_cost
-    # the row logs the nominal its action tracked, the first measured state,
-    # so the bound's offset term is zero
+    # the row logs the nominal its action tracked, the first measured state
     assert np.array_equal(rec.x_star, x)
-    assert np.isfinite(rec.bound)
-    assert (rec.bound, rec.bound_no_d) == free_energy_growth_bound(
-        model, controller.cost, controller.s, x, x, action, rec.fe_nom, rec.emv
-    )
+    # with every sample crashed there is no free energy to bound from
+    assert (rec.bound, rec.bound_no_d) == (np.inf, np.inf)
     _, rec1 = controller.step(x)
     # after a degenerate step the nominal moves open loop under the plan,
     # which the degenerate step left unchanged (zeros); no NSP runs

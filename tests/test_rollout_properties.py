@@ -7,17 +7,19 @@ non-finite are priced as crashes while the rest of the batch is untouched.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robust_mppi.costs import CostFunction, quadratic_wall_cost
 from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
-from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback
+from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback, contraction_feedback
 from robust_mppi.rmppi import augmented_rollouts, mixed_cost
 from robust_mppi.sampling import NoisePlan, propagate, rollout_batch
 
-from oracles import control_cost_term
+from oracles import augmented_rollouts_two_copies, control_cost_term
+from test_rmppi import control_blowup_model
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -280,7 +282,14 @@ def test_two_input_augmented_channels_match_a_per_sample_oracle(batch):
     recorder = RecordingPolicy(policy)
     roll = augmented_rollouts(model, cost, starts[0], starts[1], controls, recorder, draws, alpha)
     assert not roll.crashed.any()
-    corrections = np.stack(recorder.applied, axis=1)  # (N, T, 2)
+    if np.array_equal(starts[0], starts[1]):
+        # only the nominal copy is rolled out, so nothing was recorded; the
+        # corrections it stands for are zero
+        for t in range(controls.shape[0]):
+            assert np.array_equal(policy.apply_batch(starts[0], starts[1], t), np.zeros(2))
+        corrections = np.zeros(draws.shape)
+    else:
+        corrections = np.stack(recorder.applied, axis=1)  # (N, T, 2)
     zero = np.zeros(2)
     for i in range(draws.shape[0]):
         xr, xn = starts[0], starts[1]
@@ -306,3 +315,70 @@ def test_two_input_augmented_channels_match_a_per_sample_oracle(batch):
         }
         for name, value in expected.items():
             assert np.isclose(getattr(roll, name)[i], value, rtol=1e-12, atol=0), name
+
+
+# -- equal starts ----------------------------------------------------------------
+
+
+def twin_policy(draw, kind, model, horizon):
+    """One of the bundled policies, clamped to ``model``'s limits."""
+    limits = {"control_low": model.control_low, "control_high": model.control_high}
+    if kind == "zero":
+        return ZeroFeedback(model.n_u)
+    if kind == "gains":
+        gains = draw(hnp.arrays(
+            np.float64, (horizon, model.n_u, model.n_x), elements=values, fill=st.nothing()
+        ))
+        return LinearGainsPolicy(gains, **limits)
+    off = draw(st.floats(-0.5, 0.5))
+    metric = np.array([[1.0, off], [off, draw(st.floats(0.6, 3.0))]])
+    return contraction_feedback(model, metric, draw(st.floats(0.1, 5.0)))
+
+
+TWIN_MODELS = {
+    **MODELS,
+    "two_input": two_input_model(control_limit=2.0),
+    "control_blowup": control_blowup_model(),
+}
+
+
+@st.composite
+def twin_batches(draw, model, kind):
+    n = draw(st.integers(1, 16))
+    horizon = draw(st.integers(1, 10))
+    sd = draw(st.floats(0.2, 1.5))
+    cost = CostFunction(
+        state_cost=lambda x: np.sum(x * x, axis=-1),
+        terminal_cost=lambda x: 2.0 * np.sum(x * x, axis=-1),
+        sigma=np.eye(model.n_u) * sd**2,
+        lam=draw(st.floats(0.5, 10.0)),
+        beta=draw(st.floats(0.0, 0.9)),
+        crash_cost=1.0e4,
+    )
+    start = draw(hnp.arrays(np.float64, 2, elements=values, fill=st.nothing()))
+    controls = draw(hnp.arrays(
+        np.float64, (horizon, model.n_u), elements=values, fill=st.nothing()
+    ))
+    policy = twin_policy(draw, kind, model, horizon)
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, cost.sigma_chol).draws
+    return cost, start, controls, policy, draws, draw(st.floats(1.0, 1000.0))
+
+
+@pytest.mark.parametrize("kind", ["zero", "gains", "contraction"])
+@pytest.mark.parametrize("model_name", sorted(TWIN_MODELS))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_equal_starts_give_the_two_copy_channels_bit_for_bit(model_name, kind):
+    """Rolling out the nominal copy alone changes no bit of any channel or crash flag."""
+    model = TWIN_MODELS[model_name]
+
+    @PROPERTY_SETTINGS
+    @given(twin_batches(model, kind))
+    def check(batch):
+        cost, start, controls, policy, draws, alpha = batch
+        args = (model, cost, start, start.copy(), controls, policy, draws, alpha)
+        roll, both = augmented_rollouts(*args), augmented_rollouts_two_copies(*args)
+        for name in ("real", "mixed", "nominal_eval", "crashed"):
+            assert np.array_equal(getattr(roll, name), getattr(both, name)), name
+
+    check()

@@ -137,9 +137,15 @@ def test_stepped_controllers_hold_one_set_of_pool_buffers():
             base = tracemalloc.get_traced_memory()[0]
             alive = []
             for _ in range(5):
+                # from x0 = (3, 0) no NSP candidate is feasible, so NSP rolls
+                # out all of them and fills its grouped penalty terms
                 controller, x = build(
-                    "di_stress_x100.ini", ["sampling.n_samples=4096", "rmppi.nsp_samples=512"]
+                    "di_stress_x100.ini",
+                    ["sampling.n_samples=4096", "rmppi.nsp_samples=512", "harness.x0=3, 0"],
                 )
+                # a nominal off the measured state, so the augmented batch
+                # rolls out both copies and fills the correction buffers
+                controller.x_star = x + np.array([0.1, 0.0])
                 for _ in range(2):  # the second step runs the deferred NSP batch
                     action, _ = controller.step(x)
                     x = controller.model.step(x, action)

@@ -5,9 +5,11 @@ Two checkouts that print the same digests write byte-identical
 ``runlog.csv`` and ``summary.json`` files on every scenario and seed, so
 comparing this script's output before and after a change shows whether the
 change moved any log.  The scenarios are: each shipped config under each
-``feedback.kind``, the wall config under ``compare`` (mppi, tube and rmppi),
-the built-in default scenario, and the benchmark workloads of
-``perfbench/run.py``.  Every run goes through ``robust-mppi run`` or
+``feedback.kind``, ``di_stress_x100`` with ``rmppi.alpha=300`` (there NSP
+often keeps the nominal off the measured state, so the augmented batch
+rolls out both of its copies), the wall config under ``compare`` (mppi,
+tube and rmppi), the built-in default scenario, and the benchmark workloads
+of ``perfbench/run.py``.  Every run goes through ``robust-mppi run`` or
 ``compare`` in this process, into a temporary directory, so nothing is
 written inside the checkout.
 
@@ -49,6 +51,7 @@ def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
     for config in SHIPPED:
         for kind in FEEDBACK_KINDS:
             out[f"{config}-{kind}"] = ("run", f"configs/{config}.ini", (f"feedback.kind={kind}",))
+    out["di_stress_x100-tight"] = ("run", "configs/di_stress_x100.ini", ("rmppi.alpha=300",))
     out["wall-compare"] = ("compare", "configs/di_wall_compare_x100.ini", ())
     out["default"] = ("run", None, ())
     for name, workload in WORKLOADS.items():
