@@ -127,24 +127,31 @@ class SystemModel:
         return a, b
 
     def _fd_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Central differences in ``2 * (n_x + n_u)`` calls of ``deriv``, however many points."""
+        """Central differences in ``2 * (n_x + n_u)`` calls of ``deriv``, however many points.
+
+        A derivative that is infinite or NaN gives NaN entries without a
+        numpy warning: every caller checks the result (the Riccati pass
+        raises on a value matrix that is not finite, the constant-B check
+        refuses a NaN gap).
+        """
         lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
         x = np.broadcast_to(x, lead + (self.n_x,))
         u = np.broadcast_to(u, lead + (self.n_u,))
         a = np.empty(lead + (self.n_x, self.n_x))
         b = np.empty(lead + (self.n_x, self.n_u))
-        for i in range(self.n_x):
-            h = _FD_EPS * np.maximum(1.0, np.abs(x[..., i]))
-            xp, xm = x.copy(), x.copy()
-            xp[..., i] += h
-            xm[..., i] -= h
-            a[..., i] = (self.deriv(xp, u) - self.deriv(xm, u)) / (2.0 * h)[..., None]
-        for j in range(self.n_u):
-            h = _FD_EPS * np.maximum(1.0, np.abs(u[..., j]))
-            up, um = u.copy(), u.copy()
-            up[..., j] += h
-            um[..., j] -= h
-            b[..., j] = (self.deriv(x, up) - self.deriv(x, um)) / (2.0 * h)[..., None]
+        with np.errstate(all="ignore"):
+            for i in range(self.n_x):
+                h = _FD_EPS * np.maximum(1.0, np.abs(x[..., i]))
+                xp, xm = x.copy(), x.copy()
+                xp[..., i] += h
+                xm[..., i] -= h
+                a[..., i] = (self.deriv(xp, u) - self.deriv(xm, u)) / (2.0 * h)[..., None]
+            for j in range(self.n_u):
+                h = _FD_EPS * np.maximum(1.0, np.abs(u[..., j]))
+                up, um = u.copy(), u.copy()
+                up[..., j] += h
+                um[..., j] -= h
+                b[..., j] = (self.deriv(x, up) - self.deriv(x, um)) / (2.0 * h)[..., None]
         return a, b
 
     def discrete_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:

@@ -4,6 +4,11 @@ The constant-metric law certifies its own tracking rate.  A policy without
 such a certificate (iLQG gains, no feedback) is given the fixed rate
 ``UNCERTIFIED_RATE``.
 
+The iLQG gains depend on the nominal plan.  The harness's policy factory
+builds them on the first correction a step asks for, and the controllers ask
+for none while the nominal state sits on the measured state, so the Riccati
+pass in :func:`ilqg_gains` runs only on steps that apply its gains.
+
 A policy is one method, ``apply_batch(x, x_star, t)``, mapping real and
 nominal states of shape ``(..., n_x)``, with any leading axes or none, to
 corrections of shape ``(..., n_u)``.  Gains are linear before clamping:
@@ -29,10 +34,11 @@ class FeedbackPolicy(Protocol):
     A zero offset must give an exactly zero correction:
     ``apply_batch(s, s, t)`` is zero for every finite ``s`` and every ``t``.
     ``rmppi.augmented_rollouts`` relies on it to roll out only the nominal
-    copy when both copies start on the same state.  The three policies here
-    meet it whenever the limits they clamp to bracket zero, as
-    :class:`~robust_mppi.dynamics.SystemModel` requires of the model's limits,
-    which the builders below pass on.
+    copy when both copies start on the same state, and the tube and robust
+    controllers to skip the action's correction when the nominal state is
+    the measured one.  The three policies here meet it whenever the limits
+    they clamp to bracket zero, as :class:`~robust_mppi.dynamics.SystemModel`
+    requires of the model's limits, which the builders below pass on.
     """
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array: ...
@@ -169,22 +175,25 @@ def ilqg_gains(
     gains = np.zeros((horizon, model.n_u, model.n_x))
     p = q.copy()
     one_input = model.n_u == 1
-    for t in reversed(range(horizon)):
-        ad, bd = a_all[t], b_all[t]
-        bt_p = bd.T @ p
-        if one_input:
-            k = (bt_p @ ad) * (1.0 / (r + bt_p @ bd))
-        else:
-            k = np.linalg.solve(r + bt_p @ bd, bt_p @ ad)
-        p = q + ad.T @ p @ (ad - bd @ k)
-        p = 0.5 * (p + p.T)
-        # the Frobenius norm, by the arithmetic np.linalg.norm runs, without
-        # its wrapper; a NaN or infinite entry makes it NaN or infinite, so
-        # this one comparison also catches a value matrix that is not finite
-        flat = p.ravel()
-        if not math.sqrt(flat @ flat) <= 1e12:
-            raise RiccatiDivergenceError(t)
-        gains[t] = -k
+    # a non-finite linearization or value matrix is caught by the norm test
+    # below, which raises, so numpy's warnings on the way there add nothing
+    with np.errstate(all="ignore"):
+        for t in reversed(range(horizon)):
+            ad, bd = a_all[t], b_all[t]
+            bt_p = bd.T @ p
+            if one_input:
+                k = (bt_p @ ad) * (1.0 / (r + bt_p @ bd))
+            else:
+                k = np.linalg.solve(r + bt_p @ bd, bt_p @ ad)
+            p = q + ad.T @ p @ (ad - bd @ k)
+            p = 0.5 * (p + p.T)
+            # the Frobenius norm, by the arithmetic np.linalg.norm runs, without
+            # its wrapper; a NaN or infinite entry makes it NaN or infinite, so
+            # this one comparison also catches a value matrix that is not finite
+            flat = p.ravel()
+            if not math.sqrt(flat @ flat) <= 1e12:
+                raise RiccatiDivergenceError(t)
+            gains[t] = -k
     return LinearGainsPolicy(
         gains=gains, control_low=model.control_low, control_high=model.control_high
     )

@@ -200,13 +200,43 @@ def _check_constant_b(cfg: ExperimentConfig, model: SystemModel, b: Array) -> No
         )
 
 
+class _DeferredIlqgGains(LinearGainsPolicy):
+    """iLQG gains about one nominal plan, built when they are first read.
+
+    The controllers ask for no correction on a step whose real and nominal
+    states coincide, so on such a step neither :func:`nominal_trajectory`
+    nor :func:`ilqg_gains` runs.  The first correction (or any read of
+    ``gains``) builds the gains ``ilqg_gains`` returns for the plan, and a
+    :class:`~robust_mppi.feedback.RiccatiDivergenceError` surfaces there.
+    The plan is held, not copied: the controllers replace their nominal
+    state and plan each step and never write into them.
+    """
+
+    def __init__(self, model: SystemModel, x_star: Array, controls: Array, q_track, r_track):
+        self.control_low = model.control_low
+        self.control_high = model.control_high
+        self._plan = (model, x_star, controls, q_track, r_track)
+        self._gains = None
+
+    @property
+    def gains(self) -> Array:
+        if self._gains is None:
+            model, x_star, controls, q_track, r_track = self._plan
+            states = nominal_trajectory(model, x_star, controls)
+            self._gains = ilqg_gains(model, states, controls, q_track, r_track).gains
+        return self._gains
+
+
 def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     """Return (factory, gamma): the policy factory and the bound's tracking rate.
 
-    The factory maps (nominal state, control plan) to a feedback policy.  For
-    the contraction law the policy is state-independent and its certified
-    rate is ``exp(-lambda_c * dt)``.  Gain-scheduled feedback is rebuilt
-    around the current plan on every call; it and no feedback carry no
+    The factory maps (nominal state, control plan) to a feedback policy and
+    is called on every controller step.  For the contraction law the policy
+    is state-independent and its certified rate is ``exp(-lambda_c * dt)``.
+    iLQG gains are scheduled along the plan: the factory returns a policy
+    that linearizes about the plan and runs the Riccati pass on its first
+    correction, so a step whose real and nominal states coincide, and which
+    asks for none, builds no gains.  iLQG and no feedback carry no
     certificate, and get ``UNCERTIFIED_RATE``.
     """
     if cfg.feedback_kind == "none":
@@ -233,8 +263,7 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
         r_track = np.diag(np.array(cfg.r_track, dtype=float))
 
         def factory(x_star: Array, controls: Array) -> LinearGainsPolicy:
-            states = nominal_trajectory(model, x_star, controls)
-            return ilqg_gains(model, states, controls, q_track, r_track)
+            return _DeferredIlqgGains(model, x_star, controls, q_track, r_track)
 
         return factory, UNCERTIFIED_RATE
     raise ValueError(f"unknown feedback kind {cfg.feedback_kind!r}")

@@ -317,7 +317,8 @@ def tube_mppi_step(
     and the plan is then updated from the real batch; otherwise from the
     nominal batch, and the nominal state continues open loop.  The executed
     action adds the tracking correction toward the (possibly reset) nominal
-    state.
+    state; after a reset that is the measured state, and the zero correction
+    is added as ``+0.0`` without asking the policy.
 
     Returns the action, the shifted plan, the next nominal state and the
     step record, which logs the nominal state the action tracked.
@@ -337,7 +338,9 @@ def tube_mppi_step(
         reset = fe_real - fe_nom < alpha
         x_star_next, costs = (x, costs_real) if reset else (x_star, costs_nom)
         chosen = mppi_update(controls, softmax_weights(costs, cost.lam), draws)
-    action = model.clamp(chosen[0] + policy.apply_batch(x, x_star_next, 0))
+    # after a reset the action tracks x itself, a zero correction (FeedbackPolicy)
+    correction = 0.0 if reset else policy.apply_batch(x, x_star_next, 0)
+    action = model.clamp(chosen[0] + correction)
     record = StepRecord(
         fe_real=fe_real, fe_nom=fe_nom, x_star=x_star_next.copy(), degen=degen, reset=reset
     )
@@ -438,10 +441,12 @@ class RmppiController:
     newly measured state: on every step after the first it propagates the
     nominal one step under the plan and shifts the plan, then, unless the
     previous step was degenerate (every sample crashed), runs nominal-state
-    propagation from that pair.  It then rebuilds the tracking policy about
-    the nominal plan, evaluates the augmented batch, and produces the action
-    ``U_0 + K(x - x_star) + weighted noise`` where the noise weights come from
-    the real-cost channel and the plan update weights from the mixed channel.
+    propagation from that pair.  It then asks the factory for the tracking
+    policy about the nominal plan, evaluates the augmented batch, and produces
+    the action ``U_0 + K(x - x_star) + weighted noise`` where the noise
+    weights come from the real-cost channel and the plan update weights from
+    the mixed channel.  When ``x_star`` is ``x`` the correction is the
+    ``+0.0`` of a zero offset, and the policy is not asked for it.
     The step record carries the nominal state the action tracked and the
     forward-looking growth bound for the next free-energy increment, which
     is infinite after a degenerate step.
@@ -539,7 +544,12 @@ class RmppiController:
             draws,
             self.s.alpha,
         )
-        feedback0 = policy.apply_batch(x, self.x_star, 0)
+        if np.array_equal(x, self.x_star):
+            # a zero offset gives a zero correction (FeedbackPolicy), added as
+            # +0.0 like the nominal copy's, and a deferred policy builds no gains
+            feedback0 = 0.0
+        else:
+            feedback0 = policy.apply_batch(x, self.x_star, 0)
         emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
         degenerate = bool(roll.crashed.all())
         if degenerate:

@@ -7,8 +7,9 @@ per-step penalty terms by the two ``einsum`` calls the library used before
 it worked on columns, sampled Lipschitz constants, normalized importance
 weights with the proposal correction written out, the density ratio of one
 augmented noise sequence, the LQ tracking gains from a Riccati pass that
-linearizes point by point, the augmented batch rolled out as two copies
-whatever its starts, and the tracking-rate fit with its envelope flags,
+linearizes point by point, the iLQG policy factory that builds its gains
+on every call, the augmented batch rolled out as two copies whatever its
+starts, and the tracking-rate fit with its envelope flags,
 which the acceptance test applies to the contraction law's residuals.  The
 library fits no rate: a policy without a certificate runs at
 ``feedback.UNCERTIFIED_RATE``.
@@ -26,7 +27,8 @@ from robust_mppi.costs import (
     control_penalty_coef,
     penalty_step_terms,
 )
-from robust_mppi.feedback import RiccatiDivergenceError
+from robust_mppi.dynamics import nominal_trajectory
+from robust_mppi.feedback import UNCERTIFIED_RATE, RiccatiDivergenceError, ilqg_gains
 from robust_mppi.rmppi import AugmentedRollout, mixed_cost
 from robust_mppi.sampling import propagate
 
@@ -190,6 +192,22 @@ def riccati_gains_per_point(
             raise RiccatiDivergenceError(t)
         gains[t] = -k
     return gains
+
+
+def eager_ilqg_policy_factory(cfg, model):
+    """``harness.build_policy_factory`` for ``feedback.kind=ilqg``, building at once.
+
+    Every call linearizes about the plan and runs the Riccati pass before it
+    returns, whether or not the step applies the gains.
+    """
+    q_track = np.diag(np.array(cfg.q_track, dtype=float))
+    r_track = np.diag(np.array(cfg.r_track, dtype=float))
+
+    def factory(x_star: Array, controls: Array):
+        states = nominal_trajectory(model, x_star, controls)
+        return ilqg_gains(model, states, controls, q_track, r_track)
+
+    return factory, UNCERTIFIED_RATE
 
 
 @dataclass(frozen=True)

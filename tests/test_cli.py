@@ -175,20 +175,31 @@ def test_bad_override_exits_2(capsys):
     assert "sampling.bogus" in capsys.readouterr().err
 
 
-def infinite_deriv_system(dt=0.02, control_limit=10.0):
-    """A system whose derivative is infinite everywhere, so no LQ pass converges on it."""
+def infinite_jacobian_system(dt=0.02, control_limit=10.0):
+    """A double integrator whose analytic jacobians are infinite, so no LQ pass converges on it."""
 
     def deriv(x, u):
-        return np.full(np.broadcast_shapes(x.shape, u.shape[:-1] + (2,)), np.inf)
+        out = np.empty(np.broadcast_shapes(x.shape, u.shape[:-1] + (2,)))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = u[..., 0]
+        return out
+
+    def jac(x, u):
+        lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        return np.full(lead + (2, 2), np.inf), np.full(lead + (2, 1), np.inf)
 
     lim = np.array([control_limit])
-    return SystemModel("infinite_deriv", 2, 1, dt, deriv, control_low=-lim, control_high=lim)
+    return SystemModel(
+        "infinite_jacobian", 2, 1, dt, deriv, jac, control_low=-lim, control_high=lim
+    )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_a_diverging_ilqg_pass_exits_2_naming_the_feedback_kind(tmp_path, capsys):
-    register_system("infinite_deriv", infinite_deriv_system)
-    extra = ["experiment.system=infinite_deriv", "feedback.kind=ilqg"]
+    register_system("infinite_jacobian", infinite_jacobian_system)
+    # no NSP candidate qualifies under a negative threshold, so from step 1 the
+    # nominal stays off the measured state and the step applies the gains
+    extra = ["experiment.system=infinite_jacobian", "feedback.kind=ilqg", "rmppi.alpha=-1"]
     assert main(["run", *fast_args(tmp_path, "diverged", extra)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1

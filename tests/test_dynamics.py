@@ -1,5 +1,7 @@
 """System models: Euler stepping, jacobians, disturbances, the real-plant map."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,31 @@ def test_batched_jacobians_equal_per_point_calls_bit_for_bit(name, lead, shared_
         for idx in np.ndindex(lead):
             a_pt, b_pt = method(x[idx], u_full[idx])
             assert same_bits(a[idx], a_pt) and same_bits(b[idx], b_pt)
+
+
+@pytest.mark.parametrize("name", ["double_integrator-fd", "nonlinear_benchmark-fd"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_finite_differences_at_non_finite_points_warn_nothing(name, bad):
+    # the NaN entries are refused downstream (Riccati divergence, constant-B check)
+    model = JACOBIAN_MODELS[name]
+    x = np.array([[0.3, bad], [bad, 0.2], [0.1, 0.4], [0.1, 0.4]])
+    u = np.array([[0.5], [0.5], [bad], [0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = model.jacobians(x, u)
+    assert np.isnan(a).any() and np.isnan(b).any()
+    assert np.isfinite(a[3]).all() and np.isfinite(b[3]).all()
+
+
+def test_finite_differences_of_an_infinite_derivative_warn_nothing():
+    def deriv(x, u):
+        return np.full(np.broadcast_shapes(x.shape, u.shape[:-1] + (2,)), np.inf)
+
+    model = SystemModel("infinite_deriv", 2, 1, 0.02, deriv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = model.jacobians(np.zeros((4, 2)), np.zeros(1))
+    assert np.isnan(a).all() and np.isnan(b).all()
 
 
 def test_finite_differences_call_deriv_a_fixed_number_of_times():

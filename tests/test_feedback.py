@@ -1,5 +1,7 @@
 """Tracking feedback: LQ gains, contraction policy, the oracle decay-rate fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_discrete_are
 
-from robust_mppi.dynamics import double_integrator, nominal_trajectory, nonlinear_benchmark
+from robust_mppi.dynamics import (
+    SystemModel,
+    double_integrator,
+    nominal_trajectory,
+    nonlinear_benchmark,
+)
 from robust_mppi.feedback import (
     ContractionPolicy,
     LinearGainsPolicy,
@@ -171,23 +178,49 @@ def _nan_state_problem():
     return model, states, controls, np.eye(2), np.eye(1)
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [
-        (double_integrator(dt=1e8, control_limit=None), np.zeros((5, 2)), np.zeros((4, 1)),
-         1e8 * np.eye(2), np.array([[1e-12]])),
-        (nonlinear_benchmark(dt=1e8, control_limit=None), np.full((9, 2), 0.3),
-         np.zeros((8, 1)), np.eye(2), np.eye(1)),
-        _nan_state_problem(),
-    ],
-    ids=["double_integrator-dt1e8", "nonlinear_benchmark-dt1e8", "nan-state"],
-)
-def test_diverging_riccati_passes_raise_at_the_same_timestep(problem):
+DIVERGING_PROBLEMS = {
+    "double_integrator-dt1e8": (
+        double_integrator(dt=1e8, control_limit=None), np.zeros((5, 2)), np.zeros((4, 1)),
+        1e8 * np.eye(2), np.array([[1e-12]]),
+    ),
+    "nonlinear_benchmark-dt1e8": (
+        nonlinear_benchmark(dt=1e8, control_limit=None), np.full((9, 2), 0.3),
+        np.zeros((8, 1)), np.eye(2), np.eye(1),
+    ),
+    "nan-state": _nan_state_problem(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING_PROBLEMS))
+def test_diverging_riccati_passes_raise_at_the_same_timestep(name):
+    problem = DIVERGING_PROBLEMS[name]
     with pytest.raises(RiccatiDivergenceError) as ours:
         ilqg_gains(*problem)
     with pytest.raises(RiccatiDivergenceError) as reference:
         riccati_gains_per_point(*problem)
     assert ours.value.timestep == reference.value.timestep
+
+
+def _infinite_jacobian_problem():
+    base = double_integrator(control_limit=None)
+
+    def jac(x, u):
+        lead = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        return np.full(lead + (2, 2), np.inf), np.full(lead + (2, 1), np.inf)
+
+    model = SystemModel("infinite_jacobian", 2, 1, base.dt, base.deriv, jac)
+    return model, np.zeros((6, 2)), np.zeros((5, 1)), np.eye(2), np.eye(1)
+
+
+@pytest.mark.parametrize("name", [*sorted(DIVERGING_PROBLEMS), "infinite-jacobian"])
+def test_a_diverging_riccati_pass_raises_without_a_numpy_warning(name):
+    # the divergence error is the one report; numpy's invalid-value warnings
+    # on the way there (inf * 0 in the matmuls) would reach stderr before it
+    problem = DIVERGING_PROBLEMS.get(name) or _infinite_jacobian_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RiccatiDivergenceError):
+            ilqg_gains(*problem)
 
 
 def test_singular_one_input_riccati_step_raises_divergence_not_linalg_error():

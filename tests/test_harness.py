@@ -30,6 +30,10 @@ from robust_mppi.harness import (
     summary_table,
     verify_bound,
 )
+from robust_mppi.sampling import NoisePlan
+
+import oracles
+from test_column_kernels import same_bits
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -429,6 +433,91 @@ def test_build_policy_factory_kinds():
     assert isinstance(policy, LinearGainsPolicy)
     assert policy.gains.shape == (5, 1, 2)
     assert gamma == UNCERTIFIED_RATE
+
+
+def count_gain_builds(monkeypatch):
+    """Collect one entry per ``ilqg_gains`` call the harness's iLQG factory makes."""
+    calls = []
+    ilqg_gains = harness.ilqg_gains
+
+    def counted_ilqg_gains(*args, **kwargs):
+        calls.append(1)
+        return ilqg_gains(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ilqg_gains", counted_ilqg_gains)
+    return calls
+
+
+def test_ilqg_policy_builds_its_gains_once_when_first_read(monkeypatch):
+    calls = count_gain_builds(monkeypatch)
+    cfg = load_config(str(CONFIGS / "pendulum_stress_x150.ini"), ["feedback.kind=ilqg"])
+    model = build_model(cfg)
+    factory, _ = build_policy_factory(cfg, model)
+    eager, _ = oracles.eager_ilqg_policy_factory(cfg, model)
+    rng = np.random.default_rng(7)
+    x_star, controls = np.array([0.4, -0.3]), rng.normal(size=(30, 1))
+    policy = factory(x_star, controls)
+    assert calls == []
+    x = x_star + rng.normal(size=(256, 2))
+    first = policy.apply_batch(x, x_star, 0)
+    assert calls == [1]
+    reference = eager(x_star, controls)
+    assert same_bits(policy.gains, reference.gains)
+    for t in (0, 7, 29, 40):
+        assert same_bits(policy.apply_batch(x, x_star, t), reference.apply_batch(x, x_star, t))
+    assert same_bits(first, reference.apply_batch(x, x_star, 0))
+    assert calls == [1]
+
+
+def run_csv_bytes(cfg, path) -> bytes:
+    run_closed_loop(cfg).to_csv(path)
+    return path.read_bytes()
+
+
+def test_a_pendulum_run_whose_copies_always_start_together_builds_no_gains(monkeypatch, tmp_path):
+    calls = count_gain_builds(monkeypatch)
+    cfg = load_config(
+        str(CONFIGS / "pendulum_stress_x150.ini"), ["feedback.kind=ilqg", "experiment.steps=100"]
+    )
+    deferred = run_csv_bytes(cfg, tmp_path / "deferred.csv")
+    log = RunLog.from_csv(tmp_path / "deferred.csv")
+    assert len(log.rows) == 100
+    assert np.array_equal(log.column("x0"), log.column("xs0"))
+    assert np.array_equal(log.column("x1"), log.column("xs1"))
+    assert calls == []
+    monkeypatch.setattr(harness, "build_policy_factory", oracles.eager_ilqg_policy_factory)
+    assert run_csv_bytes(cfg, tmp_path / "eager.csv") == deferred
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ilqg_gains_are_built_on_exactly_the_steps_whose_copies_start_apart(
+    seed, monkeypatch, tmp_path
+):
+    calls = count_gain_builds(monkeypatch)
+    overrides = ["rmppi.alpha=300", "feedback.kind=ilqg", "experiment.steps=200"]
+    cfg = load_config(str(STRESS_CONFIG), [*overrides, f"experiment.seed={seed}"])
+    deferred = run_csv_bytes(cfg, tmp_path / "deferred.csv")
+    log = RunLog.from_csv(tmp_path / "deferred.csv")
+    apart = (log.column("x0") != log.column("xs0")) | (log.column("x1") != log.column("xs1"))
+    assert 0 < len(calls) == np.count_nonzero(apart) < len(log.rows)
+    monkeypatch.setattr(harness, "build_policy_factory", oracles.eager_ilqg_policy_factory)
+    assert run_csv_bytes(cfg, tmp_path / "eager.csv") == deferred
+
+
+def test_a_tube_step_builds_ilqg_gains_only_without_a_reset(monkeypatch):
+    calls = count_gain_builds(monkeypatch)
+    cfg = load_config(overrides=["feedback.kind=ilqg", "sampling.horizon=8"])
+    model = build_model(cfg)
+    cost = build_cost(cfg, model)
+    factory, _ = build_policy_factory(cfg, model)
+    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol).draws
+    x, x_star, controls = np.array([0.6, -0.2]), np.array([0.1, 0.0]), np.zeros((8, 1))
+    policy = factory(x_star, controls)
+    _, _, _, record = rmppi.tube_mppi_step(model, cost, x, x_star, controls, policy, draws, 1e9)
+    assert record.reset and calls == []
+    policy = factory(x_star, controls)
+    _, _, _, record = rmppi.tube_mppi_step(model, cost, x, x_star, controls, policy, draws, -1e9)
+    assert not record.reset and calls == [1]
 
 
 def state_dependent_input(dt=0.02, control_limit=10.0):

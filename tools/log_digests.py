@@ -7,11 +7,13 @@ comparing this script's output before and after a change shows whether the
 change moved any log.  The scenarios are: each shipped config under each
 ``feedback.kind``, ``di_stress_x100`` with ``rmppi.alpha=300`` (there NSP
 often keeps the nominal off the measured state, so the augmented batch
-rolls out both of its copies), the wall config under ``compare`` (mppi,
-tube and rmppi), the built-in default scenario, and the benchmark workloads
-of ``perfbench/run.py``.  Every run goes through ``robust-mppi run`` or
-``compare`` in this process, into a temporary directory, so nothing is
-written inside the checkout.
+rolls out both of its copies), the same under iLQG feedback (steps that
+build the gains and steps that skip them), the wall config under
+``compare`` (mppi, tube and rmppi) with its own feedback and with iLQG (the
+tube's correction through iLQG gains), the built-in default scenario, and
+the benchmark workloads of ``perfbench/run.py``.  Every run goes through
+``robust-mppi run`` or ``compare`` in this process, into a temporary
+directory, so nothing is written inside the checkout.
 
 Run from anywhere; the package is imported from this checkout's ``src/``::
 
@@ -51,8 +53,13 @@ def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
     for config in SHIPPED:
         for kind in FEEDBACK_KINDS:
             out[f"{config}-{kind}"] = ("run", f"configs/{config}.ini", (f"feedback.kind={kind}",))
-    out["di_stress_x100-tight"] = ("run", "configs/di_stress_x100.ini", ("rmppi.alpha=300",))
+    tight = ("rmppi.alpha=300",)
+    out["di_stress_x100-tight"] = ("run", "configs/di_stress_x100.ini", tight)
+    out["di_stress_x100-tight-ilqg"] = (
+        "run", "configs/di_stress_x100.ini", (*tight, "feedback.kind=ilqg")
+    )
     out["wall-compare"] = ("compare", "configs/di_wall_compare_x100.ini", ())
+    out["wall-compare-ilqg"] = ("compare", "configs/di_wall_compare_x100.ini", ("feedback.kind=ilqg",))
     out["default"] = ("run", None, ())
     for name, workload in WORKLOADS.items():
         command = "compare" if workload.compare else "run"
