@@ -31,6 +31,7 @@ from .sampling import (
     StepRecord,
     free_energy_mc,
     mppi_update,
+    price_rollouts,
     propagate,
     rollout_batch,
     scratch,
@@ -81,6 +82,7 @@ def augmented_rollouts(
     policy: FeedbackPolicy,
     draws: Array,
     alpha: float,
+    rolled: tuple[Array, Array] | None = None,
 ) -> AugmentedRollout:
     """Evaluate every cost channel over a batch of shared noise draws.
 
@@ -106,13 +108,23 @@ def augmented_rollouts(
     :class:`~robust_mppi.feedback.FeedbackPolicy`), so the real copy would
     repeat it bit for bit, ``state_real = state_nom`` and
     ``penalized = state_nom``, and ``real`` has the bits of ``nominal_eval``.
+    That copy is rolled under ``controls + 0.0``, the nominal copy's zero
+    correction, so signed zeros match.  ``rolled``, allowed only with equal
+    starts, is that copy's state costs and crash flags, ``(1, N)`` each, as
+    :func:`~robust_mppi.sampling.propagate` returns them for ``x0_star``
+    under ``controls + 0.0`` over ``draws``; they are priced in place of a
+    rollout.  The robust controller passes the rows it rolled in the same
+    call as nominal-state propagation's measured-state candidate.
     """
     x0 = np.asarray(x0, dtype=float)
     x0_star = np.asarray(x0_star, dtype=float)
     twin = np.array_equal(x0, x0_star)
+    if rolled is not None and not twin:
+        raise ValueError("rolled rows stand for the one copy of equal starts")
     if twin:
-        # the +0.0 the nominal copy's zero correction adds, so signed zeros match
-        state, crashed = propagate(model, cost, x0_star[None, None], controls + 0.0, draws)
+        if rolled is None:
+            rolled = propagate(model, cost, x0_star[None, None], controls + 0.0, draws)
+        state, crashed = rolled
     else:
         # group 1 (nominal) stays uncorrected, so one buffer serves every
         # horizon step; only the real group's corrections are kept for pricing
@@ -188,6 +200,7 @@ def nominal_state_propagation(
     draws: Array,
     *,
     nearest_first: bool = False,
+    roll_measured: Callable[[], tuple[Array, Array]] | None = None,
 ) -> NominalDecision:
     """Choose the next nominal state from a line of interpolated candidates.
 
@@ -208,6 +221,13 @@ def nominal_state_propagation(
     Otherwise the rest follow in one more batch.  Each group of a batch gives
     the same bits as its own rollout, so both orders choose the same index
     and plan; only ``feasible`` differs, False for the skipped candidates.
+
+    ``roll_measured`` lets the caller roll the nearest-first search's first
+    group: when candidate R is alone at the minimum distance, it is called
+    instead of a rollout and returns candidate R's state costs and crash
+    flags, ``(1, len(draws))`` each, as
+    :func:`~robust_mppi.sampling.propagate` gives them for ``x`` under the
+    shifted plan over ``draws``.  Ties at distance 0 roll their group here.
     """
     r = int(n_candidates)
     if r < 2:
@@ -231,18 +251,24 @@ def nominal_state_propagation(
     distances = np.linalg.norm(candidates - x, axis=1)
     feasible = np.zeros(r + 1, dtype=bool)
 
-    def evaluate(group: Array) -> None:
-        if group.any():
+    def evaluate(group: Array, rolled: tuple[Array, Array] | None = None) -> None:
+        if rolled is not None:
+            res = price_rollouts(cost, plans[group], draws, *rolled, "beta")
+        elif group.any():
             res = rollout_batch(
                 model, cost, candidates[group, None], plans[group], draws, control_term="beta"
             )
-            feasible[group] = free_energy_mc(res.costs, cost.lam) <= alpha
+        else:
+            return
+        feasible[group] = free_energy_mc(res.costs, cost.lam) <= alpha
 
     rest = np.ones(r + 1, dtype=bool)
     if nearest_first:
         # a nearest candidate that qualifies also wins the full search
         rest = distances != np.min(distances)
-        evaluate(~rest)
+        # candidate R, the measured state, is always at distance 0
+        measured_alone = roll_measured is not None and np.count_nonzero(~rest) == 1
+        evaluate(~rest, roll_measured() if measured_alone else None)
         if feasible.any():
             rest[:] = False
     evaluate(rest)
@@ -376,9 +402,8 @@ class TubeMppiController:
         if self.x_star is None:
             self.x_star = x.copy()
         policy = self.policy_factory(self.x_star, self.controls)
-        draws = step_draws(
-            self.seed, self.step_index, STREAM_ROLLOUT, self.n_samples, self.horizon, self.cost
-        )
+        out = scratch("draws", (self.n_samples, self.horizon, self.model.n_u))
+        draws = step_draws(self.seed, self.step_index, STREAM_ROLLOUT, self.cost, out)
         action, self.controls, self.x_star, record = tube_mppi_step(
             self.model,
             self.cost,
@@ -447,6 +472,18 @@ class RmppiController:
     weights come from the real-cost channel and the plan update weights from
     the mixed channel.  When ``x_star`` is ``x`` the correction is the
     ``+0.0`` of a zero offset, and the policy is not asked for it.
+
+    NSP's draws and the augmented batch's sit in two leading-axis slices of
+    one buffer, NSP's first.  When NSP searches nearest-first and the
+    measured state ``x`` is its only nearest candidate, both sets of rows
+    are rolled from ``x`` under the shifted plan in one
+    :func:`~robust_mppi.sampling.propagate` call: NSP prices the first set,
+    and the augmented batch is a speculation that ``x`` wins.  It is priced
+    when the winner starts exactly on ``x`` under the shifted plan (any
+    candidate but 0); otherwise the rows are thrown away and the augmented
+    batch is rolled from the winner.  The plan gets ``+ 0.0`` in that call,
+    as on the augmented batch's one-copy path; for NSP's rows that changes
+    ``u + eps`` only where a plan entry and its draw are both ``-0.0``.
     The step record carries the nominal state the action tracked and the
     forward-looking growth bound for the next free-energy increment, which
     is infinite after a degenerate step.
@@ -496,22 +533,35 @@ class RmppiController:
         x = np.asarray(x, dtype=float)
         if self.x_star is None:
             self.x_star = x.copy()
+        nsp = self.s.nsp_samples
+        both = scratch("draws", (nsp + self.s.n_samples, self.s.horizon, self.model.n_u))
+        nsp_draws, draws = both[:nsp], both[nsp:]
+        run_nsp = self.step_index > 0 and self._nsp_nearest_first is not None
+        if run_nsp:
+            step_draws(self.seed, self.step_index, STREAM_NSP, self.cost, nsp_draws)
+        step_draws(self.seed, self.step_index, STREAM_ROLLOUT, self.cost, draws)
         # the certificate is checked where the offset is real: before NSP
         # moves the nominal, on the propagated nominal state and the control
         # its shifted plan applies at this step
         decision = None
+        rolled = None  # the augmented rows rolled with NSP's measured state
         check_star, check_u = self.x_star, self.controls[0]
         if self.step_index > 0:
             x_star_prop = self.model.step(self.x_star, self.controls[0])
             shifted = shift_control_sequence(self.controls)
             check_star, check_u = x_star_prop, shifted[0]
-            if self._nsp_nearest_first is None:
+            if not run_nsp:
                 self.x_star, self.controls = x_star_prop, shifted
             else:
-                nsp_draws = step_draws(
-                    self.seed, self.step_index, STREAM_NSP, self.s.nsp_samples, self.s.horizon,
-                    self.cost,
-                )
+
+                def roll_measured() -> tuple[Array, Array]:
+                    nonlocal rolled
+                    state, crashed = propagate(
+                        self.model, self.cost, x[None, None], shifted + 0.0, both
+                    )
+                    rolled = state[:, nsp:], crashed[:, nsp:]
+                    return state[:, :nsp], crashed[:, :nsp]
+
                 decision = nominal_state_propagation(
                     self.model,
                     self.cost,
@@ -523,16 +573,16 @@ class RmppiController:
                     self.s.n_candidates,
                     nsp_draws,
                     nearest_first=self._nsp_nearest_first,
+                    roll_measured=roll_measured,
                 )
                 self.x_star = decision.candidates[decision.index].copy()
                 self.controls = decision.control_sequence
+                if decision.index == 0 or not np.array_equal(self.x_star, x):
+                    rolled = None  # the speculation missed
 
         policy = self.policy_factory(self.x_star, self.controls)
         violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
             self.model, x, check_star, check_u
-        )
-        draws = step_draws(
-            self.seed, self.step_index, STREAM_ROLLOUT, self.s.n_samples, self.s.horizon, self.cost
         )
         roll = augmented_rollouts(
             self.model,
@@ -543,6 +593,7 @@ class RmppiController:
             policy,
             draws,
             self.s.alpha,
+            rolled=rolled,
         )
         if np.array_equal(x, self.x_star):
             # a zero offset gives a zero correction (FeedbackPolicy), added as

@@ -105,23 +105,16 @@ class NoisePlan:
         return cls(draws=draws)
 
 
-# The three controllers' rollouts share one draw buffer; NSP keeps its own.
-_DRAW_ROLES = {STREAM_ROLLOUT: "draws", STREAM_NSP: "nsp_draws"}
+def step_draws(seed: int, step: int, stream: int, cost: CostFunction, out: Array) -> Array:
+    """Fill ``out`` with one step's control draws, covariance ``cost.sigma``, and return it.
 
-
-def step_draws(
-    seed: int, step: int, stream: int, n_samples: int, horizon: int, cost: CostFunction
-) -> Array:
-    """One step's ``(n_samples, horizon, n_u)`` control draws, covariance ``cost.sigma``.
-
-    Drawn by :meth:`NoisePlan.sample` from ``derive_seed(seed, step, stream)``
-    into this thread's scratch buffer for the stream, so they hold until the
-    next call for the same stream.
+    ``out`` is ``(n_samples, horizon, n_u)``, typically a :func:`scratch`
+    buffer or a leading-axis slice of one, which is C-contiguous like the
+    buffer itself.  The draws come from :meth:`NoisePlan.sample` under
+    ``derive_seed(seed, step, stream)`` and have the bits of a fresh plan.
     """
-    chol = cost.sigma_chol
-    out = scratch(_DRAW_ROLES[stream], (n_samples, horizon, chol.shape[0]))
     child = derive_seed(seed, step, stream)
-    return NoisePlan.sample(child, n_samples, horizon, chol, out).draws
+    return NoisePlan.sample(child, out.shape[0], out.shape[1], cost.sigma_chol, out).draws
 
 
 def free_energy_mc(costs: Array, lam: float) -> float | Array:
@@ -263,6 +256,23 @@ def rollout_batch(
     state_costs, crashed = propagate(model, cost, x0, controls, draws)
     if x0.ndim < 3 and controls.ndim < 3:
         state_costs, crashed = state_costs[0], crashed[0]
+    return price_rollouts(cost, controls, draws, state_costs, crashed, control_term)
+
+
+def price_rollouts(
+    cost: CostFunction,
+    controls: Array,
+    draws: Array,
+    state_costs: Array,
+    crashed: Array,
+    control_term: str,
+) -> RolloutResult:
+    """Add the ``control_term`` penalty to :func:`propagate`'s state costs and price crashes.
+
+    The pricing step of :func:`rollout_batch`, for rows that another call
+    rolled out: ``state_costs`` and ``crashed`` of the shape that
+    ``rollout_batch`` would give for ``controls`` and ``draws``.
+    """
     coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
     terms = scratch("rollout_penalty", controls.shape[:-2] + draws.shape[:-1])
     total = state_costs + coef * control_penalty_batch(controls, draws, cost.sigma_inv, terms)
@@ -316,9 +326,8 @@ class MppiController:
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
-        draws = step_draws(
-            self.seed, self.step_index, STREAM_ROLLOUT, self.n_samples, self.horizon, self.cost
-        )
+        out = scratch("draws", (self.n_samples, self.horizon, self.model.n_u))
+        draws = step_draws(self.seed, self.step_index, STREAM_ROLLOUT, self.cost, out)
         res = rollout_batch(self.model, self.cost, x, self.controls, draws)
         degenerate = bool(res.crashed.all())
         if degenerate:

@@ -9,7 +9,9 @@ weights with the proposal correction written out, the density ratio of one
 augmented noise sequence, the LQ tracking gains from a Riccati pass that
 linearizes point by point, the iLQG policy factory that builds its gains
 on every call, the augmented batch rolled out as two copies whatever its
-starts, and the tracking-rate fit with its envelope flags,
+starts, the RMPPI step that rolls nominal-state propagation and the
+augmented batch in two calls over draws of their own, and the tracking-rate
+fit with its envelope flags,
 which the acceptance test applies to the contraction law's residuals.  The
 library fits no rate: a policy without a certificate runs at
 ``feedback.UNCERTIFIED_RATE``.
@@ -29,8 +31,28 @@ from robust_mppi.costs import (
 )
 from robust_mppi.dynamics import nominal_trajectory
 from robust_mppi.feedback import UNCERTIFIED_RATE, RiccatiDivergenceError, ilqg_gains
-from robust_mppi.rmppi import AugmentedRollout, mixed_cost
-from robust_mppi.sampling import propagate
+from robust_mppi.rmppi import (
+    AugmentedRollout,
+    RmppiController,
+    augmented_rollouts,
+    estimate_value_noise,
+    free_energy_growth_bound,
+    mixed_cost,
+    nominal_state_propagation,
+)
+from robust_mppi.sampling import (
+    STREAM_NSP,
+    STREAM_ROLLOUT,
+    NoisePlan,
+    StepRecord,
+    derive_seed,
+    free_energy_mc,
+    mppi_update,
+    propagate,
+    shift_control_sequence,
+    softmax_weights,
+    weighted_noise,
+)
 
 Array = np.ndarray
 
@@ -167,6 +189,87 @@ def augmented_rollouts_two_copies(
     for channel in (real, mixed, nominal_eval):
         channel[crashed] = cost.crash_cost
     return AugmentedRollout(real=real, mixed=mixed, nominal_eval=nominal_eval, crashed=crashed)
+
+
+class TwoCallRmppiController(RmppiController):
+    """``rmppi.RmppiController`` with nominal-state propagation and the augmented batch apart.
+
+    NSP rolls every candidate group it evaluates itself, and the augmented
+    batch is rolled from the chosen nominal state in its own call, each over
+    a fresh array of draws from its own ``(seed, step, stream)`` key.  The
+    library rolls NSP's measured-state candidate and the augmented batch in
+    one call when it can; the run logs must not show the difference.
+    """
+
+    def _draws(self, stream: int, n_samples: int) -> Array:
+        seed = derive_seed(self.seed, self.step_index, stream)
+        return NoisePlan.sample(seed, n_samples, self.s.horizon, self.cost.sigma_chol).draws
+
+    def step(self, x: Array) -> tuple[Array, StepRecord]:
+        x = np.asarray(x, dtype=float)
+        if self.x_star is None:
+            self.x_star = x.copy()
+        decision = None
+        check_star, check_u = self.x_star, self.controls[0]
+        if self.step_index > 0:
+            x_star_prop = self.model.step(self.x_star, self.controls[0])
+            shifted = shift_control_sequence(self.controls)
+            check_star, check_u = x_star_prop, shifted[0]
+            if self._nsp_nearest_first is None:
+                self.x_star, self.controls = x_star_prop, shifted
+            else:
+                decision = nominal_state_propagation(
+                    self.model, self.cost, x, self.x_star, x_star_prop, self.controls,
+                    self.s.alpha, self.s.n_candidates, self._draws(STREAM_NSP, self.s.nsp_samples),
+                    nearest_first=self._nsp_nearest_first,
+                )
+                self.x_star = decision.candidates[decision.index].copy()
+                self.controls = decision.control_sequence
+
+        policy = self.policy_factory(self.x_star, self.controls)
+        violation = hasattr(policy, "contraction_step_ok") and not policy.contraction_step_ok(
+            self.model, x, check_star, check_u
+        )
+        draws = self._draws(STREAM_ROLLOUT, self.s.n_samples)
+        roll = augmented_rollouts(
+            self.model, self.cost, x, self.x_star, self.controls, policy, draws, self.s.alpha
+        )
+        feedback0 = 0.0 if np.array_equal(x, self.x_star) else policy.apply_batch(x, self.x_star, 0)
+        emv = estimate_value_noise(roll.nominal_eval, self.cost.lam, self.s.emv_repeats)
+        degenerate = bool(roll.crashed.all())
+        if degenerate:
+            action = self.model.clamp(self.controls[0] + feedback0)
+            fe_real = fe_nom = self.cost.crash_cost
+            bound = bound_no_d = np.inf
+            self._nsp_nearest_first = None
+        else:
+            w_real = softmax_weights(roll.real, self.cost.lam)
+            w_nom = softmax_weights(roll.mixed, self.cost.lam)
+            action = self.model.clamp(
+                (self.controls[0] + feedback0) + weighted_noise(w_real, draws)[0]
+            )
+            fe_real = free_energy_mc(roll.real, self.cost.lam)
+            fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
+            bound, bound_no_d = free_energy_growth_bound(
+                self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv
+            )
+            self.controls = mppi_update(self.controls, w_nom, draws)
+            self._nsp_nearest_first = decision is None or decision.index == self.s.n_candidates
+
+        self.step_index += 1
+        return action, StepRecord(
+            fe_real=fe_real,
+            fe_nom=fe_nom,
+            x_star=self.x_star.copy(),
+            degen=degenerate,
+            bound=bound,
+            bound_no_d=bound_no_d,
+            cand_idx=-1 if decision is None else decision.index,
+            gamma_hat=self.s.gamma,
+            emv=emv,
+            nsp_fallback=decision is not None and decision.fallback,
+            contraction_violation=violation,
+        )
 
 
 def riccati_gains_per_point(

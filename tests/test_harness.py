@@ -783,37 +783,113 @@ def test_an_overstated_contraction_rate_is_counted_on_every_nsp_step():
 
 
 def record_nsp_groups(monkeypatch):
-    """Collect the group count of every rollout_batch call in rmppi, which only NSP makes."""
-    groups = []
+    """Collect the size of every candidate group NSP rolls out, in order.
+
+    NSP rolls a group through ``rollout_batch`` (the only ``rollout_batch``
+    calls in ``rmppi`` during an rmppi run) or, for the measured state alone
+    on a nearest-first search, through the controller's ``roll_measured``,
+    which rolls it in the augmented batch's call.  Returns the sizes of all
+    groups and those of the groups rolled through ``roll_measured``.
+    """
+    groups, shared = [], []
     rollout_batch = rmppi.rollout_batch
+    nsp = rmppi.nominal_state_propagation
 
     def counted_rollout_batch(model, cost, x0, *args, **kwargs):
         groups.append(np.shape(x0)[0])
         return rollout_batch(model, cost, x0, *args, **kwargs)
 
+    def counted_nsp(*args, roll_measured=None, **kwargs):
+        def counted_roll_measured():
+            state, crashed = roll_measured()
+            groups.append(state.shape[0])
+            shared.append(state.shape[0])
+            return state, crashed
+
+        if roll_measured is not None:
+            kwargs["roll_measured"] = counted_roll_measured
+        return nsp(*args, **kwargs)
+
     monkeypatch.setattr(rmppi, "rollout_batch", counted_rollout_batch)
-    return groups
+    monkeypatch.setattr(rmppi, "nominal_state_propagation", counted_nsp)
+    return groups, shared
 
 
 def test_nsp_rolls_out_one_candidate_a_step_while_the_measurement_wins(monkeypatch):
-    groups = record_nsp_groups(monkeypatch)
+    groups, shared = record_nsp_groups(monkeypatch)
     log = run_closed_loop(load_config(str(STRESS_CONFIG), ["experiment.steps=40"]))
     assert np.all(log.column("cand_idx")[1:] == 8)
     assert groups == [1] * 39
+    # each one rolled with the augmented batch
+    assert shared == [1] * 39
 
 
 def test_nsp_rolls_out_every_candidate_after_the_measurement_lost(monkeypatch):
     # the nearest-first search runs only after a step that chose the
     # measurement, candidate 8; when that fails, the other 8 follow
-    groups = record_nsp_groups(monkeypatch)
+    groups, shared = record_nsp_groups(monkeypatch)
     wall = CONFIGS / "di_wall_compare_x100.ini"
     log = run_closed_loop(load_config(str(wall), ["experiment.steps=60"]))
-    expected, chose_x = [], True
+    expected, nearest_first, chose_x = [], 0, True
     for index in log.column("cand_idx")[1:]:
         expected += ([1] if index == 8 else [1, 8]) if chose_x else [9]
+        nearest_first += chose_x
         chose_x = index == 8
     assert groups == expected
     assert {1, 8, 9} <= set(groups)
+    # the measured state went with the augmented batch on every nearest-first step
+    assert shared == [1] * nearest_first
+
+
+# name -> (config, overrides, the kinds of NSP step the run must hold).  A
+# hit rolls the measured state with the augmented batch and prices those
+# rows; a miss throws them away; a full search speculates on nothing.
+TWO_CALL_RUNS = {
+    "pendulum-ilqg": (
+        "pendulum_stress_x150.ini", ["feedback.kind=ilqg", "experiment.steps=100"], {"hit"}
+    ),
+    "wall-compare": ("di_wall_compare_x100.ini", ["experiment.steps=150"], {"hit", "miss", "full"}),
+    "di-tight-ilqg": (
+        "di_stress_x100.ini",
+        ["rmppi.alpha=300", "feedback.kind=ilqg", "experiment.steps=300"],
+        {"hit", "miss", "full", "fallback"},
+    ),
+}
+
+
+def nsp_step_kinds(log: RunLog) -> set[str]:
+    """The kinds of NSP step in an rmppi log with candidate R = 8 and no degenerate step."""
+    index = log.column("cand_idx")[1:]
+    nearest_first = np.concatenate([[True], index[:-1] == 8])
+    kinds = {
+        "hit": nearest_first & (index == 8),
+        "miss": nearest_first & (index != 8),
+        "full": ~nearest_first,
+    }
+    found = {kind for kind, steps in kinds.items() if steps.any()}
+    return found | ({"fallback"} if log.summary["nsp_fallbacks"] else set())
+
+
+@pytest.mark.parametrize("run", list(TWO_CALL_RUNS))
+def test_rmppi_logs_equal_those_of_the_two_call_step(run, monkeypatch, tmp_path):
+    config, overrides, kinds = TWO_CALL_RUNS[run]
+    cfg = load_config(str(CONFIGS / config), overrides)
+    csv = {}
+    for tree in ("library", "oracle"):
+        if tree == "oracle":
+            monkeypatch.setattr(harness, "RmppiController", oracles.TwoCallRmppiController)
+        if run == "wall-compare":
+            logs = compare_controllers(cfg)
+        else:
+            logs = {"rmppi": run_closed_loop(cfg)}
+        assert not any(log.column("degen").any() for log in logs.values())
+        assert nsp_step_kinds(logs["rmppi"]) == kinds
+        for name, log in logs.items():
+            path = tmp_path / f"{tree}-{name}.csv"
+            log.to_csv(path)
+            csv[tree, name] = path.read_bytes()
+    for name in logs:
+        assert csv["library", name] == csv["oracle", name], name
 
 
 @pytest.mark.parametrize(
@@ -826,12 +902,12 @@ def test_the_nsp_search_order_never_shows_in_a_closed_loop(config, steps, monkey
     for forced in (None, True, False):
         orders = []
 
-        def forced_nsp(*args, nearest_first):
+        def forced_nsp(*args, nearest_first, **kwargs):
             orders.append(nearest_first)
-            return nsp(*args, nearest_first=nearest_first if forced is None else forced)
+            return nsp(*args, nearest_first=nearest_first if forced is None else forced, **kwargs)
 
         monkeypatch.setattr(rmppi, "nominal_state_propagation", forced_nsp)
-        groups = record_nsp_groups(monkeypatch)
+        groups, _ = record_nsp_groups(monkeypatch)
         path = tmp_path / f"{forced}.csv"
         run_closed_loop(cfg).to_csv(path)
         monkeypatch.undo()

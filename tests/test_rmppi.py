@@ -35,12 +35,13 @@ from robust_mppi.sampling import (
     derive_seed,
     free_energy_mc,
     mppi_update,
+    propagate,
     rollout_batch,
     shift_control_sequence,
     softmax_weights,
 )
 
-from oracles import augmented_density_ratio
+from oracles import TwoCallRmppiController, augmented_density_ratio
 
 
 def simple_cost(lam=2.0, beta=0.5, sigma=None, crash_cost=1e4, lipschitz=False):
@@ -64,6 +65,23 @@ def control_blowup_model():
             return np.stack([(x[..., 0] + u[..., 0]) ** 3, u[..., 0]], axis=-1)
 
     return SystemModel(name="blowup", n_x=2, n_u=1, dt=1.0, deriv=deriv)
+
+
+def fuse_model(radius):
+    """Double integrator whose rows go non-finite once ``|position|`` passes ``radius``.
+
+    Past ``+radius`` the position becomes NaN, past ``-radius`` the velocity
+    becomes infinite, so a crash shows in either coordinate alone.
+    """
+
+    def deriv(x, u):
+        pos, vel = x[..., 0], x[..., 1]
+        return np.stack(
+            [np.where(pos > radius, np.nan, vel), np.where(pos < -radius, np.inf, u[..., 0])],
+            axis=-1,
+        )
+
+    return SystemModel("fuse", 2, 1, 0.5, deriv)
 
 
 def zero_policy_factory(x_star, controls):
@@ -375,10 +393,10 @@ def test_nearest_first_search_decides_as_the_full_search(problem):
     cost = simple_cost()
     shifted = shift_control_sequence(controls)
 
-    def decide(alpha, nearest_first):
+    def decide(alpha, nearest_first, roll_measured=None):
         return nominal_state_propagation(
             model, cost, x, x_prev, x_prop, controls, alpha, r, draws,
-            nearest_first=nearest_first,
+            nearest_first=nearest_first, roll_measured=roll_measured,
         )
 
     candidates = decide(np.inf, False).candidates
@@ -403,6 +421,21 @@ def test_nearest_first_search_decides_as_the_full_search(problem):
 
     full = decide(alpha, False)
     fast = decide(alpha, True)
+    rolled_by_caller = []
+
+    def roll_measured():
+        # as the controller rolls it, with the augmented batch: plan + 0.0
+        rolled_by_caller.append(1)
+        return propagate(model, cost, x[None, None], shifted + 0.0, draws)
+
+    shared = decide(alpha, True, roll_measured)
+    # only candidate R alone at the minimum distance is left to the caller
+    assert rolled_by_caller == ([1] if np.count_nonzero(nearest) == 1 else [])
+    for name in ("index", "fallback", "feasible", "candidates", "control_sequence"):
+        assert np.array_equal(getattr(shared, name), getattr(fast, name)), name
+    # a full search rolls every candidate itself
+    decide(alpha, False, roll_measured)
+    assert len(rolled_by_caller) <= 1
     assert np.array_equal(full.feasible, fe <= alpha)
     assert fast.index == full.index
     assert fast.fallback == full.fallback
@@ -908,3 +941,87 @@ def test_rmppi_respects_actuation_limits():
         action, _ = controller.step(x)
         assert np.all(np.abs(action) <= 0.05)
         x = model.step(x, action)
+
+
+def record_speculation(monkeypatch):
+    """Per RMPPI step, whether NSP's measured state was rolled with the augmented
+    batch and whether the augmented batch then priced those rows."""
+    import robust_mppi.rmppi as rmppi_module
+
+    nsp, augmented = rmppi_module.nominal_state_propagation, rmppi_module.augmented_rollouts
+    events, pending = [], []
+
+    def spied_nsp(*args, roll_measured=None, **kwargs):
+        def counted():
+            pending.append(True)
+            return roll_measured()
+
+        return nsp(*args, roll_measured=counted if roll_measured else None, **kwargs)
+
+    def spied_augmented(*args, rolled=None, **kwargs):
+        events.append((bool(pending), rolled is not None))
+        pending.clear()
+        return augmented(*args, rolled=rolled, **kwargs)
+
+    monkeypatch.setattr(rmppi_module, "nominal_state_propagation", spied_nsp)
+    monkeypatch.setattr(rmppi_module, "augmented_rollouts", spied_augmented)
+    return events
+
+
+def step_with_the_two_call_oracle(controller, states):
+    """Step ``controller`` and the two-call oracle through ``states``, bit for bit alike."""
+    oracle = TwoCallRmppiController(
+        controller.model, controller.cost, controller.s, controller.seed,
+        controller.policy_factory,
+    )
+    records = []
+    for x in states:
+        action, record = controller.step(np.array(x))
+        expected_action, expected = oracle.step(np.array(x))
+        assert np.array_equal(action, expected_action)
+        got, want = dataclasses.astuple(record), dataclasses.astuple(expected)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+        records.append(record)
+    return records
+
+
+NONE, HIT, MISS = (False, False), (True, True), (True, False)
+FUSE_STATES = [[0.0, 0.0], [0.1, 0.0], [0.2, 0.1], [0.6, 0.0], [0.05, 0.0], [1.5, 0.0],
+               [0.0, 0.0], [0.0, 0.1]]
+
+
+@pytest.mark.parametrize(
+    "alpha, events, cand_idx",
+    [
+        # a miss on a degenerate step, then a step without NSP
+        (20.0, [NONE, HIT, HIT, HIT, HIT, MISS, NONE, HIT], [-1, 4, 4, 4, 4, 3, -1, 4]),
+        # a candidate-0 win after the measured state lost, then full searches
+        # that fall back, one of them degenerate
+        (5.0, [NONE, HIT, MISS, NONE, NONE, NONE, NONE, HIT], [-1, 4, 0, 0, 0, 0, -1, 4]),
+    ],
+)
+def test_rmppi_prices_the_rows_rolled_with_nsp_only_when_the_measured_state_wins(
+    alpha, events, cand_idx, monkeypatch
+):
+    # rows go non-finite past position 1, so the step at 1.5 is degenerate
+    recorded = record_speculation(monkeypatch)
+    controller = make_rmppi(model=fuse_model(1.0), alpha=alpha)
+    records = step_with_the_two_call_oracle(controller, FUSE_STATES)
+    assert recorded == events
+    assert [r.cand_idx for r in records] == cand_idx
+    assert [r.degen for r in records] == [False] * 5 + [True] + [False] * 2
+
+
+def test_a_tie_at_distance_zero_rolls_the_nearest_group_in_nsp(monkeypatch):
+    # measure at step 1 the nominal state propagated from step 0, so that
+    # candidates R//2 to R all sit on the measured state
+    x0 = np.array([0.5, -0.2])
+    probe = make_rmppi()
+    probe.step(x0)
+    x1 = probe.model.step(probe.x_star, probe.controls[0])
+    recorded = record_speculation(monkeypatch)
+    records = step_with_the_two_call_oracle(make_rmppi(), [x0, x1])
+    assert recorded == [NONE, NONE]
+    # the lowest index at distance 0 wins, with the shifted plan
+    assert records[1].cand_idx == 2
+    assert np.array_equal(records[1].x_star, x1)

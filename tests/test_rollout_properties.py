@@ -19,7 +19,7 @@ from robust_mppi.rmppi import augmented_rollouts, mixed_cost
 from robust_mppi.sampling import NoisePlan, propagate, rollout_batch
 
 from oracles import augmented_rollouts_two_copies, control_cost_term
-from test_rmppi import control_blowup_model
+from test_rmppi import control_blowup_model, fuse_model
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -96,23 +96,6 @@ CRASH_COST = CostFunction(
     beta=0.25,
     crash_cost=1.0e4,
 )
-
-
-def fuse_model(radius):
-    """Double integrator whose rows go non-finite once ``|position|`` passes ``radius``.
-
-    Past ``+radius`` the position becomes NaN, past ``-radius`` the velocity
-    becomes infinite, so a crash shows in either coordinate alone.
-    """
-
-    def deriv(x, u):
-        pos, vel = x[..., 0], x[..., 1]
-        return np.stack(
-            [np.where(pos > radius, np.nan, vel), np.where(pos < -radius, np.inf, u[..., 0])],
-            axis=-1,
-        )
-
-    return SystemModel("fuse", 2, 1, 0.5, deriv)
 
 
 class ColumnGain:
@@ -204,6 +187,76 @@ def test_augmented_rollouts_price_a_crash_in_either_copy(batch, gain):
             if crashed:
                 assert value == CRASH_COST.crash_cost
             assert np.array_equal(getattr(alone, name), getattr(roll, name)[i : i + 1])
+
+
+# -- draws of two streams in one buffer ------------------------------------------
+
+
+SLICE_SIGMA_CHOLS = {
+    "one_input": np.array([[0.7]]),
+    "diagonal": np.diag([0.5, 2.0]),
+    "full": np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.5]])),
+}
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(sorted(SLICE_SIGMA_CHOLS)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 20),
+    st.integers(1, 20),
+    st.integers(0, 20),
+    st.integers(1, 12),
+)
+def test_a_plan_drawn_into_a_leading_axis_slice_has_the_bits_of_a_fresh_plan(
+    kind, seed, before, n, after, horizon
+):
+    chol = SLICE_SIGMA_CHOLS[kind]
+    buffer = np.full((before + n + after, horizon, chol.shape[0]), np.nan)
+    plan = NoisePlan.sample(seed, n, horizon, chol, out=buffer[before : before + n])
+    assert np.shares_memory(plan.draws, buffer)
+    assert np.array_equal(plan.draws, NoisePlan.sample(seed, n, horizon, chol).draws)
+    # the rows around the slice are untouched
+    assert np.isnan(buffer[:before]).all() and np.isnan(buffer[before + n :]).all()
+
+
+@st.composite
+def stacked_batches(draw, model_name):
+    """A start, a plan and two streams' draws in leading-axis slices of one buffer."""
+    sizes = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    horizon = draw(st.integers(1, 12))
+    buffer = np.empty((sum(sizes), horizon, 1))
+    parts = (buffer[: sizes[0]], buffer[sizes[0] :])
+    for part in parts:
+        NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), len(part), horizon, COST.sigma_chol, part)
+    start = draw(hnp.arrays(np.float64, 2, elements=values, fill=st.nothing()))
+    controls = draw(hnp.arrays(np.float64, (horizon, 1), elements=values, fill=st.nothing()))
+    if model_name == "fuse":
+        model = fuse_model(draw(st.floats(0.5, 4.0)))
+    else:
+        model = MODELS[model_name]
+    return model, start, controls, buffer, parts
+
+
+# the fuse model's rows crash in either coordinate; nonlinear_benchmark is
+# the pendulum
+@pytest.mark.parametrize("model_name", [*sorted(MODELS), "fuse"])
+def test_one_call_over_stacked_draws_gives_each_row_the_bits_of_its_own_call(model_name):
+    @PROPERTY_SETTINGS
+    @given(stacked_batches(model_name))
+    def check(batch):
+        model, start, controls, buffer, parts = batch
+        state, crashed = propagate(model, CRASH_COST, start[None, None], controls + 0.0, buffer)
+        rows = 0
+        for part in parts:
+            alone_state, alone_crashed = propagate(
+                model, CRASH_COST, start[None, None], controls + 0.0, part.copy()
+            )
+            assert np.array_equal(state[:, rows : rows + len(part)], alone_state)
+            assert np.array_equal(crashed[:, rows : rows + len(part)], alone_crashed)
+            rows += len(part)
+
+    check()
 
 
 # -- two inputs ----------------------------------------------------------------
