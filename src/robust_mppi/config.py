@@ -101,7 +101,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "r_track": (_parse_vec, "1.0", _FINITE_POSITIVE),
         "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0", _FINITE),
         "lambda_c": (_parse_float, "1.0", _FINITE_POSITIVE),
-        "effort_weight": (_parse_float, "1.0", _FINITE_POSITIVE),
     },
     "rmppi": {
         "alpha": (_parse_float, "3000.0", _FINITE),
@@ -155,7 +154,6 @@ class ExperimentConfig:
     r_track: tuple[float, ...]
     metric: tuple[float, ...]
     lambda_c: float
-    effort_weight: float
     alpha: float
     n_candidates: int
     nsp_samples: int

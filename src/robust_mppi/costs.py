@@ -33,7 +33,7 @@ class CostFunction:
     inverse are computed once and cached on the instance.
     ``lipschitz_q``/``lipschitz_phi`` are bounds over the admissible task
     domain, used by the growth-bound monitor.  ``crash_cost`` is the finite
-    cost assigned to rollouts whose state stops being finite.
+    cost of a crashed rollout, whose state or state cost stopped being finite.
     """
 
     state_cost: Callable[[Array], Array]

@@ -55,7 +55,8 @@ class SystemModel:
         row, with only n_x elements in it, and ``np.stack(..., axis=-1)``
         adds Python overhead: for two ``(2, 256)`` columns it took 6.8 us
         where filling one ``np.empty`` output took 2.4 us (numpy 2.4.6, one
-        core of a 2-vCPU Xeon).
+        core of a 2-vCPU Xeon).  Rollouts keep stepping crashed rows, so
+        ``deriv`` also receives NaN and infinite entries and must not raise.
     jac:
         Optional analytic jacobians ``(x, u) -> (dF/dx, dF/du)``; broadcasts
         like ``deriv``.  States ``(..., n_x)`` and controls ``(..., n_u)``

@@ -80,17 +80,18 @@ class LinearGainsPolicy:
 
 @dataclass
 class ContractionPolicy:
-    """Constant-metric differential feedback ``-(1/r) B^T M (x - x_star)``.
+    """Constant-metric differential feedback ``-B^T M (x - x_star)``.
 
     ``metric`` must be symmetric positive definite; ``rate`` is the certified
     contraction rate, so noise-free tracking shrinks the metric distance by at
-    least ``exp(-rate*dt)`` per step.
+    least ``exp(-rate*dt)`` per step.  A control-effort weight ``r`` in
+    ``-(1/r) B^T M`` is the metric ``M / r``: the certificate's decrease
+    test on ``e^T M e`` does not change when ``M`` is scaled.
     """
 
     metric: Array
     rate: float
     b_matrix: Array
-    effort_weight: float = 1.0
     control_low: Array | None = None
     control_high: Array | None = None
 
@@ -105,10 +106,8 @@ class ContractionPolicy:
             raise ValueError("contraction metric must be positive definite") from None
         if self.rate <= 0.0:
             raise ValueError("contraction rate must be positive")
-        if self.effort_weight <= 0.0:
-            raise ValueError("effort weight must be positive")
         self.metric = m
-        self._k = (self.b_matrix.T @ m) / self.effort_weight  # (n_u, n_x)
+        self._k = self.b_matrix.T @ m  # (n_u, n_x)
 
     def apply_batch(self, x: Array, x_star: Array, t: int) -> Array:
         u = -(x - x_star) @ self._k.T
@@ -203,7 +202,6 @@ def contraction_feedback(
     model,
     metric: Array,
     rate: float,
-    effort_weight: float = 1.0,
 ) -> ContractionPolicy:
     """Build the constant-metric policy for a control-affine model.
 
@@ -218,7 +216,6 @@ def contraction_feedback(
         metric=np.asarray(metric, dtype=float),
         rate=float(rate),
         b_matrix=b,
-        effort_weight=float(effort_weight),
         control_low=model.control_low,
         control_high=model.control_high,
     )

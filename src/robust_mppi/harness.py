@@ -245,12 +245,10 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     if cfg.feedback_kind == "contraction":
         n = model.n_x
         metric = np.array(cfg.metric, dtype=float).reshape(n, n)
-        # config load has checked lambda_c and effort_weight, so the policy
-        # refuses only the metric here
+        # config load has checked lambda_c, so the policy refuses only the
+        # metric here
         try:
-            policy = contraction_feedback(
-                model, metric, cfg.lambda_c, effort_weight=cfg.effort_weight
-            )
+            policy = contraction_feedback(model, metric, cfg.lambda_c)
         except ValueError as err:
             raise ValueError(
                 f"feedback.metric must be a symmetric positive-definite {n}x{n} matrix, "

@@ -99,8 +99,8 @@ def augmented_rollouts(
       + (lam/2) sum u^T Sigma^{-1} (u+2 eps)``
     - ``nominal_eval = state_nom + (lam(1-beta)/2) sum u^T Sigma^{-1} (u+2 eps)``
 
-    Samples where either copy leaves the finite range are marked crashed and
-    priced at ``cost.crash_cost`` in every channel.
+    Samples where either copy's final state or path cost is not finite are
+    marked crashed and priced at ``cost.crash_cost`` in every channel.
 
     When the two copies start on the same state, as after nominal-state
     propagation chose the measured state, only the nominal copy is rolled
@@ -479,11 +479,11 @@ class RmppiController:
     are rolled from ``x`` under the shifted plan in one
     :func:`~robust_mppi.sampling.propagate` call: NSP prices the first set,
     and the augmented batch is a speculation that ``x`` wins.  It is priced
-    when the winner starts exactly on ``x`` under the shifted plan (any
-    candidate but 0); otherwise the rows are thrown away and the augmented
-    batch is rolled from the winner.  The plan gets ``+ 0.0`` in that call,
-    as on the augmented batch's one-copy path; for NSP's rows that changes
-    ``u + eps`` only where a plan entry and its draw are both ``-0.0``.
+    when candidate R wins (no other candidate then sits on ``x``); otherwise
+    the rows are thrown away and the augmented batch is rolled from the
+    winner.  The plan gets ``+ 0.0`` in that call, as on the augmented
+    batch's one-copy path; for NSP's rows that changes ``u + eps`` only
+    where a plan entry and its draw are both ``-0.0``.
     The step record carries the nominal state the action tracked and the
     forward-looking growth bound for the next free-energy increment, which
     is infinite after a degenerate step.
@@ -577,7 +577,7 @@ class RmppiController:
                 )
                 self.x_star = decision.candidates[decision.index].copy()
                 self.controls = decision.control_sequence
-                if decision.index == 0 or not np.array_equal(self.x_star, x):
+                if decision.index != self.s.n_candidates:
                     rolled = None  # the speculation missed
 
         policy = self.policy_factory(self.x_star, self.controls)

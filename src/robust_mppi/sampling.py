@@ -6,9 +6,11 @@ function of its config.  Every controller path rolls its samples through one
 kernel, :func:`propagate`, which advances groups of samples under shared
 noise draws with an optional tracking correction and returns only the state
 costs and crash flags; a caller that prices the corrections records them in
-its own feedback closure.  Per-sample evaluation is elementwise and
-penalties are summed in a fixed order after the horizon loop, so a sample's
-cost does not depend on which other samples or groups share its batch.
+its own feedback closure; one check after its horizon loop flags the
+crashed rows, which are stepped like the others until then.  Per-sample
+evaluation is elementwise and penalties are summed in a fixed order after
+the horizon loop, so a sample's cost does not depend on which other samples
+or groups share its batch.
 The large per-step arrays (noise draws, penalty terms, tracking corrections)
 are filled in place in buffers from :func:`scratch`, a per-thread pool kept
 across steps, so a step does not map and fault them afresh.
@@ -193,35 +195,36 @@ def propagate(
     is ``(N, T, n_u)`` and is shared by every group.  Step ``t`` applies
     ``controls[t] + k + draws[:, t]``, where ``k = feedback(x, t)`` is a
     correction broadcastable to ``(G, N, n_u)`` computed from the current
-    states ``x``; with no ``feedback`` nothing is added.  Rows whose state
-    stops being finite are parked at zero and add no further cost.
+    states ``x``; with no ``feedback`` nothing is added.  A row crashes when
+    its final state or path cost is not finite: Euler steps ``x + F*dt`` keep
+    a non-finite state non-finite, so one check after the loop sees every
+    crash, and crashed rows are stepped on through ``model.step``,
+    ``feedback`` and the costs.
 
-    Returns two values: the running plus terminal state costs and the crash
-    flags, both ``(G, N)``.  The corrections are not recorded; a caller that
-    prices them keeps them from inside its ``feedback``.
+    Returns two values: the running plus terminal state costs, which may be
+    NaN on a crashed row, and the crash flags, both ``(G, N)``.  The
+    corrections are not recorded; a caller that prices them keeps them from
+    inside its ``feedback``.
     """
     n, horizon, n_u = draws.shape
     groups = np.broadcast_shapes(starts.shape[:-2], controls.shape[:-2], (1,))
     ctrl = np.broadcast_to(controls, groups + (horizon, n_u))
     x = np.broadcast_to(starts, groups + (n, model.n_x))
     s = np.zeros(x.shape[:-1])
-    alive = None  # row mask, built once some row has gone non-finite
-    for t in range(horizon):
-        u = ctrl[:, None, t]
-        if feedback is not None:
-            u = u + feedback(x, t)
-        x = model.step(x, u + draws[:, t])
-        # one whole-array check per step; a per-row reduction over the short
-        # state axis costs about twenty times as much
-        if not np.isfinite(x).all():
-            bad = ~np.isfinite(x).all(axis=-1)
-            alive = ~bad if alive is None else alive & ~bad
-            x[bad] = 0.0  # park crashed samples; their cost is overwritten later
-        step_cost = cost.state_cost(x)
-        s += step_cost if alive is None else np.where(alive, step_cost, 0.0)
-    final_cost = cost.terminal_cost(x)
-    s += final_cost if alive is None else np.where(alive, final_cost, 0.0)
-    crashed = np.zeros(s.shape, dtype=bool) if alive is None else ~alive
+    # the check after the loop says all that crashed rows' warnings would
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            u = ctrl[:, None, t]
+            if feedback is not None:
+                u = u + feedback(x, t)
+            x = model.step(x, u + draws[:, t])
+            s += cost.state_cost(x)
+        s += cost.terminal_cost(x)
+    crashed = ~np.isfinite(s)
+    # a per-row reduction over the short state axis costs about twenty times
+    # as much as one whole-array check, so it runs only when a row needs it
+    if not np.isfinite(x).all():
+        crashed |= ~np.isfinite(x).all(axis=-1)
     return s, crashed
 
 
@@ -240,8 +243,8 @@ def rollout_batch(
     ``controls`` is ``(G, T, n_u)``; the results are then ``(G, N)`` and each
     group equals its own ungrouped call.  ``control_term`` selects the
     penalty variant: "plain" (lam/2) or "beta" (lam*(1-beta)/2); the state
-    costs alone come from :func:`propagate`.  Samples whose state stops
-    being finite get ``cost.crash_cost`` and are flagged.
+    costs alone come from :func:`propagate`.  Samples whose final state or
+    path cost is not finite get ``cost.crash_cost`` and are flagged.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -276,7 +279,8 @@ def price_rollouts(
     coef = control_penalty_coef(cost.lam, cost.beta, control_term == "beta")
     terms = scratch("rollout_penalty", controls.shape[:-2] + draws.shape[:-1])
     total = state_costs + coef * control_penalty_batch(controls, draws, cost.sigma_inv, terms)
-    total = np.where(crashed, cost.crash_cost, total)
+    if crashed.any():
+        total[crashed] = cost.crash_cost
     return RolloutResult(costs=total, crashed=crashed)
 
 

@@ -28,9 +28,8 @@ from oracles import fit_gamma, riccati_gains_per_point
 from test_column_kernels import same_bits
 from test_rollout_properties import two_input_model
 
-DI_METRIC = np.array([[6.0, 3.0], [3.0, 2.0]])
+DI_METRIC = np.array([[18.0, 9.0], [9.0, 6.0]])
 DI_RATE = 1.2
-DI_EFFORT = 1.0 / 3.0
 
 PEND_METRIC = np.array([[4.0, 2.25], [2.25, 3.0]])
 PEND_RATE = 0.35
@@ -249,15 +248,11 @@ def test_contraction_policy_validates_inputs():
         ContractionPolicy(metric=np.array([[1.0, 5.0], [0.0, 1.0]]), rate=1.0, b_matrix=b)
     with pytest.raises(ValueError, match="rate"):
         ContractionPolicy(metric=np.eye(2), rate=0.0, b_matrix=b)
-    with pytest.raises(ValueError, match="effort"):
-        ContractionPolicy(metric=np.eye(2), rate=1.0, b_matrix=b, effort_weight=0.0)
 
 
 def test_contraction_policy_gain_formula():
-    policy = contraction_feedback(
-        double_integrator(control_limit=None), DI_METRIC, DI_RATE, effort_weight=DI_EFFORT
-    )
-    # K = B^T M / r = [3, 2] / (1/3) = [9, 6]
+    policy = contraction_feedback(double_integrator(control_limit=None), DI_METRIC, DI_RATE)
+    # K = B^T M = [9, 6]
     e = np.array([0.1, -0.2])
     assert np.allclose(policy.apply_batch(e, np.zeros(2), 0), -np.array([[9.0, 6.0]]) @ e)
     # one state gives the bits of the single-state formula -K @ e
@@ -267,8 +262,8 @@ def test_contraction_policy_gain_formula():
         metric = a @ a.T + n_x * np.eye(n_x)
         metric = 0.5 * (metric + metric.T)
         b = rng.normal(size=(n_x, n_u))
-        policy = ContractionPolicy(metric, rate=1.0, b_matrix=b, effort_weight=0.7)
-        k = (b.T @ metric) / 0.7
+        policy = ContractionPolicy(metric, rate=1.0, b_matrix=b)
+        k = b.T @ metric
         for _ in range(20):
             x, xs = rng.normal(size=n_x), rng.normal(size=n_x)
             assert same_bits(policy.apply_batch(x, xs, 0), -k @ (x - xs))
@@ -276,7 +271,7 @@ def test_contraction_policy_gain_formula():
 
 def test_contraction_metric_distance_decreases_at_certified_rate_di():
     model = double_integrator(control_limit=None)
-    policy = contraction_feedback(model, DI_METRIC, DI_RATE, effort_weight=DI_EFFORT)
+    policy = contraction_feedback(model, DI_METRIC, DI_RATE)
     rng = np.random.default_rng(5)
     decay = np.exp(-2.0 * DI_RATE * model.dt)
     for _ in range(50):
@@ -294,7 +289,7 @@ def test_contraction_metric_distance_decreases_at_certified_rate_pendulum():
     # the state jacobian is affine in cos(theta) in [-1, 1], so certifying the
     # two extremes certifies every point; spot-check across the state space
     model = nonlinear_benchmark(control_limit=None, damping=0.5)
-    policy = contraction_feedback(model, PEND_METRIC, PEND_RATE, effort_weight=1.0)
+    policy = contraction_feedback(model, PEND_METRIC, PEND_RATE)
     rng = np.random.default_rng(6)
     for _ in range(200):
         x = rng.uniform(-np.pi, np.pi, size=2)
@@ -305,13 +300,13 @@ def test_contraction_metric_distance_decreases_at_certified_rate_pendulum():
 
 def test_contraction_step_ok_detects_wrong_rate():
     model = double_integrator(control_limit=None)
-    greedy = contraction_feedback(model, DI_METRIC, rate=50.0, effort_weight=DI_EFFORT)
+    greedy = contraction_feedback(model, DI_METRIC, rate=50.0)
     assert not greedy.contraction_step_ok(model, np.array([1.0, 0.0]), np.zeros(2), np.zeros(1))
 
 
 def test_contraction_step_ok_trivial_when_already_on_nominal():
     model = double_integrator()
-    policy = contraction_feedback(model, DI_METRIC, DI_RATE, effort_weight=DI_EFFORT)
+    policy = contraction_feedback(model, DI_METRIC, DI_RATE)
     assert policy.contraction_step_ok(model, np.ones(2), np.ones(2), np.zeros(1))
 
 

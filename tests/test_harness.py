@@ -142,9 +142,6 @@ LOAD_TIME_REJECTIONS = {
     "rmppi.nsp_samples=0": "rmppi.nsp_samples",
     "feedback.lambda_c=inf": "feedback.lambda_c",
     "feedback.lambda_c=0": "feedback.lambda_c",
-    "feedback.effort_weight=0": "feedback.effort_weight must be finite and positive",
-    "feedback.effort_weight=-1": "feedback.effort_weight must be finite and positive",
-    "feedback.effort_weight=inf": "feedback.effort_weight must be finite and positive",
     "disturbance.noise_multiplier=-1": "disturbance.noise_multiplier must be finite and >= 0",
     "disturbance.w_bound=-0.1": "disturbance.w_bound must be finite and >= 0",
     "cost.crash_cost=inf": "cost.crash_cost must be finite",

@@ -31,6 +31,7 @@ from robust_mppi.rmppi import (
 from robust_mppi.sampling import (
     STREAM_NSP,
     STREAM_ROLLOUT,
+    MppiController,
     NoisePlan,
     derive_seed,
     free_energy_mc,
@@ -919,6 +920,32 @@ def test_rmppi_degenerate_batch_falls_back():
     # which the degenerate step left unchanged (zeros); no NSP runs
     assert rec1.cand_idx == -1
     assert np.array_equal(rec1.x_star, model.step(x, np.zeros(1)))
+
+
+@pytest.mark.parametrize("kind", ["rmppi", "mppi", "tube"])
+def test_a_cost_that_overflows_on_a_finite_state_stops_no_controller(kind):
+    """Rows whose state stays finite but whose cost overflows are priced as crashes.
+
+    They were priced at ``inf``: RMPPI's second step raised in
+    ``softmax_weights``, and MPPI and the tube raised from a start at 3.5.
+    """
+    model = control_blowup_model()
+    cost = simple_cost(lipschitz=True)
+    if kind == "rmppi":
+        controller = make_rmppi(
+            model=model, horizon=5, n_samples=8, nsp_samples=4, emv_repeats=2, alpha=50.0
+        )
+    elif kind == "mppi":
+        controller = MppiController(model, cost, n_samples=8, horizon=5, seed=7)
+    else:
+        controller = TubeMppiController(
+            model, cost, n_samples=8, horizon=5, seed=7,
+            policy_factory=zero_policy_factory, alpha=50.0,
+        )
+    for x in ([2.0, 0.0], [0.0, 0.0], [3.5, 0.0]):
+        action, rec = controller.step(np.array(x))
+        assert np.isfinite(action).all()
+        assert np.isfinite(rec.fe_real) and np.isfinite(rec.fe_nom)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -2,8 +2,9 @@
 
 Every path (plain rollouts, grouped candidates, the augmented real+nominal
 batch) runs through one kernel, so these check bit for bit that the batch
-layout never changes a sample's numbers, and that rows whose dynamics go
-non-finite are priced as crashes while the rest of the batch is untouched.
+layout never changes a sample's numbers, and that rows whose dynamics or
+costs go non-finite are priced as crashes while the rest of the batch is
+untouched.
 """
 
 import numpy as np
@@ -108,16 +109,22 @@ class ColumnGain:
         return -self.gain * (x[..., :1] - x_star[..., :1])
 
 
-def solo_state_cost(model, x0, controls, eps):
-    """One row stepped alone: running cost up to its crash, or the full path cost."""
+def solo_state_cost(model, x0, controls, eps, cost=CRASH_COST):
+    """One row stepped alone: its path cost, and whether it crashed.
+
+    The row crashed if its state left the finite range at any step or its
+    path cost is not finite.
+    """
     x = x0[None]
     total = np.zeros(1)
-    for t in range(controls.shape[0]):
-        x = model.step(x, controls[t] + eps[None, t])
-        if not np.isfinite(x).all():
-            return total[0], True
-        total = total + CRASH_COST.state_cost(x)
-    return (total + CRASH_COST.terminal_cost(x))[0], False
+    crashed = False
+    with np.errstate(all="ignore"):
+        for t in range(controls.shape[0]):
+            x = model.step(x, controls[t] + eps[None, t])
+            crashed = crashed or not np.isfinite(x).all()
+            total = total + cost.state_cost(x)
+        total = total + cost.terminal_cost(x)
+    return total[0], crashed or not np.isfinite(total[0])
 
 
 @st.composite
@@ -132,14 +139,15 @@ def check_crash_pricing(model, x0, controls, draws, res):
     for i in range(draws.shape[0]):
         ref_cost, ref_crashed = solo_state_cost(model, x0, controls, draws[i])
         assert res.crashed[i] == ref_crashed
-        # a crashed row keeps the finite running cost it had when it crashed
-        assert np.isfinite(state[0, i]) and state[0, i] == ref_cost
         if ref_crashed:
             assert res.costs[i] == CRASH_COST.crash_cost
+        else:
+            assert state[0, i] == ref_cost
         alone = rollout_batch(model, CRASH_COST, x0, controls, draws[i : i + 1], "beta")
         alone_state, _ = propagate(model, CRASH_COST, x0, controls, draws[i : i + 1])
         assert np.array_equal(alone.costs, res.costs[i : i + 1])
-        assert np.array_equal(alone_state[0], state[0, i : i + 1])
+        # a crashed row's raw state cost may be NaN
+        assert np.array_equal(alone_state[0], state[0, i : i + 1], equal_nan=True)
         assert np.array_equal(alone.crashed, res.crashed[i : i + 1])
 
 
@@ -154,7 +162,7 @@ def test_rollouts_price_exactly_the_crashed_rows(batch):
         one_state, _ = propagate(model, CRASH_COST, starts[g], controls[g], draws)
         check_crash_pricing(model, starts[g], controls[g], draws, one)
         assert np.array_equal(grouped.costs[g], one.costs)
-        assert np.array_equal(grouped_state[g], one_state[0])
+        assert np.array_equal(grouped_state[g], one_state[0], equal_nan=True)
         assert np.array_equal(grouped.crashed[g], one.crashed)
 
 
@@ -187,6 +195,44 @@ def test_augmented_rollouts_price_a_crash_in_either_copy(batch, gain):
             if crashed:
                 assert value == CRASH_COST.crash_cost
             assert np.array_equal(getattr(alone, name), getattr(roll, name)[i : i + 1])
+
+
+OVERFLOW_COST = CostFunction(
+    state_cost=lambda x: np.exp(400.0 * x[..., 0]),
+    terminal_cost=lambda x: np.exp(400.0 * x[..., 0]),
+    sigma=np.eye(1) * 0.5,
+    lam=3.0,
+    beta=0.25,
+    crash_cost=1.0e4,
+)
+
+
+@PROPERTY_SETTINGS
+@given(batches(groups=2))
+def test_a_row_whose_cost_overflows_on_a_finite_state_is_priced_as_a_crash(batch):
+    """``exp(400 x0)`` overflows once ``x0`` passes about 1.77; the states stay finite."""
+    model, starts, controls, draws = batch
+    x0, x0_star, u = starts[0], starts[1], controls[0]
+    plain = rollout_batch(model, OVERFLOW_COST, x0, u, draws, "beta")
+    roll = augmented_rollouts(
+        model, OVERFLOW_COST, x0, x0_star, u, ZeroFeedback(1), draws, alpha=50.0
+    )
+    for i in range(draws.shape[0]):
+        real = solo_state_cost(model, x0, u, draws[i], OVERFLOW_COST)
+        nominal = solo_state_cost(model, x0_star, u, draws[i], OVERFLOW_COST)
+        for cost, crashed in (real, nominal):
+            # the state stays finite, so only an overflow can crash the row
+            assert crashed == (cost == np.inf)
+        assert plain.crashed[i] == real[1]
+        assert roll.crashed[i] == (real[1] or nominal[1])
+        if real[1]:
+            assert plain.costs[i] == OVERFLOW_COST.crash_cost
+        for name in ("real", "mixed", "nominal_eval"):
+            value = getattr(roll, name)[i]
+            assert np.isfinite(value)
+            if roll.crashed[i]:
+                assert value == OVERFLOW_COST.crash_cost
+        assert np.isfinite(plain.costs[i])
 
 
 # -- draws of two streams in one buffer ------------------------------------------
@@ -252,7 +298,9 @@ def test_one_call_over_stacked_draws_gives_each_row_the_bits_of_its_own_call(mod
             alone_state, alone_crashed = propagate(
                 model, CRASH_COST, start[None, None], controls + 0.0, part.copy()
             )
-            assert np.array_equal(state[:, rows : rows + len(part)], alone_state)
+            assert np.array_equal(
+                state[:, rows : rows + len(part)], alone_state, equal_nan=True
+            )
             assert np.array_equal(crashed[:, rows : rows + len(part)], alone_crashed)
             rows += len(part)
 

@@ -10,8 +10,10 @@ often keeps the nominal off the measured state, so the augmented batch
 rolls out both of its copies), the same under iLQG feedback (steps that
 build the gains and steps that skip them), the wall config under
 ``compare`` (mppi, tube and rmppi) with its own feedback and with iLQG (the
-tube's correction through iLQG gains), the built-in default scenario, and
-the benchmark workloads of ``perfbench/run.py``.  Every run goes through
+tube's correction through iLQG gains), the built-in default scenario, the
+wall config under ``run`` and ``compare`` on the ``fuse`` system
+registered here, whose rollout rows crash, and the benchmark workloads of
+``perfbench/run.py``.  Every run goes through
 ``robust-mppi run`` or ``compare`` in this process, into a temporary
 directory, so nothing is written inside the checkout.
 
@@ -39,12 +41,34 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
+
 from robust_mppi.cli import main as cli_main  # noqa: E402
+from robust_mppi.dynamics import SystemModel, register_system  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
 LOG_FILES = ("runlog.csv", "summary.json")
 SHIPPED = ("di_stress_x100", "pendulum_stress_x150", "di_wall_compare_x100")
 FEEDBACK_KINDS = ("none", "ilqg", "contraction")
+FUSE = 1.2  # |position| past which a fuse row goes non-finite
+
+
+def fuse(dt: float, control_limit: float) -> SystemModel:
+    """Double integrator whose rows go non-finite once ``|position|`` passes ``FUSE``.
+
+    Past ``+FUSE`` the position derivative is NaN, past ``-FUSE`` the velocity
+    derivative is infinite, so a crash shows in either coordinate.
+    """
+
+    def deriv(x, u):
+        pos, vel = x[..., 0], x[..., 1]
+        return np.stack(
+            [np.where(pos > FUSE, np.nan, vel), np.where(pos < -FUSE, np.inf, u[..., 0])],
+            axis=-1,
+        )
+
+    lim = np.array([float(control_limit)])
+    return SystemModel("fuse", 2, 1, dt, deriv, control_low=-lim, control_high=lim)
 
 
 def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
@@ -61,6 +85,9 @@ def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
     out["wall-compare"] = ("compare", "configs/di_wall_compare_x100.ini", ())
     out["wall-compare-ilqg"] = ("compare", "configs/di_wall_compare_x100.ini", ("feedback.kind=ilqg",))
     out["default"] = ("run", None, ())
+    fused = ("experiment.system=fuse", "feedback.kind=none", "experiment.steps=300")
+    for command in ("run", "compare"):
+        out[f"fuse-{command}"] = (command, "configs/di_wall_compare_x100.ini", fused)
     for name, workload in WORKLOADS.items():
         command = "compare" if workload.compare else "run"
         out[f"bench-{name}"] = (command, workload.config, workload.overrides)
@@ -81,6 +108,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
+    register_system("fuse", fuse)
     for name, (command, config, overrides) in scenarios().items():
         lines = []
         for seed in args.seeds:
