@@ -21,9 +21,11 @@ class CostFunction:
     """Running cost ``q``, terminal cost ``phi`` and the sampling covariance.
 
     ``state_cost`` and ``terminal_cost`` must broadcast over leading batch
-    axes, mapping ``(..., n_x)`` to ``(...)``.  The rollout kernel calls
-    ``state_cost`` once per horizon step on every sample, so write it on
-    columns ``x[..., i]``, not with reductions over ``axis=-1`` or
+    axes, mapping ``(..., n_x)`` to ``(...)``, and act row by row: each
+    state's cost may depend on that state alone, whatever the leading axes.
+    The rollout kernel calls ``state_cost`` once per block of horizon steps
+    on a ``(block, G, N, n_x)`` array of every sample's states, so write it
+    on columns ``x[..., i]``, not with reductions over ``axis=-1`` or
     broadcasts against ``(n_x,)`` vectors: with n_x = 2 those run numpy's
     inner loop once per sample row.  On a ``(2, 4096, 2)`` batch the
     quadratic cost of :func:`quadratic_wall_cost` took about 370 us written

@@ -47,10 +47,12 @@ class SystemModel:
     dt:
         Integration step in seconds.
     deriv:
-        ``F(x, u) -> x_dot``; must broadcast over leading batch axes.  It runs
-        once per horizon step on every sample, so work on columns
-        ``x[..., i]`` and ``u[..., j]`` and write them into one output, as
-        the bundled systems do.  Reductions over ``axis=-1`` and broadcasts
+        ``F(x, u) -> x_dot``; must broadcast over leading batch axes.  The
+        rollout kernel calls it once per horizon step on every sample: each
+        step needs the states of the one before, so unlike the state cost it
+        is never given a block of steps.  Work on columns ``x[..., i]`` and
+        ``u[..., j]`` and write them into one output, as the bundled
+        systems do.  Reductions over ``axis=-1`` and broadcasts
         against ``(n_x,)`` vectors run numpy's inner loop once per sample
         row, with only n_x elements in it, and ``np.stack(..., axis=-1)``
         adds Python overhead: for two ``(2, 256)`` columns it took 6.8 us
@@ -93,13 +95,21 @@ class SystemModel:
         """Clip a control (batch) to the actuation limits."""
         return clamp_controls(u, self.control_low, self.control_high)
 
-    def step(self, x: Array, u: Array) -> Array:
-        """One explicit-Euler step; broadcasts over leading batch axes."""
-        return self.euler(x, self.clamp(u))
+    def step(self, x: Array, u: Array, out: Array | None = None) -> Array:
+        """One explicit-Euler step; broadcasts over leading batch axes.
 
-    def euler(self, x: Array, u: Array) -> Array:
-        """The explicit-Euler update ``x + F(x, u) * dt`` for a control already clamped."""
-        return x + self.deriv(x, u) * self.dt
+        ``out``, of the result's shape, receives the next states and is
+        returned, with the bits of a fresh result; it may be ``x`` itself.
+        """
+        return self.euler(x, self.clamp(u), out)
+
+    def euler(self, x: Array, u: Array, out: Array | None = None) -> Array:
+        """The explicit-Euler update ``x + F(x, u) * dt`` for a control already clamped.
+
+        ``out`` is as for :meth:`step`: ``F`` is evaluated in full before
+        ``out`` is written, so ``out`` may be ``x``.
+        """
+        return np.add(x, self.deriv(x, u) * self.dt, out=out)
 
     def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         """Jacobians ``(dF/dx, dF/du)`` of the continuous dynamics.
@@ -166,13 +176,13 @@ def nominal_trajectory(model: SystemModel, x0: Array, controls: Array) -> Array:
 
     Equal bit for bit to ``model.step`` applied state by state.  The clamp is
     idempotent, so the whole plan is clamped once and each state takes only
-    the Euler update.
+    the Euler update, written straight into its row.
     """
     controls = model.clamp(np.atleast_2d(np.asarray(controls, dtype=float)))
     states = np.empty((controls.shape[0] + 1, model.n_x))
     states[0] = x0
     for t in range(controls.shape[0]):
-        states[t + 1] = model.euler(states[t], controls[t])
+        model.euler(states[t], controls[t], out=states[t + 1])
     return states
 
 

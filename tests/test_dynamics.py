@@ -147,6 +147,24 @@ def test_batched_jacobians_equal_per_point_calls_bit_for_bit(name, lead, shared_
             assert same_bits(a[idx], a_pt) and same_bits(b[idx], b_pt)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    factory=st.sampled_from([double_integrator, nonlinear_benchmark]),
+    lead=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4),
+    into_x=st.booleans(),
+    data=st.data(),
+)
+def test_a_step_into_out_returns_it_with_the_bits_of_a_fresh_step(factory, lead, into_x, data):
+    # controls reach past the limits so that the clamp does real work
+    model = factory()
+    x = data.draw(hnp.arrays(float, lead + (model.n_x,), elements=st.floats(-1e3, 1e3)))
+    u = data.draw(hnp.arrays(float, lead + (model.n_u,), elements=st.floats(-20.0, 20.0)))
+    expect = model.step(x, u)
+    buf = x if into_x else np.full_like(x, np.nan)
+    assert model.step(x, u, out=buf) is buf
+    assert same_bits(buf, expect)
+
+
 @pytest.mark.parametrize("name", ["double_integrator-fd", "nonlinear_benchmark-fd"])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_finite_differences_at_non_finite_points_warn_nothing(name, bad):

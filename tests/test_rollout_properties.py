@@ -7,12 +7,16 @@ costs go non-finite are priced as crashes while the rest of the batch is
 untouched.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from robust_mppi import sampling
 from robust_mppi.costs import CostFunction, quadratic_wall_cost
 from robust_mppi.dynamics import SystemModel, double_integrator, nonlinear_benchmark
 from robust_mppi.feedback import LinearGainsPolicy, ZeroFeedback, contraction_feedback
@@ -233,6 +237,110 @@ def test_a_row_whose_cost_overflows_on_a_finite_state_is_priced_as_a_crash(batch
             if roll.crashed[i]:
                 assert value == OVERFLOW_COST.crash_cost
         assert np.isfinite(plain.costs[i])
+
+
+# -- blocks of horizon steps ------------------------------------------------------
+
+# A rollout prices its states in blocks of steps sized to a byte budget; the
+# batches above are too small to split a horizon under the default budget, so
+# these tests set the budget so that the horizon is cut into blocks of one
+# step, into equal blocks and a shorter tail, or into one block.
+BLOCK_KINDS = ("one_step", "ragged", "whole_horizon")
+
+
+@st.composite
+def blocked_batches(draw, kind):
+    """Two groups of rows, a shared plan, a gain, and a budget that cuts the horizon as ``kind`` says.
+
+    Returns the model, the ``(2, n_x)`` starts, the plan, the draws, the
+    gain, the budget and the block length it gives.
+    """
+    n = draw(st.integers(1, 24))
+    horizon = draw(st.integers(3 if kind == "ragged" else 1, 12))
+    starts = draw(hnp.arrays(np.float64, (2, 2), elements=values, fill=st.nothing()))
+    controls = draw(hnp.arrays(np.float64, (horizon, 1), elements=values, fill=st.nothing()))
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, COST.sigma_chol).draws
+    name = draw(st.sampled_from([*sorted(MODELS), "fuse"]))
+    model = fuse_model(draw(st.floats(0.5, 8.0))) if name == "fuse" else MODELS[name]
+    step_bytes = 2 * n * model.n_x * 8
+    if kind == "one_step":
+        block = 1
+    elif kind == "ragged":
+        block = draw(st.sampled_from([b for b in range(2, horizon) if horizon % b]))
+    else:
+        block = horizon
+    # any budget from ``block`` steps' bytes up to the next step's gives ``block``
+    budget = block * step_bytes + draw(st.integers(0, step_bytes - 1))
+    if kind == "whole_horizon":
+        budget = draw(st.sampled_from([budget, 2**40]))
+    return model, starts, controls, draws, draw(st.floats(0.0, 2.0)), budget, block
+
+
+def tracking_closure(gain, n):
+    """A feedback closure like the augmented batch's: group 0 tracks group 1 through ColumnGain."""
+    policy = ColumnGain(gain)
+    correction = np.zeros((2, n, 1))
+
+    def feedback(x, t):
+        correction[0] = policy.apply_batch(x[0], x[1], t)
+        return correction
+
+    return feedback
+
+
+def solo_tracked_state_costs(model, starts, controls, eps, gain):
+    """One row of both groups stepped alone under :func:`tracking_closure`.
+
+    Returns each group's path cost and whether it crashed: its final state
+    or its path cost is not finite.
+    """
+    policy = ColumnGain(gain)
+    x = starts[:, None]
+    total = np.zeros((2, 1))
+    with np.errstate(all="ignore"):
+        for t in range(controls.shape[0]):
+            k = np.zeros((2, 1, 1))
+            k[0] = policy.apply_batch(x[0], x[1], t)
+            x = model.step(x, controls[t] + k + eps[None, t])
+            total = total + CRASH_COST.state_cost(x)
+        total = total + CRASH_COST.terminal_cost(x)
+    crashed = ~np.isfinite(total[:, 0]) | ~np.isfinite(x[:, 0]).all(axis=-1)
+    return total[:, 0], crashed
+
+
+@pytest.mark.parametrize("tracked", [False, True], ids=["no_feedback", "column_gain"])
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+def test_state_costs_do_not_depend_on_how_the_horizon_is_cut_into_blocks(kind, tracked):
+    @PROPERTY_SETTINGS
+    @given(blocked_batches(kind))
+    def check(batch):
+        model, starts, controls, draws, gain, budget, block = batch
+        n, horizon = draws.shape[:2]
+        lengths = []
+
+        def state_cost(x):
+            lengths.append(len(x))
+            return CRASH_COST.state_cost(x)
+
+        cost = dataclasses.replace(CRASH_COST, state_cost=state_cost)
+        feedback = tracking_closure(gain, n) if tracked else None
+        default = propagate(model, CRASH_COST, starts[:, None], controls, draws, feedback)
+        with mock.patch.object(sampling, "_STATE_BLOCK_BYTES", budget):
+            state, crashed = propagate(model, cost, starts[:, None], controls, draws, feedback)
+        tail = horizon % block
+        assert lengths == [block] * (horizon // block) + ([tail] if tail else [])
+        assert np.array_equal(state, default[0], equal_nan=True)
+        assert np.array_equal(crashed, default[1])
+        for i in range(n):
+            if tracked:
+                ref = solo_tracked_state_costs(model, starts, controls, draws[i], gain)
+            else:
+                solo = [solo_state_cost(model, starts[g], controls, draws[i]) for g in range(2)]
+                ref = tuple(np.array(column) for column in zip(*solo))
+            assert np.array_equal(state[:, i], ref[0], equal_nan=True)
+            assert np.array_equal(crashed[:, i], ref[1])
+
+    check()
 
 
 # -- draws of two streams in one buffer ------------------------------------------
