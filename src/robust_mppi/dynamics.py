@@ -1,9 +1,14 @@
 """Continuous-time system models with explicit-Euler stepping, plus bounded disturbances.
 
-Every system advances as ``x_next = x + F(x, clamp(u)) * dt``.  The clamp to the
-per-system actuation limits is applied inside :meth:`SystemModel.step` so that
-feedback corrections and exploration noise can never command more authority
-than the plant has.  Model functions are written to broadcast over leading
+Every system advances as ``x_next = x + F(x, clamp(u)) * dt``, so feedback
+corrections and exploration noise can never command more authority than the
+plant has.  :meth:`SystemModel.step` clamps and then takes the Euler update
+:meth:`SystemModel.euler`.  Callers whose controls do not depend on the
+states clamp them ahead and call ``euler`` alone: the rollout kernel clamps a
+block of horizon steps' controls in one call (see
+:func:`~robust_mppi.sampling.propagate`), and :func:`nominal_trajectory`
+clamps a whole plan.  The clamp is elementwise and idempotent, so both give
+the bits of ``step``.  Model functions are written to broadcast over leading
 batch axes: states of shape ``(..., n_x)`` and controls of shape ``(..., n_u)``.
 """
 from __future__ import annotations
@@ -20,17 +25,24 @@ Array = np.ndarray
 _FD_EPS = 1e-6
 
 
-def clamp_controls(u: Array, low: Array | None, high: Array | None) -> Array:
+def clamp_controls(
+    u: Array, low: Array | None, high: Array | None, out: Array | None = None
+) -> Array:
     """Clip a control (batch) to per-channel limits; ``None`` leaves a side open.
 
     Same values as ``np.clip(u, low, high)``, NaN included.  The ufuncs run
     directly because np.clip's Python wrapper costs more than the clamp
-    itself, and clamps run at every horizon step of every rollout.
+    itself, and clamps run for every block of horizon steps of every
+    rollout.  ``out``, of ``u``'s shape, receives the result and is
+    returned; it may be ``u`` itself, which clamps in place.
     """
     if low is not None:
-        u = np.maximum(u, low)
+        u = np.maximum(u, low, out=out)
     if high is not None:
-        u = np.minimum(u, high)
+        u = np.minimum(u, high, out=out)
+    if out is not None and u is not out:
+        np.copyto(out, u)  # no limit on either side
+        u = out
     return u
 
 
@@ -50,7 +62,10 @@ class SystemModel:
         ``F(x, u) -> x_dot``; must broadcast over leading batch axes.  The
         rollout kernel calls it once per horizon step on every sample: each
         step needs the states of the one before, so unlike the state cost it
-        is never given a block of steps.  Work on columns ``x[..., i]`` and
+        is never given a block of steps.  ``x`` and ``u`` may be views into
+        buffers that the kernel reuses across steps (``u`` a step of a block
+        of clamped controls), so ``deriv`` must return a new array and must
+        not write into its inputs.  Work on columns ``x[..., i]`` and
         ``u[..., j]`` and write them into one output, as the bundled
         systems do.  Reductions over ``axis=-1`` and broadcasts
         against ``(n_x,)`` vectors run numpy's inner loop once per sample
@@ -91,9 +106,9 @@ class SystemModel:
             if limit is not None and np.any(outside(limit, 0.0)):
                 raise ValueError(f"{name} must keep zero inside the actuation limits, got {limit}")
 
-    def clamp(self, u: Array) -> Array:
-        """Clip a control (batch) to the actuation limits."""
-        return clamp_controls(u, self.control_low, self.control_high)
+    def clamp(self, u: Array, out: Array | None = None) -> Array:
+        """Clip a control (batch) to the actuation limits; ``out`` as in :func:`clamp_controls`."""
+        return clamp_controls(u, self.control_low, self.control_high, out)
 
     def step(self, x: Array, u: Array, out: Array | None = None) -> Array:
         """One explicit-Euler step; broadcasts over leading batch axes.

@@ -614,8 +614,10 @@ class RmppiController:
         else:
             w_real = softmax_weights(roll.real, self.cost.lam)
             w_nom = softmax_weights(roll.mixed, self.cost.lam)
+            # only the first step's noise is applied; its weighted sum has
+            # the bits of the first row of the whole horizon's
             action = self.model.clamp(
-                (self.controls[0] + feedback0) + weighted_noise(w_real, draws)[0]
+                (self.controls[0] + feedback0) + weighted_noise(w_real, draws[:, :1])[0]
             )
             fe_real = free_energy_mc(roll.real, self.cost.lam)
             fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)

@@ -10,7 +10,8 @@ its own feedback closure; one check after its horizon loop flags the
 crashed rows, which are stepped like the others until then.  The kernel
 keeps a block of horizon steps' states and prices them in one
 ``state_cost`` call on a ``(block, G, N, n_x)`` array, so a state cost
-must act row by row over every leading axis.  Per-sample evaluation is
+must act row by row over every leading axis; without feedback it also
+builds and clamps a block's controls at once.  Per-sample evaluation is
 elementwise, each row's state costs are added in horizon order, and
 penalties are summed in a fixed order after the horizon loop, so a
 sample's cost does not depend on which other samples or groups share its
@@ -44,7 +45,9 @@ STREAM_PLANT = 4
 # at 2x256 wall rows and 0.73 at 9x32 rows, and the same at 4608 rows.  A
 # 256 KiB budget was slower at both ends: 2x256 rows then fill a 240 KiB
 # buffer, and each call took 118 minor page faults where 64 KiB took none;
-# 4608 rows took about 1.1 times as long (numpy 2.4.6, a 2-vCPU Xeon).
+# 4608 rows took about 1.1 times as long (numpy 2.4.6, a 2-vCPU Xeon).  The
+# same block sizes a rollout's buffer of clamped controls when it has no
+# feedback, ``n_u / n_x`` times the states' bytes.
 _STATE_BLOCK_BYTES = 64 * 1024
 
 
@@ -146,12 +149,15 @@ def free_energy_mc(costs: Array, lam: float) -> float | Array:
     costs = np.atleast_1d(np.asarray(costs, dtype=float))
     if costs.shape[-1] == 0:
         raise ValueError("free energy of an empty batch is undefined")
-    if not np.all(np.isfinite(costs)):
+    if not np.isfinite(costs).all():
         raise ValueError("free energy requires finite costs")
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    m = np.min(costs, axis=-1, keepdims=True)
-    value = m[..., 0] - lam * np.log(np.mean(np.exp(-(costs - m) / lam), axis=-1))
+    # the array methods and ufuncs skip numpy's Python wrappers; the sum
+    # divided by N has the bits of np.mean
+    m = costs.min(axis=-1, keepdims=True)
+    mean = np.add.reduce(np.exp(-(costs - m) / lam), axis=-1) / costs.shape[-1]
+    value = m[..., 0] - lam * np.log(mean)
     return float(value) if costs.ndim == 1 else value
 
 
@@ -160,10 +166,10 @@ def softmax_weights(costs: Array, lam: float) -> Array:
     costs = np.asarray(costs, dtype=float)
     if costs.size == 0:
         raise ValueError("cannot weight an empty batch")
-    if not np.all(np.isfinite(costs)):
+    if not np.isfinite(costs).all():
         raise DegenerateSamplingError("non-finite costs in the sample batch")
-    w = np.exp(-(costs - np.min(costs)) / lam)
-    return w / np.sum(w)
+    w = np.exp(-(costs - costs.min()) / lam)
+    return w / np.add.reduce(w, axis=None)
 
 
 def weighted_noise(weights: Array, draws: Array) -> Array:
@@ -224,6 +230,16 @@ def propagate(
     axis.  Its rows are added to the running cost one step at a time, in
     horizon order, so each row gets the bits of a call per step.
 
+    With no ``feedback`` the controls do not depend on the states, so a
+    block's controls are built in one add into a ``(block, G, N, n_u)``
+    buffer and clamped there in place with ``model.clamp(u, out=u)``; each
+    step then runs only ``model.euler`` on its slice of the buffer.  The add
+    and the clamp are elementwise, so each entry has the bits that
+    ``model.step`` would give it.  With ``feedback``, each step's sum
+    ``(controls[t] + k) + draws[:, t]`` goes through ``model.step``, which
+    clamps it.  Either way ``model.deriv`` receives views of buffers that
+    later steps overwrite, and must not write into them.
+
     Returns two values: the running plus terminal state costs, which may be
     NaN on a crashed row, and the crash flags, both ``(G, N)``.  The
     corrections are not recorded; a caller that prices them keeps them from
@@ -237,15 +253,27 @@ def propagate(
     block = min(horizon, max(1, _STATE_BLOCK_BYTES // max(1, x.size * 8)))
     # with one step a block, each step overwrites the states it started from
     states = np.empty((block,) + x.shape)
+    if feedback is None:
+        # controls that do not depend on the states are built and clamped a
+        # block at a time: both are elementwise, so each entry keeps its bits
+        applied = np.empty((block,) + x.shape[:-1] + (n_u,))
+        ctrl_by_step = ctrl.transpose(1, 0, 2)[:, :, None]  # (T, G, 1, n_u)
+        draws_by_step = draws.transpose(1, 0, 2)[:, None]  # (T, 1, N, n_u)
     # the check after the loop says all that crashed rows' warnings would
     with np.errstate(all="ignore"):
         for first in range(0, horizon, block):
-            steps = states[: min(block, horizon - first)]
-            for j, t in enumerate(range(first, first + len(steps))):
-                u = ctrl[:, None, t]
-                if feedback is not None:
-                    u = u + feedback(x, t)
-                x = model.step(x, u + draws[:, t], out=steps[j])
+            last = min(first + block, horizon)
+            steps = states[: last - first]
+            if feedback is None:
+                u = applied[: last - first]
+                np.add(ctrl_by_step[first:last], draws_by_step[first:last], out=u)
+                model.clamp(u, out=u)
+                for j in range(last - first):
+                    x = model.euler(x, u[j], out=steps[j])
+            else:
+                for j, t in enumerate(range(first, last)):
+                    u = ctrl[:, None, t] + feedback(x, t)
+                    x = model.step(x, u + draws[:, t], out=steps[j])
             # one row at a time: a sum over the block would reorder the additions
             for row in cost.state_cost(steps):
                 s += row

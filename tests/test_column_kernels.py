@@ -87,7 +87,13 @@ def test_clamp_matches_np_clip(low, high):
     u.reshape(-1)[: SPECIALS.size] = SPECIALS
     u.reshape(-1)[-SPECIALS.size :] = SPECIALS
     for batch in (u, u[0, 0], u[1]):
-        assert same_bits(model.clamp(batch), np.clip(batch, lo, hi))
+        expect = np.clip(batch, lo, hi)
+        assert same_bits(model.clamp(batch), expect)
+        # into a separate buffer, and in place
+        out = np.full_like(batch, 7.0)
+        assert model.clamp(batch, out=out) is out and same_bits(out, expect)
+        inplace = batch.copy()
+        assert model.clamp(inplace, out=inplace) is inplace and same_bits(inplace, expect)
     # both feedback policies clamp their corrections the same way; identity
     # gains carry the specials into the corrections (inf * 0 adds NaNs).  A
     # single state takes the batch formula too: ``e @ K.T`` has the bits of
@@ -114,6 +120,9 @@ def test_clamp_without_limits_returns_its_input():
     model = SystemModel("m", 1, 1, 0.1, lambda x, u: x)
     u = np.array([np.nan, 1e9])
     assert model.clamp(u) is u
+    out = np.zeros(2)
+    assert model.clamp(u, out=out) is out and same_bits(out, u)
+    assert model.clamp(u, out=u) is u
 
 
 def rowwise_double_integrator(x, u):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -589,5 +589,69 @@ def test_equal_starts_give_the_two_copy_channels_bit_for_bit(model_name, kind):
         roll, both = augmented_rollouts(*args), augmented_rollouts_two_copies(*args)
         for name in ("real", "mixed", "nominal_eval", "crashed"):
             assert np.array_equal(getattr(roll, name), getattr(both, name)), name
+
+    check()
+
+
+# -- controls past the actuation limits -------------------------------------------
+
+# The batches above draw plans in [-3, 3], inside the bundled systems' limits
+# of 8 and 10, so no control there is ever clipped.  Here the models get
+# small, one-sided or no limits; a rollout without feedback builds and clamps
+# a block of steps' controls at once, and each row must still get the bits
+# of clamping its own controls step by step.
+LIMIT_KINDS = ("both_sides", "low_only", "high_only", "none")
+CLAMP_MODELS = (*sorted(MODELS), "two_input", "fuse")
+
+
+@st.composite
+def clamped_batches(draw, kind):
+    """1 to 4 groups of rows under a model limited as ``kind`` says, and a block budget.
+
+    Returns the model, the ``(G, n_x)`` starts, the ``(G, T, n_u)`` plans,
+    the draws and a budget that cuts the horizon into blocks of 1 to T steps.
+    """
+    name = draw(st.sampled_from(CLAMP_MODELS))
+    if name == "fuse":
+        base = fuse_model(draw(st.floats(0.5, 8.0)))
+    elif name == "two_input":
+        base = two_input_model()
+    else:
+        base = MODELS[name]
+    limit = draw(hnp.arrays(
+        np.float64, base.n_u, elements=st.floats(0.05, 1.0), fill=st.nothing()
+    ))
+    model = dataclasses.replace(
+        base,
+        control_low=-limit if kind in ("both_sides", "low_only") else None,
+        control_high=limit if kind in ("both_sides", "high_only") else None,
+    )
+    groups = draw(st.integers(1, 4))
+    n, horizon = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    starts = draw(hnp.arrays(np.float64, (groups, 2), elements=values, fill=st.nothing()))
+    controls = draw(hnp.arrays(
+        np.float64, (groups, horizon, model.n_u), elements=values, fill=st.nothing()
+    ))
+    chol = np.eye(model.n_u) * 0.7
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, chol).draws
+    budget = draw(st.integers(1, horizon)) * groups * n * model.n_x * 8
+    return model, starts, controls, draws, budget
+
+
+@pytest.mark.parametrize("kind", LIMIT_KINDS)
+def test_clamped_controls_give_each_row_the_bits_of_clamping_step_by_step(kind):
+    @PROPERTY_SETTINGS
+    @given(clamped_batches(kind))
+    def check(batch):
+        model, starts, controls, draws, budget = batch
+        applied = controls[:, None] + draws  # (G, N, T, n_u)
+        assume(kind == "none" or not np.array_equal(model.clamp(applied), applied))
+        with mock.patch.object(sampling, "_STATE_BLOCK_BYTES", budget):
+            state, crashed = propagate(model, CRASH_COST, starts[:, None], controls, draws)
+        for g in range(starts.shape[0]):
+            for i in range(draws.shape[0]):
+                ref_cost, ref_crashed = solo_state_cost(model, starts[g], controls[g], draws[i])
+                assert np.array_equal(state[g, i], ref_cost, equal_nan=True)
+                assert crashed[g, i] == ref_crashed
 
     check()

@@ -9,8 +9,10 @@ change moved any log.  The scenarios are: each shipped config under each
 often keeps the nominal off the measured state, so the augmented batch
 rolls out both of its copies), the same under iLQG feedback (steps that
 build the gains and steps that skip them), the wall config under
-``compare`` (mppi, tube and rmppi) with its own feedback and with iLQG (the
-tube's correction through iLQG gains), the built-in default scenario, the
+``compare`` (mppi, tube and rmppi) with its own feedback, with iLQG (the
+tube's correction through iLQG gains) and with ``dynamics.control_limit=1.0``
+(the one scenario whose rollout controls often pass the actuation limits,
+so the clamp changes them), the built-in default scenario, the
 wall config under ``run`` and ``compare`` on the ``fuse`` system
 registered here, whose rollout rows crash, and the benchmark workloads of
 ``perfbench/run.py``.  Every run goes through
@@ -84,6 +86,9 @@ def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
     )
     out["wall-compare"] = ("compare", "configs/di_wall_compare_x100.ini", ())
     out["wall-compare-ilqg"] = ("compare", "configs/di_wall_compare_x100.ini", ("feedback.kind=ilqg",))
+    out["wall-compare-clamped"] = (
+        "compare", "configs/di_wall_compare_x100.ini", ("dynamics.control_limit=1.0",)
+    )
     out["default"] = ("run", None, ())
     fused = ("experiment.system=fuse", "feedback.kind=none", "experiment.steps=300")
     for command in ("run", "compare"):
