@@ -27,9 +27,14 @@ class CostFunction:
     on a ``(block, G, N, n_x)`` array of every sample's states, so write it
     on columns ``x[..., i]``, not with reductions over ``axis=-1`` or
     broadcasts against ``(n_x,)`` vectors: with n_x = 2 those run numpy's
-    inner loop once per sample row.  On a ``(2, 4096, 2)`` batch the
-    quadratic cost of :func:`quadratic_wall_cost` took about 370 us written
-    that way and 50 us on columns (numpy 2.4.6, one core of a 2-vCPU Xeon).
+    inner loop once per sample row.  ``state_cost`` must not write into its
+    argument: that array is a view of the kernel's state buffer, and the
+    block's last step is the state the next step starts from.  It may work
+    in place in arrays it makes itself.  :func:`quadratic_wall_cost` does,
+    and skips each operation whose parameter leaves the bits as they are;
+    on an ``(8, 2, 256, 2)`` block of the wall scenario's states it took
+    22 us a call, against 42 us running every operation into a fresh
+    array (numpy 2.4.6, one core of a 2-vCPU Xeon).
 
     ``sigma`` is the control exploration covariance; its Cholesky factor and
     inverse are computed once and cached on the instance.
@@ -194,6 +199,13 @@ def quadratic_wall_cost(
     ``wall_slope``, clipped at ``wall_cap`` so the cost stays Lipschitz with a
     known constant.  ``domain_half_width`` bounds the admissible box around the
     target and yields analytic Lipschitz constants over that box.
+
+    The costs skip every operation whose parameter leaves each bit as it is
+    (a zero target, a weight, slope or terminal scale of 1, an infinite
+    cap, the wall chain of an infinite offset), so every finite cost has
+    the bits of running them all.  A state with an infinite entry on a
+    coordinate whose wall is off costs ``inf``, not the NaN of ``inf - inf``;
+    the rollout kernel flags such a row as crashed either way.
     """
     w = np.asarray(weights, dtype=float)
     t = np.asarray(target, dtype=float)
@@ -202,38 +214,79 @@ def quadratic_wall_cost(
     offsets = None if wall_offsets is None else np.asarray(wall_offsets, dtype=float)
 
     walls = offsets is not None and wall_slope > 0.0
-    by_width: dict[int, list[tuple[float, float, float]]] = {}
+    # ``None`` marks an operation that leaves every bit as it is: a shift by
+    # zero, a weight or slope of one, a cap or offset of +inf
+    cap = None if wall_cap == np.inf else wall_cap
+    slope = None if wall_slope == 1.0 else wall_slope
+    by_width: dict[int, tuple[list, list]] = {}
 
-    def columns(n_x: int) -> list[tuple[float, float, float]]:
-        """Per-coordinate ``(target, weight, offset)`` for states of width ``n_x``."""
-        cols = by_width.get(n_x)
-        if cols is None:
+    def columns(n_x: int) -> tuple[list, list]:
+        """The plan for states of width ``n_x``: ``(target, weight)`` per
+        column, and ``(column, offset)`` for each column whose wall is on."""
+        plan = by_width.get(n_x)
+        if plan is None:
             params = (t, w, offsets if walls else np.inf)
-            cols = list(zip(*(np.broadcast_to(a, (n_x,)).tolist() for a in params)))
-            by_width[n_x] = cols
-        return cols
+            quad, wall = [], []
+            for i, (ti, wi, oi) in enumerate(
+                zip(*(np.broadcast_to(a, (n_x,)).tolist() for a in params))
+            ):
+                quad.append((None if ti == 0.0 else ti, None if wi == 1.0 else wi))
+                # |d| - inf clips to zero, so an infinite offset disables that wall
+                if oi != np.inf:
+                    wall.append((i, oi))
+            plan = by_width[n_x] = (quad, wall)
+        return plan
 
     def q(x: Array) -> Array:
         # One full-width operation per coordinate column.  With n_x = 2, a
         # broadcast against an (n_x,) vector or a reduction over axis=-1 runs
-        # numpy's inner loop once per row with two elements in it.  Columns
-        # are added in index order, the order np.sum uses for n_x <= 7.
+        # numpy's inner loop once per row with two elements in it.  The
+        # quadratic terms are added in column order, the order np.sum uses
+        # for n_x <= 7, then the wall terms in column order.  ``x`` is often
+        # a view of the rollout kernel's state buffer, which may also hold
+        # the next step's start, so only arrays made here are written to.
         x = np.asarray(x, dtype=float)
-        val = over = None
-        for i, (ti, wi, oi) in enumerate(columns(x.shape[-1])):
-            d = x[..., i] - ti
-            term = d * d * wi
-            val = term if val is None else val + term
-            if walls:
-                # |d| - inf clips to zero, so an infinite offset disables that wall
-                c = np.minimum(np.maximum(np.abs(d) - oi, 0.0), wall_cap)
-                over = c if over is None else over + c
-        if walls:
-            val = val + wall_slope * over
+        if x.ndim == 1:
+            return q(x[None])[0]
+        quad, wall = columns(x.shape[-1])
+        d = [x[..., i] if ti is None else x[..., i] - ti for i, (ti, _) in enumerate(quad)]
+        # the quadratic terms after the first, then the first wall term, are
+        # made in ``work``; every other term gets an array of its own
+        work = np.empty(x.shape[:-1]) if len(quad) > 1 or wall else None
+        val = None
+        for di, (_, wi) in zip(d, quad):
+            term = np.multiply(di, di, out=None if val is None else work)
+            if wi is not None:
+                term *= wi
+            if val is None:
+                val = term
+            else:
+                val += term
+        over = None
+        for i, oi in wall:
+            c = np.abs(d[i], out=work if over is None else None)
+            c -= oi
+            np.maximum(c, 0.0, out=c)
+            if cap is not None:
+                np.minimum(c, cap, out=c)
+            if over is None:
+                over = c
+            else:
+                over += c
+        if over is not None:
+            if slope is not None:
+                over *= slope
+            val += over
         return val
 
-    def phi(x: Array) -> Array:
-        return terminal_scale * q(x)
+    if terminal_scale == 1.0:
+        phi = q
+    else:
+
+        def phi(x: Array) -> Array:
+            val = q(x)
+            val *= terminal_scale
+            return val
 
     if domain_half_width is not None:
         half = np.asarray(domain_half_width, dtype=float)

@@ -65,7 +65,10 @@ class SystemModel:
         is never given a block of steps.  ``x`` and ``u`` may be views into
         buffers that the kernel reuses across steps (``u`` a step of a block
         of clamped controls), so ``deriv`` must return a new array and must
-        not write into its inputs.  Work on columns ``x[..., i]`` and
+        not write into its inputs.  :meth:`SystemModel.euler` scales the
+        returned array by ``dt`` in place, so it must be fresh and
+        writable: not ``x``, not a view of an input and not a broadcast
+        view.  Work on columns ``x[..., i]`` and
         ``u[..., j]`` and write them into one output, as the bundled
         systems do.  Reductions over ``axis=-1`` and broadcasts
         against ``(n_x,)`` vectors run numpy's inner loop once per sample
@@ -122,9 +125,13 @@ class SystemModel:
         """The explicit-Euler update ``x + F(x, u) * dt`` for a control already clamped.
 
         ``out`` is as for :meth:`step`: ``F`` is evaluated in full before
-        ``out`` is written, so ``out`` may be ``x``.
+        ``out`` is written, so ``out`` may be ``x``.  The array ``deriv``
+        returns is scaled by ``dt`` in place, which gives the bits of
+        ``F * dt`` without another array.
         """
-        return np.add(x, self.deriv(x, u) * self.dt, out=out)
+        f = self.deriv(x, u)
+        f *= self.dt
+        return np.add(x, f, out=out)
 
     def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         """Jacobians ``(dF/dx, dF/du)`` of the continuous dynamics.
@@ -207,7 +214,7 @@ def _columns(*cols: Array) -> Array:
     Filling a preallocated output costs less than ``np.stack(cols, axis=-1)``
     and gives the same values.
     """
-    out = np.empty(np.shape(cols[0]) + (len(cols),))
+    out = np.empty(cols[0].shape + (len(cols),))
     for i, c in enumerate(cols):
         out[..., i] = c
     return out

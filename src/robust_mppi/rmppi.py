@@ -238,12 +238,10 @@ def nominal_state_propagation(
 
     mid = r // 2
     candidates = np.empty((r + 1, x.shape[0]))
-    for i in range(mid + 1):
-        s = i / mid
-        candidates[i] = (1.0 - s) * x_star_prev + s * x_star_prop
-    for i in range(mid + 1, r + 1):
-        s = (i - mid) / (r - mid)
-        candidates[i] = (1.0 - s) * x_star_prop + s * x
+    s = (np.arange(mid + 1) / mid)[:, None]
+    candidates[: mid + 1] = (1.0 - s) * x_star_prev + s * x_star_prop
+    s = (np.arange(1, r - mid + 1) / (r - mid))[:, None]
+    candidates[mid + 1 :] = (1.0 - s) * x_star_prop + s * x
     candidates[r] = x
 
     shifted = shift_control_sequence(controls)
@@ -359,8 +357,8 @@ def tube_mppi_step(
         reset, x_star_next, chosen = False, x_star, controls
     else:
         costs_nom, costs_real = res.costs
-        fe_nom = free_energy_mc(costs_nom, cost.lam)
-        fe_real = free_energy_mc(costs_real, cost.lam)
+        # one call on both rows; each row keeps the bits of its own call
+        fe_nom, fe_real = free_energy_mc(res.costs, cost.lam).tolist()
         reset = fe_real - fe_nom < alpha
         x_star_next, costs = (x, costs_real) if reset else (x_star, costs_nom)
         chosen = mppi_update(controls, softmax_weights(costs, cost.lam), draws)
@@ -595,7 +593,8 @@ class RmppiController:
             self.s.alpha,
             rolled=rolled,
         )
-        if np.array_equal(x, self.x_star):
+        twin = np.array_equal(x, self.x_star)
+        if twin:
             # a zero offset gives a zero correction (FeedbackPolicy), added as
             # +0.0 like the nominal copy's, and a deferred policy builds no gains
             feedback0 = 0.0
@@ -619,8 +618,10 @@ class RmppiController:
             action = self.model.clamp(
                 (self.controls[0] + feedback0) + weighted_noise(w_real, draws[:, :1])[0]
             )
-            fe_real = free_energy_mc(roll.real, self.cost.lam)
             fe_nom = free_energy_mc(roll.nominal_eval, self.cost.lam)
+            # with equal starts the real channel has the bits of the nominal
+            # one (augmented_rollouts), and so has its free energy
+            fe_real = fe_nom if twin else free_energy_mc(roll.real, self.cost.lam)
             bound, bound_no_d = free_energy_growth_bound(
                 self.model, self.cost, self.s, x, self.x_star, action, fe_nom, emv
             )

@@ -10,8 +10,10 @@ augmented noise sequence, the LQ tracking gains from a Riccati pass that
 linearizes point by point, the iLQG policy factory that builds its gains
 on every call, the augmented batch rolled out as two copies whatever its
 starts, the RMPPI step that rolls nominal-state propagation and the
-augmented batch in two calls over draws of their own, and the tracking-rate
-fit with its envelope flags,
+augmented batch in two calls over draws of their own, the wall task's
+state and terminal costs with every operation on every column, nominal-state
+propagation's candidate line built one candidate at a time, and the
+tracking-rate fit with its envelope flags,
 which the acceptance test applies to the contraction law's residuals.  The
 library fits no rate: a policy without a certificate runs at
 ``feedback.UNCERTIFIED_RATE``.
@@ -84,6 +86,68 @@ def penalty_step_terms_einsum(u_eff: Array, eps_t: Array, sigma_inv: Array) -> A
     """``u_eff^T Sigma^{-1} (u_eff + 2*eps_t)`` by two ``einsum`` calls over the last axis."""
     si = np.einsum("vu,...u->...v", sigma_inv, u_eff)
     return np.einsum("...v,...v->...", si, u_eff + 2.0 * eps_t)
+
+
+def wall_cost_every_operation(
+    weights: Array,
+    target: Array,
+    wall_offsets: Array | None = None,
+    wall_slope: float = 0.0,
+    wall_cap: float = np.inf,
+    terminal_scale: float = 1.0,
+) -> tuple[Callable[[Array], Array], Callable[[Array], Array]]:
+    """``costs.quadratic_wall_cost``'s ``(state_cost, terminal_cost)``, every operation run.
+
+    Each column is shifted by its target and scaled by its weight, and when
+    the walls are on every column runs the whole wall chain, an infinite
+    offset included; each operation makes a fresh array.  The library skips
+    the operations whose parameter leaves every bit as it is.
+    """
+    w = np.asarray(weights, dtype=float)
+    t = np.asarray(target, dtype=float)
+    offsets = None if wall_offsets is None else np.asarray(wall_offsets, dtype=float)
+    walls = offsets is not None and wall_slope > 0.0
+
+    def q(x: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        n_x = x.shape[-1]
+        params = (t, w, offsets if walls else np.inf)
+        val = over = None
+        for i, (ti, wi, oi) in enumerate(
+            zip(*(np.broadcast_to(a, (n_x,)).tolist() for a in params))
+        ):
+            d = x[..., i] - ti
+            term = d * d * wi
+            val = term if val is None else val + term
+            if walls:
+                c = np.minimum(np.maximum(np.abs(d) - oi, 0.0), wall_cap)
+                over = c if over is None else over + c
+        if walls:
+            val = val + wall_slope * over
+        return val
+
+    def phi(x: Array) -> Array:
+        return terminal_scale * q(x)
+
+    return q, phi
+
+
+def candidate_line_loop(x: Array, x_star_prev: Array, x_star_prop: Array, r: int) -> Array:
+    """Nominal-state propagation's ``(r+1, n_x)`` candidates, one expression per candidate.
+
+    Candidates 0..``r // 2`` run from ``x_star_prev`` to ``x_star_prop``,
+    the rest from there to ``x``, and candidate ``r`` is ``x`` itself.
+    """
+    mid = r // 2
+    candidates = np.empty((r + 1, np.shape(x)[0]))
+    for i in range(mid + 1):
+        s = i / mid
+        candidates[i] = (1.0 - s) * x_star_prev + s * x_star_prop
+    for i in range(mid + 1, r + 1):
+        s = (i - mid) / (r - mid)
+        candidates[i] = (1.0 - s) * x_star_prop + s * x
+    candidates[r] = x
+    return candidates
 
 
 class LipschitzEstimate(NamedTuple):

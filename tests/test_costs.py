@@ -19,6 +19,7 @@ from oracles import (
     lipschitz_estimate,
     path_cost,
     penalty_step_terms_einsum,
+    wall_cost_every_operation,
 )
 
 
@@ -246,6 +247,69 @@ def test_wall_cost_target_shifts_the_quadratic():
     task = quadratic_wall_cost(weights=np.array([2.0]), target=np.array([1.0]))
     assert task.state_cost(np.array([1.0])) == 0.0
     assert task.state_cost(np.array([3.0])) == 8.0
+
+
+def some_of(*values):
+    """One of ``values``, or a float from the strategy that follows them."""
+    *fixed, other = values
+    return st.one_of(st.sampled_from(fixed), other)
+
+
+@st.composite
+def wall_costs(draw):
+    """``quadratic_wall_cost`` parameters, each often at a value that skips its operation.
+
+    A target is often zero, a weight 0 or 1, an offset ``inf`` (or the
+    walls off), the slope 0 or 1, the cap ``inf`` and the terminal scale 0
+    or 1.  A parameter is one value for every column or one per column.
+    """
+    n_x = draw(st.integers(1, 4))
+
+    def per_column(elements):
+        return draw(hnp.arrays(np.float64, draw(st.sampled_from([(), (n_x,)])), elements=elements))
+
+    params = dict(
+        target=per_column(some_of(0.0, -0.0, st.floats(-3.0, 3.0))),
+        weights=per_column(some_of(0.0, 1.0, st.floats(0.0, 50.0))),
+        wall_offsets=draw(st.none() | st.just(per_column(some_of(np.inf, st.floats(0.0, 5.0))))),
+        wall_slope=draw(some_of(0.0, 1.0, st.floats(0.0, 2000.0))),
+        wall_cap=draw(some_of(np.inf, st.floats(0.01, 5000.0))),
+        terminal_scale=draw(some_of(0.0, 1.0, st.floats(0.0, 10.0))),
+    )
+    return n_x, params
+
+
+@st.composite
+def wall_cost_states(draw, n_x):
+    """One state ``(n_x,)`` up to a block of rollout states ``(block, G, N, n_x)``.
+
+    Entries are finite, often at a wall, or ``+-0.0``, NaN or ``+-inf``.
+    """
+    lead = draw(st.sampled_from([(), (1,), (5,), (3, 4), (2, 1, 3), (3, 2, 4)]))
+    specials = st.sampled_from([0.0, -0.0, 1.5, -1.5, np.nan, np.inf, -np.inf])
+    elements = st.one_of(specials, st.floats(-10.0, 10.0))
+    return draw(hnp.arrays(np.float64, lead + (n_x,), elements=elements))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_wall_cost_has_the_bits_of_every_operation_and_leaves_its_input_alone(data):
+    n_x, params = data.draw(wall_costs())
+    x = data.draw(wall_cost_states(n_x))
+    before = x.copy()
+    task = quadratic_wall_cost(**params)
+    for ours, reference in zip(
+        (task.state_cost, task.terminal_cost), wall_cost_every_operation(**params)
+    ):
+        with np.errstate(all="ignore"):
+            got, expected = np.asarray(ours(x)), np.asarray(reference(x))
+        assert got.shape == expected.shape == x.shape[:-1]
+        finite = np.isfinite(expected)
+        # a column whose wall is off skips the chain that turns an infinite
+        # entry into NaN, so only whether a cost is finite must match there
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[finite].tobytes() == expected[finite].tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 def test_wall_cost_rejects_negative_weights():

@@ -42,7 +42,7 @@ from robust_mppi.sampling import (
     softmax_weights,
 )
 
-from oracles import TwoCallRmppiController, augmented_density_ratio
+from oracles import TwoCallRmppiController, augmented_density_ratio, candidate_line_loop
 
 
 def simple_cost(lam=2.0, beta=0.5, sigma=None, crash_cost=1e4, lipschitz=False):
@@ -289,6 +289,40 @@ def test_nominal_propagation_candidate_geometry():
     assert not decision.fallback
     assert decision.feasible.all()
     assert np.array_equal(decision.control_sequence, shift_control_sequence(controls))
+
+
+def drifting_model(n_x):
+    """``n_x`` states that never move, one control: rolls out any candidate line cheaply."""
+
+    def deriv(x, u):
+        return np.zeros(np.broadcast_shapes(x.shape, u.shape[:-1] + (n_x,)))
+
+    return SystemModel("drift", n_x, 1, 0.1, deriv)
+
+
+@st.composite
+def candidate_ends(draw):
+    """``r``, then ``x``, ``x_star_prev`` and ``x_star_prop`` of one width and scale."""
+    n_x = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]))
+    ends = [
+        scale * draw(hnp.arrays(np.float64, n_x, elements=st.floats(-1.0, 1.0)))
+        for _ in range(3)
+    ]
+    return draw(st.integers(2, 19)), *ends
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(candidate_ends())
+def test_nominal_propagation_candidates_have_the_bits_of_one_expression_each(ends):
+    r, x, x_star_prev, x_star_prop = ends
+    decision = nominal_state_propagation(
+        drifting_model(x.shape[0]), simple_cost(), x, x_star_prev, x_star_prop,
+        np.zeros((2, 1)), np.inf, r, np.zeros((2, 2, 1)),
+    )
+    expected = candidate_line_loop(x, x_star_prev, x_star_prop, r)
+    assert np.array_equal(decision.candidates, expected)
+    assert np.array_equal(np.signbit(decision.candidates), np.signbit(expected))
 
 
 def test_nominal_propagation_breaks_ties_toward_the_lowest_index():

@@ -10,9 +10,11 @@ often keeps the nominal off the measured state, so the augmented batch
 rolls out both of its copies), the same under iLQG feedback (steps that
 build the gains and steps that skip them), the wall config under
 ``compare`` (mppi, tube and rmppi) with its own feedback, with iLQG (the
-tube's correction through iLQG gains) and with ``dynamics.control_limit=1.0``
+tube's correction through iLQG gains), with ``dynamics.control_limit=1.0``
 (the one scenario whose rollout controls often pass the actuation limits,
-so the clamp changes them), the built-in default scenario, the
+so the clamp changes them) and with a shifted target, weights other than
+one, a finite wall on both coordinates and a terminal scale (the cost
+operations that every shipped config skips), the built-in default scenario, the
 wall config under ``run`` and ``compare`` on the ``fuse`` system
 registered here, whose rollout rows crash, and the benchmark workloads of
 ``perfbench/run.py``.  Every run goes through
@@ -88,6 +90,16 @@ def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
     out["wall-compare-ilqg"] = ("compare", "configs/di_wall_compare_x100.ini", ("feedback.kind=ilqg",))
     out["wall-compare-clamped"] = (
         "compare", "configs/di_wall_compare_x100.ini", ("dynamics.control_limit=1.0",)
+    )
+    out["wall-compare-shifted"] = (
+        "compare",
+        "configs/di_wall_compare_x100.ini",
+        (
+            "cost.target=0.3,0.0",
+            "cost.q_weights=25.0,2.0",
+            "cost.wall_offsets=1.5,6.0",
+            "cost.terminal_scale=2.0",
+        ),
     )
     out["default"] = ("run", None, ())
     fused = ("experiment.system=fuse", "feedback.kind=none", "experiment.steps=300")
