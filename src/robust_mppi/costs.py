@@ -31,10 +31,10 @@ class CostFunction:
     argument: that array is a view of the kernel's state buffer, and the
     block's last step is the state the next step starts from.  It may work
     in place in arrays it makes itself.  :func:`quadratic_wall_cost` does,
-    and skips each operation whose parameter leaves the bits as they are;
-    on an ``(8, 2, 256, 2)`` block of the wall scenario's states it took
-    22 us a call, against 42 us running every operation into a fresh
-    array (numpy 2.4.6, one core of a 2-vCPU Xeon).
+    and skips the shift, weight and wall chain of a column whose parameter
+    leaves the bits as they are; on an ``(8, 2, 256, 2)`` block of the wall
+    scenario's states it took 20 us a call, against 39 us running every
+    operation into a fresh array (numpy 2.4.6, one core of a 2-vCPU Xeon).
 
     ``sigma`` is the control exploration covariance; its Cholesky factor and
     inverse are computed once and cached on the instance.
@@ -200,10 +200,9 @@ def quadratic_wall_cost(
     known constant.  ``domain_half_width`` bounds the admissible box around the
     target and yields analytic Lipschitz constants over that box.
 
-    The costs skip every operation whose parameter leaves each bit as it is
-    (a zero target, a weight, slope or terminal scale of 1, an infinite
-    cap, the wall chain of an infinite offset), so every finite cost has
-    the bits of running them all.  A state with an infinite entry on a
+    The costs skip the target shift of a zero target, the weight of a
+    weight of 1 and the wall chain of an infinite offset, so every finite
+    cost has the bits of running them all.  A state with an infinite entry on a
     coordinate whose wall is off costs ``inf``, not the NaN of ``inf - inf``;
     the rollout kernel flags such a row as crashed either way.
     """
@@ -214,10 +213,6 @@ def quadratic_wall_cost(
     offsets = None if wall_offsets is None else np.asarray(wall_offsets, dtype=float)
 
     walls = offsets is not None and wall_slope > 0.0
-    # ``None`` marks an operation that leaves every bit as it is: a shift by
-    # zero, a weight or slope of one, a cap or offset of +inf
-    cap = None if wall_cap == np.inf else wall_cap
-    slope = None if wall_slope == 1.0 else wall_slope
     by_width: dict[int, tuple[list, list]] = {}
 
     def columns(n_x: int) -> tuple[list, list]:
@@ -249,13 +244,12 @@ def quadratic_wall_cost(
         if x.ndim == 1:
             return q(x[None])[0]
         quad, wall = columns(x.shape[-1])
+        # ``None`` marks a shift by zero or a weight of one, which leave
+        # every bit as they are
         d = [x[..., i] if ti is None else x[..., i] - ti for i, (ti, _) in enumerate(quad)]
-        # the quadratic terms after the first, then the first wall term, are
-        # made in ``work``; every other term gets an array of its own
-        work = np.empty(x.shape[:-1]) if len(quad) > 1 or wall else None
         val = None
         for di, (_, wi) in zip(d, quad):
-            term = np.multiply(di, di, out=None if val is None else work)
+            term = di * di
             if wi is not None:
                 term *= wi
             if val is None:
@@ -264,29 +258,23 @@ def quadratic_wall_cost(
                 val += term
         over = None
         for i, oi in wall:
-            c = np.abs(d[i], out=work if over is None else None)
+            c = np.abs(d[i])
             c -= oi
             np.maximum(c, 0.0, out=c)
-            if cap is not None:
-                np.minimum(c, cap, out=c)
+            np.minimum(c, wall_cap, out=c)
             if over is None:
                 over = c
             else:
                 over += c
         if over is not None:
-            if slope is not None:
-                over *= slope
+            over *= wall_slope
             val += over
         return val
 
-    if terminal_scale == 1.0:
-        phi = q
-    else:
-
-        def phi(x: Array) -> Array:
-            val = q(x)
-            val *= terminal_scale
-            return val
+    def phi(x: Array) -> Array:
+        val = q(x)
+        val *= terminal_scale
+        return val
 
     if domain_half_width is not None:
         half = np.asarray(domain_half_width, dtype=float)

@@ -13,8 +13,8 @@ build the gains and steps that skip them), the wall config under
 tube's correction through iLQG gains), with ``dynamics.control_limit=1.0``
 (the one scenario whose rollout controls often pass the actuation limits,
 so the clamp changes them) and with a shifted target, weights other than
-one, a finite wall on both coordinates and a terminal scale (the cost
-operations that every shipped config skips), the built-in default scenario, the
+one, a finite wall on both coordinates and a terminal scale other than one
+(parameter values no shipped config uses), the built-in default scenario, the
 wall config under ``run`` and ``compare`` on the ``fuse`` system
 registered here, whose rollout rows crash, and the benchmark workloads of
 ``perfbench/run.py``.  Every run goes through
