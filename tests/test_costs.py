@@ -260,8 +260,9 @@ def wall_costs(draw):
     """``quadratic_wall_cost`` parameters, each often at a value that leaves the bits as they are.
 
     A target is often zero, a weight 0 or 1, an offset ``inf`` (or the
-    walls off), the slope 0 or 1, the cap ``inf`` and the terminal scale 0
-    or 1.  A parameter is one value for every column or one per column.
+    walls off), the slope 0 or 1, the cap ``inf`` or small enough to bite,
+    and the terminal scale 0 or 1.  A parameter is one value for every
+    column or one per column.
     """
     n_x = draw(st.integers(1, 4))
 
@@ -273,7 +274,7 @@ def wall_costs(draw):
         weights=per_column(some_of(0.0, 1.0, st.floats(0.0, 50.0))),
         wall_offsets=draw(st.none() | st.just(per_column(some_of(np.inf, st.floats(0.0, 5.0))))),
         wall_slope=draw(some_of(0.0, 1.0, st.floats(0.0, 2000.0))),
-        # the shipped cap, or one the excess past a wall often reaches
+        # the shipped cap, or one that the excess past a wall often reaches
         wall_cap=draw(some_of(np.inf, 3000.0, st.floats(0.01, 10.0))),
         terminal_scale=draw(some_of(0.0, 1.0, st.floats(0.0, 10.0))),
     )
