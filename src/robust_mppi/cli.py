@@ -103,18 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one closed-loop experiment")
-    run_p.add_argument("config", nargs="?", default=None, help="INI config file")
-    run_p.add_argument(
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("config", nargs="?", default=None, help="INI config file")
+    scenario.add_argument(
         "-o", "--override", action="append", default=[],
         metavar="SECTION.KEY=VALUE", help="override a config entry",
     )
+    run_p = sub.add_parser("run", parents=[scenario], help="run one closed-loop experiment")
     run_p.set_defaults(fn=_cmd_run)
-
-    cmp_p = sub.add_parser("compare", help="run mppi, tube, and rmppi on one scenario")
-    cmp_p.add_argument("config", nargs="?", default=None)
-    cmp_p.add_argument("-o", "--override", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE")
+    cmp_p = sub.add_parser(
+        "compare", parents=[scenario], help="run mppi, tube, and rmppi on one scenario"
+    )
     cmp_p.set_defaults(fn=_cmd_compare)
 
     ver_p = sub.add_parser("verify-bound", help="check a run log against its bound column")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
 from .dynamics import _SYSTEM_FACTORIES
@@ -58,108 +58,60 @@ _FINITE_NONNEGATIVE: _Rule = ("be finite and >= 0", lambda v: math.isfinite(v) a
 # checked against the registry at load, so a system registered later counts
 _REGISTERED_SYSTEM: _Rule = ("be a registered system", lambda v: v in _SYSTEM_FACTORIES)
 
-# (parser, default, rule or None) for every recognized key.  This table is
-# the single source of truth for what a configuration may contain; a value
-# that breaks its key's rule fails at load, naming the key.
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "experiment": {
-        "name": (str.strip, "run", None),
-        "system": (str.strip, "double_integrator", _REGISTERED_SYSTEM),
-        "controller": (str.strip, "rmppi", _one_of("mppi", "tube", "rmppi")),
-        "steps": (int, "100", _at_least(1)),
-        "seed": (int, "0", _at_least(0)),
-        "output": (str.strip, "out", None),
-    },
-    "dynamics": {
-        "dt": (_parse_float, "0.02", _FINITE_POSITIVE),
-        "control_limit": (_parse_float, "10.0", _POSITIVE),
-        "damping": (_parse_float, "0.5", _FINITE),
-    },
-    "disturbance": {
-        "noise_multiplier": (_parse_float, "1.0", _FINITE_NONNEGATIVE),
-        "w_bound": (_parse_float, "0.0", _FINITE_NONNEGATIVE),
-    },
-    "cost": {
-        "lambda": (_parse_float, "25.0", _FINITE_POSITIVE),
-        "beta": (_parse_float, "0.5", ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
-        "sigma": (_parse_vec, "0.6", _FINITE_POSITIVE),
-        "q_weights": (_parse_vec, "1.0, 0.5", _FINITE_NONNEGATIVE),
-        "target": (_parse_vec, "0.0, 0.0", _FINITE),
-        "wall_offsets": (_parse_vec_or_none, "none", _NONNEGATIVE),
-        "wall_slope": (_parse_float, "0.0", _FINITE_NONNEGATIVE),
-        "wall_cap": (_parse_float, "inf", _POSITIVE),
-        "terminal_scale": (_parse_float, "1.0", _FINITE_NONNEGATIVE),
-        "crash_cost": (_parse_float, "1e4", _FINITE),
-    },
-    "sampling": {
-        "n_samples": (int, "512", _at_least(2)),
-        "horizon": (int, "50", _at_least(1)),
-    },
-    "feedback": {
-        "kind": (str.strip, "none", _one_of("none", "ilqg", "contraction")),
-        "q_track": (_parse_vec, "2.0, 6.0", _FINITE_NONNEGATIVE),
-        "r_track": (_parse_vec, "1.0", _FINITE_POSITIVE),
-        "metric": (_parse_vec, "6.0, 3.0, 3.0, 2.0", _FINITE),
-        "lambda_c": (_parse_float, "1.0", _FINITE_POSITIVE),
-    },
-    "rmppi": {
-        "alpha": (_parse_float, "3000.0", _FINITE),
-        "n_candidates": (int, "8", _at_least(2)),
-        "nsp_samples": (int, "64", _at_least(1)),
-        "emv_repeats": (int, "8", _at_least(2)),
-    },
-    "harness": {
-        "x0": (_parse_vec, "0.0, 0.0", _FINITE),
-        "crash_box": (_parse_vec, "10.0, 20.0", _POSITIVE),
-    },
-}
 
-# ExperimentConfig fields named differently from their key; every other
-# field is named after its key.
-_FIELD_NAMES = {"cost.lambda": "lam", "feedback.kind": "feedback_kind"}
+def _key(section: str, parser: Callable, default: str, rule: _Rule | None = None, key: str = ""):
+    """The field of config key ``section.key``, where ``key`` defaults to the field's name."""
+    return field(metadata={"section": section, "key": key, "entry": (parser, default, rule)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Typed view of one experiment plus the raw string table it came from.
 
-    There is one field per schema key, named through ``_FIELD_NAMES``.
+    Each field but ``raw`` is the one declaration of a config key, in its
+    ``_key(...)``; field order is the key order of ``render_config``.
     """
 
-    name: str
-    system: str
-    controller: str
-    steps: int
-    seed: int
-    output: str
-    dt: float
-    control_limit: float
-    damping: float
-    noise_multiplier: float
-    w_bound: float
-    lam: float
-    beta: float
-    sigma: tuple[float, ...]
-    q_weights: tuple[float, ...]
-    target: tuple[float, ...]
-    wall_offsets: tuple[float, ...] | None
-    wall_slope: float
-    wall_cap: float
-    terminal_scale: float
-    crash_cost: float
-    n_samples: int
-    horizon: int
-    feedback_kind: str
-    q_track: tuple[float, ...]
-    r_track: tuple[float, ...]
-    metric: tuple[float, ...]
-    lambda_c: float
-    alpha: float
-    n_candidates: int
-    nsp_samples: int
-    emv_repeats: int
-    x0: tuple[float, ...]
-    crash_box: tuple[float, ...]
+    name: str = _key("experiment", str.strip, "run")
+    system: str = _key("experiment", str.strip, "double_integrator", _REGISTERED_SYSTEM)
+    controller: str = _key("experiment", str.strip, "rmppi", _one_of("mppi", "tube", "rmppi"))
+    steps: int = _key("experiment", int, "100", _at_least(1))
+    seed: int = _key("experiment", int, "0", _at_least(0))
+    output: str = _key("experiment", str.strip, "out")
+    dt: float = _key("dynamics", _parse_float, "0.02", _FINITE_POSITIVE)
+    control_limit: float = _key("dynamics", _parse_float, "10.0", _POSITIVE)
+    damping: float = _key("dynamics", _parse_float, "0.5", _FINITE)
+    noise_multiplier: float = _key("disturbance", _parse_float, "1.0", _FINITE_NONNEGATIVE)
+    w_bound: float = _key("disturbance", _parse_float, "0.0", _FINITE_NONNEGATIVE)
+    lam: float = _key("cost", _parse_float, "25.0", _FINITE_POSITIVE, key="lambda")
+    beta: float = _key("cost", _parse_float, "0.5", ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0))
+    # the controllers sample with covariance diag(v*v) and price with its inverse
+    sigma: tuple[float, ...] = _key("cost", _parse_vec, "0.6", (
+        "be finite and positive in every entry, with a finite, positive square and inverse square",
+        lambda v: v > 0.0 and 0.0 < v * v < math.inf and 1.0 / (v * v) < math.inf,
+    ))
+    q_weights: tuple[float, ...] = _key("cost", _parse_vec, "1.0, 0.5", _FINITE_NONNEGATIVE)
+    target: tuple[float, ...] = _key("cost", _parse_vec, "0.0, 0.0", _FINITE)
+    wall_offsets: tuple[float, ...] | None = _key("cost", _parse_vec_or_none, "none", _NONNEGATIVE)
+    wall_slope: float = _key("cost", _parse_float, "0.0", _FINITE_NONNEGATIVE)
+    wall_cap: float = _key("cost", _parse_float, "inf", _POSITIVE)
+    terminal_scale: float = _key("cost", _parse_float, "1.0", _FINITE_NONNEGATIVE)
+    crash_cost: float = _key("cost", _parse_float, "1e4", _FINITE)
+    n_samples: int = _key("sampling", int, "512", _at_least(2))
+    horizon: int = _key("sampling", int, "50", _at_least(1))
+    feedback_kind: str = _key(
+        "feedback", str.strip, "none", _one_of("none", "ilqg", "contraction"), key="kind"
+    )
+    q_track: tuple[float, ...] = _key("feedback", _parse_vec, "2.0, 6.0", _FINITE_NONNEGATIVE)
+    r_track: tuple[float, ...] = _key("feedback", _parse_vec, "1.0", _FINITE_POSITIVE)
+    metric: tuple[float, ...] = _key("feedback", _parse_vec, "6.0, 3.0, 3.0, 2.0", _FINITE)
+    lambda_c: float = _key("feedback", _parse_float, "1.0", _FINITE_POSITIVE)
+    alpha: float = _key("rmppi", _parse_float, "3000.0", _FINITE)
+    n_candidates: int = _key("rmppi", int, "8", _at_least(2))
+    nsp_samples: int = _key("rmppi", int, "64", _at_least(1))
+    emv_repeats: int = _key("rmppi", int, "8", _at_least(2))
+    x0: tuple[float, ...] = _key("harness", _parse_vec, "0.0, 0.0", _FINITE)
+    crash_box: tuple[float, ...] = _key("harness", _parse_vec, "10.0, 20.0", _POSITIVE)
     raw: tuple[tuple[str, str, str], ...] = field(repr=False)
 
     def with_values(self, **raw_updates: str) -> "ExperimentConfig":
@@ -169,6 +121,22 @@ class ExperimentConfig:
             section, key = _split_dotted(dotted)
             table[(section, key)] = str(value)
         return _from_table(table)
+
+
+def _declared_keys() -> tuple[dict[str, dict[str, tuple]], dict[str, str]]:
+    """``_SCHEMA`` and ``_FIELD_NAMES``, read off the fields of ``ExperimentConfig``."""
+    schema, field_names = {}, {}
+    for f in fields(ExperimentConfig)[:-1]:  # every field but raw
+        section, key = f.metadata["section"], f.metadata["key"] or f.name
+        schema.setdefault(section, {})[key] = f.metadata["entry"]
+        if key != f.name:
+            field_names[f"{section}.{key}"] = f.name
+    return schema, field_names
+
+
+# (parser, default, rule or None) for every key, and the dotted keys whose
+# field has another name; a value that breaks its rule fails at load
+_SCHEMA, _FIELD_NAMES = _declared_keys()
 
 
 def _split_dotted(dotted: str) -> tuple[str, str]:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robust_mppi import config, harness, rmppi
 from robust_mppi.cli import main
@@ -288,6 +290,94 @@ def test_with_values_and_render_round_trip(tmp_path):
     again = load_config(str(echo))
     assert again == cfg
     assert isinstance(cfg, ExperimentConfig)
+
+
+DEFAULT_CONFIG_INI = """\
+[experiment]
+name = run
+system = double_integrator
+controller = rmppi
+steps = 100
+seed = 0
+output = out
+
+[dynamics]
+dt = 0.02
+control_limit = 10.0
+damping = 0.5
+
+[disturbance]
+noise_multiplier = 1.0
+w_bound = 0.0
+
+[cost]
+lambda = 25.0
+beta = 0.5
+sigma = 0.6
+q_weights = 1.0, 0.5
+target = 0.0, 0.0
+wall_offsets = none
+wall_slope = 0.0
+wall_cap = inf
+terminal_scale = 1.0
+crash_cost = 1e4
+
+[sampling]
+n_samples = 512
+horizon = 50
+
+[feedback]
+kind = none
+q_track = 2.0, 6.0
+r_track = 1.0
+metric = 6.0, 3.0, 3.0, 2.0
+lambda_c = 1.0
+
+[rmppi]
+alpha = 3000.0
+n_candidates = 8
+nsp_samples = 64
+emv_repeats = 8
+
+[harness]
+x0 = 0.0, 0.0
+crash_box = 10.0, 20.0
+"""
+
+
+def test_rendered_default_config_keeps_its_layout():
+    # the key order and text every run's config.ini is written in
+    assert render_config(load_config()) == DEFAULT_CONFIG_INI
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    sigma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False),
+    kind=st.sampled_from(["none", "ilqg", "contraction"]),
+)
+# the floats on either side of each edge of the rule
+@example(sigma=7.458340731200207e-155, kind="ilqg")
+@example(sigma=7.458340731200208e-155, kind="ilqg")
+@example(sigma=1.3407807929942596e154, kind="contraction")
+@example(sigma=1.3407807929942597e154, kind="contraction")
+def test_a_sigma_that_loads_runs_every_controller(sigma, kind):
+    # the controllers sample with covariance diag(sigma^2) and price controls
+    # with its inverse, so a sigma either fails at load, naming the key, or runs
+    overrides = {
+        "cost.sigma": repr(sigma),
+        "feedback.kind": kind,
+        "experiment.steps": "3",
+        "sampling.horizon": "4",
+        "disturbance.noise_multiplier": "0",  # keep the plant in the crash box
+    }
+    try:
+        cfg = small_run_config(**overrides)
+    except ValueError as exc:
+        assert "cost.sigma" in str(exc)
+        return
+    for controller in ("mppi", "tube", "rmppi"):
+        log = run_closed_loop(cfg.with_values(**{"experiment.controller": controller}))
+        assert log.summary["steps_run"] == 3, (controller, log.summary)
 
 
 def test_log_columns_schema():
