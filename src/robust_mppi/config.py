@@ -96,7 +96,7 @@ class ExperimentConfig:
     wall_slope: float = _key("cost", _parse_float, "0.0", _FINITE_NONNEGATIVE)
     wall_cap: float = _key("cost", _parse_float, "inf", _POSITIVE)
     terminal_scale: float = _key("cost", _parse_float, "1.0", _FINITE_NONNEGATIVE)
-    crash_cost: float = _key("cost", _parse_float, "1e4", _FINITE)
+    crash_cost: float = _key("cost", _parse_float, "1e4", _FINITE_NONNEGATIVE)
     n_samples: int = _key("sampling", int, "512", _at_least(2))
     horizon: int = _key("sampling", int, "50", _at_least(1))
     feedback_kind: str = _key(

@@ -39,8 +39,10 @@ class CostFunction:
     ``sigma`` is the control exploration covariance; its Cholesky factor and
     inverse are computed once and cached on the instance.
     ``lipschitz_q``/``lipschitz_phi`` are bounds over the admissible task
-    domain, used by the growth-bound monitor.  ``crash_cost`` is the finite
-    cost of a crashed rollout, whose state or state cost stopped being finite.
+    domain, used by the growth-bound monitor.  ``crash_cost`` is the finite,
+    nonnegative cost of a crashed rollout, whose state or state cost stopped
+    being finite; a negative one would lower the nominal free energy and so
+    widen the bound's slack.
     """
 
     state_cost: Callable[[Array], Array]
@@ -66,8 +68,8 @@ class CostFunction:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not np.isfinite(self.crash_cost):
-            raise ValueError("crash_cost must be finite")
+        if not (np.isfinite(self.crash_cost) and self.crash_cost >= 0.0):
+            raise ValueError(f"crash_cost must be finite and >= 0, got {self.crash_cost}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "sigma_chol", chol)
         object.__setattr__(self, "sigma_inv", np.linalg.inv(sigma))

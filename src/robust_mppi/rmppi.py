@@ -400,8 +400,8 @@ class TubeMppiController:
         if self.x_star is None:
             self.x_star = x.copy()
         policy = self.policy_factory(self.x_star, self.controls)
-        out = scratch("draws", (self.n_samples, self.horizon, self.model.n_u))
-        draws = step_draws(self.seed, self.step_index, STREAM_ROLLOUT, self.cost, out)
+        layout = ((STREAM_ROLLOUT, self.n_samples),)
+        draws = step_draws(self.seed, self.step_index, layout, self.horizon, self.cost)
         action, self.controls, self.x_star, record = tube_mppi_step(
             self.model,
             self.cost,
@@ -532,12 +532,13 @@ class RmppiController:
         if self.x_star is None:
             self.x_star = x.copy()
         nsp = self.s.nsp_samples
-        both = scratch("draws", (nsp + self.s.n_samples, self.s.horizon, self.model.n_u))
+        # the NSP rows are drawn on every step, so that every step has one
+        # layout and the next step's draws can be filled ahead; a step that
+        # runs no NSP leaves them unused
+        layout = ((STREAM_NSP, nsp), (STREAM_ROLLOUT, self.s.n_samples))
+        both = step_draws(self.seed, self.step_index, layout, self.s.horizon, self.cost)
         nsp_draws, draws = both[:nsp], both[nsp:]
         run_nsp = self.step_index > 0 and self._nsp_nearest_first is not None
-        if run_nsp:
-            step_draws(self.seed, self.step_index, STREAM_NSP, self.cost, nsp_draws)
-        step_draws(self.seed, self.step_index, STREAM_ROLLOUT, self.cost, draws)
         # the certificate is checked where the offset is real: before NSP
         # moves the nominal, on the propagated nominal state and the control
         # its shifted plan applies at this step

@@ -18,10 +18,16 @@ sample's cost does not depend on which other samples or groups share its
 batch, nor on how the horizon is cut into blocks.
 The large per-step arrays (noise draws, penalty terms, tracking corrections)
 are filled in place in buffers from :func:`scratch`, a per-thread pool kept
-across steps, so a step does not map and fault them afresh.
+across steps, so a step does not map and fault them afresh.  A controller
+takes all of a step's draws in one :func:`step_draws` call.  Once they fill
+at least ``_PREFETCH_BYTES``, the pool keeps a second draws buffer, and one
+daemon worker thread fills the next step's draws into it while the caller
+rolls out the current step; the draws are keyed by ``(seed, step, stream)``
+alone, so they have the same bits either way.
 """
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -50,10 +56,25 @@ STREAM_PLANT = 4
 # feedback, ``n_u / n_x`` times the states' bytes.
 _STATE_BLOCK_BYTES = 64 * 1024
 
+# Bytes of one step's draws from which :func:`step_draws` fills the next
+# step's draws on a worker thread while the caller rolls out this one.  The
+# worker needs the GIL to enter and leave each numpy call, and while it waits
+# for it every GIL release of the caller wakes it, which costs more than
+# small draws take.  On ``di_stress_x100`` RMPPI (NSP 32, T = 30), filling
+# ahead against drawing in the step over four alternating pairs of
+# ``perfbench`` runs: at N=512 (128 KiB of draws) the wall-clock step p50 was
+# slower in three pairs; at N=1024 (248 KiB) faster in three, by up to 0.75
+# ms; at N=2048 (488 KiB) faster in all four, by 0.1 to 1.0 ms.  The paper-
+# scale benchmark workloads, 60 to 68 KiB a step, gained nothing from filling
+# ahead: their step p50 moved by -1% to +3% over two pairs each.  N=4096 with
+# NSP 512 draws 1.05 MiB (numpy 2.4.6, a 2-vCPU Xeon).
+_PREFETCH_BYTES = 192 * 1024
+
 
 class _ScratchPool(threading.local):
     def __init__(self) -> None:
         self.buffers: dict[str, Array] = {}
+        self.pending: _Fill | None = None  # the next step's draws, filling on the worker
 
 
 _POOL = _ScratchPool()
@@ -67,7 +88,9 @@ def scratch(role: str, shape: tuple[int, ...]) -> Array:
     same role in this thread, so a caller must be done with it before then;
     the controllers use each role within one step.  At N=4096 fresh arrays of
     this size cost more in page faults than their arithmetic, because the
-    allocator hands them back to the system between steps.
+    allocator hands them back to the system between steps.  The roles
+    ``"draws"`` and ``"draws_next"`` belong to :func:`step_draws`, which
+    swaps them when it hands out draws filled ahead on the worker thread.
     """
     buffers = _POOL.buffers
     buf = buffers.get(role)
@@ -92,6 +115,11 @@ class NoisePlan:
 
     draws: Array  # (n_samples, horizon, n_u)
 
+    def __post_init__(self) -> None:
+        if self.draws.ndim != 3:
+            shape = self.draws.shape
+            raise ValueError(f"draws must be (n_samples, horizon, n_u), got shape {shape}")
+
     @classmethod
     def sample(
         cls,
@@ -109,32 +137,153 @@ class NoisePlan:
         shape = (n_samples, horizon, sigma_chol.shape[0])
         if out is not None and out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, the draws have shape {shape}")
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(shape, out=out)
-        scale = np.diagonal(sigma_chol)
-        if np.array_equal(sigma_chol, np.diag(scale)):
-            # a diagonal factor scales each column; in place, the same bits
-            # as the matmul without its (N, T, n_u) result
-            z *= scale
-            return cls(draws=z)
-        # one (N*T, n_u) matmul, not N stacked (T, n_u) ones; same values
-        draws = (z.reshape(-1, z.shape[-1]) @ sigma_chol.T).reshape(z.shape)
-        if out is not None:
-            out[...] = draws
-            draws = out
-        return cls(draws=draws)
+        if out is None:
+            out = np.empty(shape)
+        return cls(draws=_fill(np.random.default_rng(seed), sigma_chol, out))
 
 
-def step_draws(seed: int, step: int, stream: int, cost: CostFunction, out: Array) -> Array:
-    """Fill ``out`` with one step's control draws, covariance ``cost.sigma``, and return it.
+def _fill(rng: np.random.Generator, sigma_chol: Array, out: Array) -> Array:
+    """Fill ``out``, C-contiguous ``(rows, T, n_u)``, with ``rng``'s normals
+    times ``sigma_chol`` and return it.
 
-    ``out`` is ``(n_samples, horizon, n_u)``, typically a :func:`scratch`
-    buffer or a leading-axis slice of one, which is C-contiguous like the
-    buffer itself.  The draws come from :meth:`NoisePlan.sample` under
-    ``derive_seed(seed, step, stream)`` and have the bits of a fresh plan.
+    The draws of :meth:`NoisePlan.sample` and of the worker thread.  The
+    normals and the scaling release the GIL while they run.  The worker
+    calls this and not ``NoisePlan.sample``, which ``perfbench``'s tracer
+    wraps with one span stack shared by every thread.
     """
-    child = derive_seed(seed, step, stream)
-    return NoisePlan.sample(child, out.shape[0], out.shape[1], cost.sigma_chol, out).draws
+    z = rng.standard_normal(out=out)
+    scale = np.diagonal(sigma_chol)
+    if np.array_equal(sigma_chol, np.diag(scale)):
+        # a diagonal factor scales each column; in place, the same bits
+        # as the matmul without its (N, T, n_u) result
+        z *= scale
+    else:
+        # one (N*T, n_u) matmul, not N stacked (T, n_u) ones; same values
+        z[...] = (z.reshape(-1, z.shape[-1]) @ sigma_chol.T).reshape(z.shape)
+    return z
+
+
+def _stream_views(layout: tuple[tuple[int, int], ...], buf: Array):
+    """``(stream, rows of buf)`` for each ``(stream, rows)`` of ``layout``, in order."""
+    first = 0
+    for stream, rows in layout:
+        yield stream, buf[first : first + rows]
+        first += rows
+
+
+class _Fill:
+    """One step's draws, filled into ``out`` on the worker thread.
+
+    Each part's generator is seeded on the calling thread, so the worker runs
+    only :func:`_fill`.  ``done`` is held until the fill has finished.
+    """
+
+    def __init__(self, key: tuple, cost: CostFunction, out: Array, parts: list) -> None:
+        self.key, self.cost, self.out, self.parts = key, cost, out, parts
+        self.error: BaseException | None = None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def run(self) -> None:
+        try:
+            for rng, view in self.parts:
+                _fill(rng, self.cost.sigma_chol, view)
+        except Exception as exc:  # raised on the caller's next call
+            self.error = exc
+        finally:
+            self.done.release()
+
+
+_WORKER_LOCK = threading.Lock()
+_worker_jobs = None  # the worker's queue, made with the worker on first use
+
+
+def _submit(fill: _Fill) -> None:
+    """Queue ``fill`` for the process's one daemon worker, started on first use."""
+    global _worker_jobs
+    with _WORKER_LOCK:
+        if _worker_jobs is None:
+            import queue  # only prefetching needs it
+
+            jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_work, args=(jobs,), name="robust-mppi-draws", daemon=True
+            ).start()
+            _worker_jobs = jobs
+    _worker_jobs.put(fill)
+
+
+def _work(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _forget_worker() -> None:
+    """Start over in a forked child, which has no worker thread.
+
+    There the fill in flight may never finish and the worker lock may stay
+    held, so the child draws its next step itself and starts its own worker.
+    """
+    global _WORKER_LOCK, _worker_jobs
+    _WORKER_LOCK, _worker_jobs = threading.Lock(), None
+    _POOL.pending = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def step_draws(
+    seed: int, step: int, layout: tuple[tuple[int, int], ...], horizon: int, cost: CostFunction
+) -> Array:
+    """One step's control draws, covariance ``cost.sigma``, for every stream of ``layout``.
+
+    ``layout`` is ``((stream, rows), ...)``.  The result is one pooled
+    ``(sum of rows, horizon, n_u)`` buffer in which each stream's rows, in
+    layout order, have the bits of ``NoisePlan.sample(derive_seed(seed,
+    step, stream), rows, horizon, cost.sigma_chol)``.  It is this thread's
+    :func:`scratch` buffer, so the caller must be done with it by its next
+    call.
+
+    A buffer of at least ``_PREFETCH_BYTES`` is handed out, and step
+    ``step + 1``'s draws under the same layout start filling the thread's
+    second draws buffer on the worker thread.  The next call for that step,
+    layout, horizon and cost waits for the fill and returns that buffer.  Any
+    other call waits for it too, so the worker never writes a buffer that a
+    caller holds, and then fills its own draws here; an error the fill met
+    is raised there.  A smaller buffer is filled here, and no thread is
+    started.
+    """
+    pool = _POOL
+    buffers = pool.buffers
+    key = (seed, step, layout, horizon)
+    out = None
+    pending = pool.pending
+    if pending is not None:
+        pool.pending = None
+        pending.done.acquire()
+        if pending.error is not None:
+            raise pending.error
+        if pending.key == key and pending.cost is cost:
+            # the filled buffer is this step's; the one handed out last fills next
+            out = pending.out
+            buffers["draws"], buffers["draws_next"] = out, buffers["draws"]
+    if out is None:
+        rows = sum(n for _, n in layout)
+        out = scratch("draws", (rows, horizon, cost.sigma_chol.shape[0]))
+        for stream, view in _stream_views(layout, out):
+            child = derive_seed(seed, step, stream)
+            NoisePlan.sample(child, view.shape[0], horizon, cost.sigma_chol, view)
+    if out.nbytes < _PREFETCH_BYTES:
+        buffers.pop("draws_next", None)
+        return out
+    spare = scratch("draws_next", out.shape)
+    parts = [
+        (np.random.default_rng(derive_seed(seed, step + 1, stream)), view)
+        for stream, view in _stream_views(layout, spare)
+    ]
+    pool.pending = _Fill((seed, step + 1, layout, horizon), cost, spare, parts)
+    _submit(pool.pending)
+    return out
 
 
 def free_energy_mc(costs: Array, lam: float) -> float | Array:
@@ -388,8 +537,8 @@ class MppiController:
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)
-        out = scratch("draws", (self.n_samples, self.horizon, self.model.n_u))
-        draws = step_draws(self.seed, self.step_index, STREAM_ROLLOUT, self.cost, out)
+        layout = ((STREAM_ROLLOUT, self.n_samples),)
+        draws = step_draws(self.seed, self.step_index, layout, self.horizon, self.cost)
         res = rollout_batch(self.model, self.cost, x, self.controls, draws)
         degenerate = bool(res.crashed.all())
         if degenerate:

@@ -148,6 +148,7 @@ LOAD_TIME_REJECTIONS = {
     "disturbance.w_bound=-0.1": "disturbance.w_bound must be finite and >= 0",
     "cost.crash_cost=inf": "cost.crash_cost must be finite",
     "cost.crash_cost=-inf": "cost.crash_cost must be finite",
+    "cost.crash_cost=-1": "cost.crash_cost must be finite and >= 0",
     # fail at step 0
     "experiment.seed=-1": "experiment.seed must be >= 0",
     "cost.target=inf,0": "cost.target must be finite in every entry",

@@ -776,8 +776,10 @@ def test_rmppi_step_draws_only_rollout_and_nsp_noise(monkeypatch):
     for _ in range(3):
         action, _ = controller.step(x)
         x = controller.model.step(x, action)
+    # the NSP rows are drawn on every step, step 0's unused; a controller
+    # this small draws on the synchronous path, so nothing is drawn ahead
     assert drawn == [
-        (0, STREAM_ROLLOUT),
+        (0, STREAM_NSP), (0, STREAM_ROLLOUT),
         (1, STREAM_NSP), (1, STREAM_ROLLOUT),
         (2, STREAM_NSP), (2, STREAM_ROLLOUT),
     ]

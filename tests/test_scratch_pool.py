@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robust_mppi import harness
+from robust_mppi import harness, sampling
 from robust_mppi.config import load_config
 from robust_mppi.costs import penalty_step_terms
 from robust_mppi.sampling import NoisePlan, scratch
@@ -70,6 +70,12 @@ def test_noise_plan_refuses_an_out_of_the_wrong_shape():
         NoisePlan.sample(11, 40, 7, np.eye(1), out=np.empty((40, 7)))
 
 
+def test_noise_plan_refuses_draws_that_are_not_samples_by_steps_by_controls():
+    message = r"draws must be \(n_samples, horizon, n_u\), got shape \(40, 7\)"
+    with pytest.raises(ValueError, match=message):
+        NoisePlan(draws=np.zeros((40, 7)))
+
+
 def test_penalty_step_terms_refuses_buffers_of_the_wrong_shape():
     u, eps, sigma_inv = np.ones((4, 3, 1)), np.ones((4, 3, 1)), np.eye(1)
     with pytest.raises(ValueError, match=r"out has shape \(3, 4\), expected \(4, 3\)"):
@@ -101,7 +107,11 @@ def flat_record(action, record):
     return [action] + [np.asarray(v) for v in dataclasses.astuple(record)]
 
 
-def test_interleaved_controllers_step_as_they_do_alone():
+@pytest.mark.parametrize("prefetch_bytes", [sampling._PREFETCH_BYTES, 0])
+def test_interleaved_controllers_step_as_they_do_alone(monkeypatch, prefetch_bytes):
+    # at 0 every controller's next draws are filled ahead, and each call of
+    # the interleaved loop finds the draws of another controller in flight
+    monkeypatch.setattr(sampling, "_PREFETCH_BYTES", prefetch_bytes)
     steps = 8
     solo = {}
     for name in CONTROLLERS:

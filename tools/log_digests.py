@@ -14,7 +14,9 @@ tube's correction through iLQG gains), with ``dynamics.control_limit=1.0``
 (the one scenario whose rollout controls often pass the actuation limits,
 so the clamp changes them) and with a shifted target, weights other than
 one, a finite wall on both coordinates and a terminal scale other than one
-(parameter values no shipped config uses), the built-in default scenario, the
+(parameter values no shipped config uses) and at 4096 samples (where every
+controller's next draws are filled ahead on the worker thread, and the
+worker switches between controllers), the built-in default scenario, the
 wall config under ``run`` and ``compare`` on the ``fuse`` system
 registered here, whose rollout rows crash, and the benchmark workloads of
 ``perfbench/run.py``.  Every run goes through
@@ -100,6 +102,11 @@ def scenarios() -> dict[str, tuple[str, str | None, tuple[str, ...]]]:
             "cost.wall_offsets=1.5,6.0",
             "cost.terminal_scale=2.0",
         ),
+    )
+    out["wall-compare-n4096"] = (
+        "compare",
+        "configs/di_wall_compare_x100.ini",
+        ("sampling.n_samples=4096", "rmppi.nsp_samples=512", "experiment.steps=100"),
     )
     out["default"] = ("run", None, ())
     fused = ("experiment.system=fuse", "feedback.kind=none", "experiment.steps=300")
