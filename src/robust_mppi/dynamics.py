@@ -3,9 +3,11 @@
 Every system advances as ``x_next = x + F(x, clamp(u)) * dt``, so feedback
 corrections and exploration noise can never command more authority than the
 plant has.  :meth:`SystemModel.step` clamps and then takes the Euler update
-:meth:`SystemModel.euler`.  Callers whose controls do not depend on the
-states clamp them ahead and call ``euler`` alone: the rollout kernel clamps a
-block of horizon steps' controls in one call (see
+:meth:`SystemModel.euler`; its callers step single states: the plant, the
+nominal state of the tube and robust controllers, the growth bound and the
+contraction certificate.  Batches clamp their controls into a buffer and
+call ``euler`` alone: the rollout kernel clamps each horizon step's
+controls in place in a block buffer (see
 :func:`~robust_mppi.sampling.propagate`), and :func:`nominal_trajectory`
 clamps a whole plan.  The clamp is elementwise and idempotent, so both give
 the bits of ``step``.  Model functions are written to broadcast over leading
@@ -100,8 +102,8 @@ class SystemModel:
     control_high: Array | None = None
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.n_x < 1 or self.n_u < 1:
             raise ValueError("state and control dimensions must be at least 1")
         for name, outside in (("control_low", np.greater), ("control_high", np.less)):
@@ -113,21 +115,25 @@ class SystemModel:
         """Clip a control (batch) to the actuation limits; ``out`` as in :func:`clamp_controls`."""
         return clamp_controls(u, self.control_low, self.control_high, out)
 
-    def step(self, x: Array, u: Array, out: Array | None = None) -> Array:
-        """One explicit-Euler step; broadcasts over leading batch axes.
+    def step(self, x: Array, u: Array) -> Array:
+        """One explicit-Euler step under a control it clamps first.
 
-        ``out``, of the result's shape, receives the next states and is
-        returned, with the bits of a fresh result; it may be ``x`` itself.
+        It broadcasts like :meth:`euler`, but the library steps only single
+        states with it; rollouts clamp a batch's controls into a buffer and
+        call ``euler``, which gives the same bits.
         """
-        return self.euler(x, self.clamp(u), out)
+        return self.euler(x, self.clamp(u))
 
     def euler(self, x: Array, u: Array, out: Array | None = None) -> Array:
         """The explicit-Euler update ``x + F(x, u) * dt`` for a control already clamped.
 
-        ``out`` is as for :meth:`step`: ``F`` is evaluated in full before
-        ``out`` is written, so ``out`` may be ``x``.  The array ``deriv``
-        returns is scaled by ``dt`` in place, which gives the bits of
-        ``F * dt`` without another array.
+        Broadcasts over leading batch axes; the rollout kernel and
+        :func:`nominal_trajectory` step with it.  ``out``, of the result's
+        shape, receives the next states and is returned, with the bits of a
+        fresh result: ``F`` is evaluated in full before ``out`` is written,
+        so ``out`` may be ``x``.  The array ``deriv`` returns is scaled by
+        ``dt`` in place, which gives the bits of ``F * dt`` without another
+        array.
         """
         f = self.deriv(x, u)
         f *= self.dt

@@ -104,8 +104,8 @@ class ContractionPolicy:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             raise ValueError("contraction metric must be positive definite") from None
-        if self.rate <= 0.0:
-            raise ValueError("contraction rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ValueError(f"contraction rate must be finite and positive, got {self.rate}")
         self.metric = m
         self._k = self.b_matrix.T @ m  # (n_u, n_x)
 

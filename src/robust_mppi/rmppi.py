@@ -391,6 +391,9 @@ class TubeMppiController:
         self.seed = int(seed)
         self.policy_factory = policy_factory
         self.alpha = float(alpha)
+        if np.isnan(self.alpha):
+            # the reset test fe_real - fe_nom < alpha would never hold
+            raise ValueError("alpha must not be NaN")
         self.controls = np.zeros((self.horizon, model.n_u))
         self.x_star: Array | None = None  # set to the first measured state
         self.step_index = 0
@@ -501,6 +504,9 @@ class RmppiController:
                 raise ValueError(f"growth bound needs {name} on the cost")
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        if np.isnan(settings.alpha):
+            # no candidate's free energy would be feasible against it
+            raise ValueError("alpha must not be NaN")
         # the bound's factor divides by 1 - gamma
         if not 0.0 < settings.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {settings.gamma}")

@@ -8,10 +8,12 @@ noise draws with an optional tracking correction and returns only the state
 costs and crash flags; a caller that prices the corrections records them in
 its own feedback closure; one check after its horizon loop flags the
 crashed rows, which are stepped like the others until then.  The kernel
-keeps a block of horizon steps' states and prices them in one
+has one horizon loop.  It keeps a block of horizon steps' clamped controls
+and states, steps each with ``model.euler``, and prices the states in one
 ``state_cost`` call on a ``(block, G, N, n_x)`` array, so a state cost
-must act row by row over every leading axis; without feedback it also
-builds and clamps a block's controls at once.  Per-sample evaluation is
+must act row by row over every leading axis.  Without feedback a block's
+controls are built and clamped at once; with feedback each step fills its
+own slice once the states it corrects are known.  Per-sample evaluation is
 elementwise, each row's state costs are added in horizon order, and
 penalties are summed in a fixed order after the horizon loop, so a
 sample's cost does not depend on which other samples or groups share its
@@ -52,8 +54,8 @@ STREAM_PLANT = 4
 # 256 KiB budget was slower at both ends: 2x256 rows then fill a 240 KiB
 # buffer, and each call took 118 minor page faults where 64 KiB took none;
 # 4608 rows took about 1.1 times as long (numpy 2.4.6, a 2-vCPU Xeon).  The
-# same block sizes a rollout's buffer of clamped controls when it has no
-# feedback, ``n_u / n_x`` times the states' bytes.
+# same block sizes every rollout's buffer of clamped controls, ``n_u / n_x``
+# times the states' bytes.
 _STATE_BLOCK_BYTES = 64 * 1024
 
 # Bytes of one step's draws from which :func:`step_draws` fills the next
@@ -109,16 +111,12 @@ def derive_seed(master: int, *path: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
 class NoisePlan:
-    """A frozen batch of control perturbations, reproducible from its seed."""
+    """Control perturbations reproducible from their seed.
 
-    draws: Array  # (n_samples, horizon, n_u)
-
-    def __post_init__(self) -> None:
-        if self.draws.ndim != 3:
-            shape = self.draws.shape
-            raise ValueError(f"draws must be (n_samples, horizon, n_u), got shape {shape}")
+    Only the classmethod :meth:`sample` is used; the class gives it the name
+    that ``perfbench``'s tracer wraps.
+    """
 
     @classmethod
     def sample(
@@ -128,9 +126,10 @@ class NoisePlan:
         horizon: int,
         sigma_chol: Array,
         out: Array | None = None,
-    ) -> "NoisePlan":
-        """Draw the plan; with ``out``, a float array of the draws' shape, fill
-        and return it in place, with the same bits as a fresh plan."""
+    ) -> Array:
+        """Draw the ``(n_samples, horizon, n_u)`` perturbations; with ``out``, a
+        float array of that shape, fill and return it in place, with the same
+        bits as fresh draws."""
         if n_samples < 1 or horizon < 1:
             raise ValueError("n_samples and horizon must be at least 1")
         sigma_chol = np.atleast_2d(np.asarray(sigma_chol, dtype=float))
@@ -139,7 +138,7 @@ class NoisePlan:
             raise ValueError(f"out has shape {out.shape}, the draws have shape {shape}")
         if out is None:
             out = np.empty(shape)
-        return cls(draws=_fill(np.random.default_rng(seed), sigma_chol, out))
+        return _fill(np.random.default_rng(seed), sigma_chol, out)
 
 
 def _fill(rng: np.random.Generator, sigma_chol: Array, out: Array) -> Array:
@@ -370,7 +369,7 @@ def propagate(
     keeps of it.  A row crashes when its final state or path cost is not
     finite: Euler steps ``x + F*dt`` keep a non-finite state non-finite, so
     one check after the loop sees every crash, and crashed rows are stepped
-    on through ``model.step``, ``feedback`` and the costs.
+    on through ``model.euler``, ``feedback`` and the costs.
 
     Each step's states go into a buffer of ``block`` steps, sized to
     ``_STATE_BLOCK_BYTES``, and ``cost.state_cost`` prices a full block in
@@ -379,15 +378,16 @@ def propagate(
     axis.  Its rows are added to the running cost one step at a time, in
     horizon order, so each row gets the bits of a call per step.
 
-    With no ``feedback`` the controls do not depend on the states, so a
-    block's controls are built in one add into a ``(block, G, N, n_u)``
-    buffer and clamped there in place with ``model.clamp(u, out=u)``; each
-    step then runs only ``model.euler`` on its slice of the buffer.  The add
-    and the clamp are elementwise, so each entry has the bits that
-    ``model.step`` would give it.  With ``feedback``, each step's sum
-    ``(controls[t] + k) + draws[:, t]`` goes through ``model.step``, which
-    clamps it.  Either way ``model.deriv`` receives views of buffers that
-    later steps overwrite, and must not write into them.
+    Each step's controls are clamped in place in its slice of a
+    ``(block, G, N, n_u)`` buffer, and the step runs ``model.euler`` on
+    that slice.  With no ``feedback`` the controls do not depend on the
+    states, so a whole block is filled by one add of ``controls`` and
+    ``draws`` and clamped by one ``model.clamp(u, out=u)``; with
+    ``feedback``, each step fills its slice with ``(controls[t] + k) +
+    draws[:, t]`` once ``k`` is known and clamps that slice.  The adds and
+    the clamp are elementwise, so each entry has the bits that
+    ``model.step`` would give it.  ``model.deriv`` receives views of
+    buffers that later steps overwrite, and must not write into them.
 
     Returns two values: the running plus terminal state costs, which may be
     NaN on a crashed row, and the crash flags, both ``(G, N)``.  The
@@ -402,27 +402,29 @@ def propagate(
     block = min(horizon, max(1, _STATE_BLOCK_BYTES // max(1, x.size * 8)))
     # with one step a block, each step overwrites the states it started from
     states = np.empty((block,) + x.shape)
-    if feedback is None:
-        # controls that do not depend on the states are built and clamped a
-        # block at a time: both are elementwise, so each entry keeps its bits
-        applied = np.empty((block,) + x.shape[:-1] + (n_u,))
-        ctrl_by_step = ctrl.transpose(1, 0, 2)[:, :, None]  # (T, G, 1, n_u)
-        draws_by_step = draws.transpose(1, 0, 2)[:, None]  # (T, 1, N, n_u)
+    applied = np.empty((block,) + x.shape[:-1] + (n_u,))
+    ctrl_by_step = ctrl.transpose(1, 0, 2)[:, :, None]  # (T, G, 1, n_u)
+    draws_by_step = draws.transpose(1, 0, 2)[:, None]  # (T, 1, N, n_u)
     # the check after the loop says all that crashed rows' warnings would
     with np.errstate(all="ignore"):
         for first in range(0, horizon, block):
             last = min(first + block, horizon)
             steps = states[: last - first]
+            u = applied[: last - first]
             if feedback is None:
-                u = applied[: last - first]
+                # controls that do not depend on the states are built and
+                # clamped a block at a time; both are elementwise
                 np.add(ctrl_by_step[first:last], draws_by_step[first:last], out=u)
                 model.clamp(u, out=u)
-                for j in range(last - first):
-                    x = model.euler(x, u[j], out=steps[j])
-            else:
-                for j, t in enumerate(range(first, last)):
-                    u = ctrl[:, None, t] + feedback(x, t)
-                    x = model.step(x, u + draws[:, t], out=steps[j])
+            for j, t in enumerate(range(first, last)):
+                u_t = u[j]
+                if feedback is not None:
+                    # k needs this step's states; adding it before the draws
+                    # keeps the bits of (controls[t] + k) + draws[:, t]
+                    np.add(ctrl_by_step[t], feedback(x, t), out=u_t)
+                    u_t += draws_by_step[t]
+                    model.clamp(u_t, out=u_t)
+                x = model.euler(x, u_t, out=steps[j])
             # one row at a time: a sum over the block would reorder the additions
             for row in cost.state_cost(steps):
                 s += row

@@ -267,7 +267,7 @@ class TwoCallRmppiController(RmppiController):
 
     def _draws(self, stream: int, n_samples: int) -> Array:
         seed = derive_seed(self.seed, self.step_index, stream)
-        return NoisePlan.sample(seed, n_samples, self.s.horizon, self.cost.sigma_chol).draws
+        return NoisePlan.sample(seed, n_samples, self.s.horizon, self.cost.sigma_chol)
 
     def step(self, x: Array) -> tuple[Array, StepRecord]:
         x = np.asarray(x, dtype=float)

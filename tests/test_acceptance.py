@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from robust_mppi.config import load_config
@@ -317,28 +319,22 @@ def test_growth_bound_holds_on_the_wall_with_ilqg_feedback():
     assert ok
 
 
-def test_reduces_to_plain_mppi_when_augmentation_is_disabled():
-    cfg = load_config(
-        None,
-        [
-            "cost.lambda=5",
-            "cost.beta=0.0",
-            "cost.q_weights=10.0, 1.0",
-            "sampling.n_samples=128",
-            "sampling.horizon=20",
-        ],
-    )
+def worst_gap_to_plain_mppi(cfg, seed, steps):
+    """Largest action or plan difference between MPPI and RMPPI with augmentation off.
+
+    RMPPI runs at ``alpha = inf`` with no feedback; with ``cost.beta=0`` in
+    ``cfg`` nothing of the augmentation is left.  Both controllers see the
+    states of the plant driven by MPPI's actions.
+    """
     model = build_model(cfg)
     cost = build_cost(cfg, model)
-    seed = 11
-    x0 = np.zeros(2)
-    plain = MppiController(model, cost, 128, 20, seed)
+    plain = MppiController(model, cost, cfg.n_samples, cfg.horizon, seed)
     robust = RmppiController(
         model,
         cost,
         RmppiSettings(
-            n_samples=128,
-            horizon=20,
+            n_samples=cfg.n_samples,
+            horizon=cfg.horizon,
             alpha=np.inf,
             n_candidates=4,
             nsp_samples=16,
@@ -347,10 +343,10 @@ def test_reduces_to_plain_mppi_when_augmentation_is_disabled():
         seed,
         lambda x_star, controls: ZeroFeedback(model.n_u),
     )
-    disturbance = DisturbanceModel(noise_multiplier=1.0, w_bound=0.0)
-    x = x0.copy()
+    disturbance = DisturbanceModel(noise_multiplier=cfg.noise_multiplier, w_bound=0.0)
+    x = np.zeros(2)
     worst = 0.0
-    for t in range(100):
+    for t in range(steps):
         action_p, _ = plain.step(x)
         action_r, _ = robust.step(x)
         worst = max(worst, float(np.max(np.abs(action_p - action_r))))
@@ -362,6 +358,21 @@ def test_reduces_to_plain_mppi_when_augmentation_is_disabled():
         rng = np.random.default_rng(derive_seed(seed, t, STREAM_PLANT))
         eps = disturbance.control_noise(rng, cost.sigma_chol)
         x = model.step(x, action_p + eps)
+    return worst
+
+
+def test_reduces_to_plain_mppi_when_augmentation_is_disabled():
+    cfg = load_config(
+        None,
+        [
+            "cost.lambda=5",
+            "cost.beta=0.0",
+            "cost.q_weights=10.0, 1.0",
+            "sampling.n_samples=128",
+            "sampling.horizon=20",
+        ],
+    )
+    worst = worst_gap_to_plain_mppi(cfg, seed=11, steps=100)
     ok = worst <= 1e-12
     _report(
         "robust controller reduces to plain sampling without augmentation",
@@ -369,6 +380,29 @@ def test_reduces_to_plain_mppi_when_augmentation_is_disabled():
         f"100 steps, worst per-element plan/action difference {worst:.2e}",
     )
     assert ok
+
+
+@st.composite
+def unaugmented_scenarios(draw):
+    """A seed and config overrides: system, sizes, lambda, weights, noise, ``cost.beta=0``."""
+    weights = [draw(st.floats(0.0, 20.0)) for _ in range(2)]
+    return draw(st.integers(0, 2**31 - 1)), [
+        f"experiment.system={draw(st.sampled_from(['double_integrator', 'nonlinear_benchmark']))}",
+        "cost.beta=0.0",
+        f"cost.lambda={draw(st.floats(0.5, 100.0))!r}",
+        f"cost.q_weights={weights[0]!r}, {weights[1]!r}",
+        f"sampling.n_samples={draw(st.integers(8, 96))}",
+        f"sampling.horizon={draw(st.integers(1, 20))}",
+        f"disturbance.noise_multiplier={draw(st.floats(0.0, 10.0))!r}",
+        "rmppi.emv_repeats=4",
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(unaugmented_scenarios())
+def test_reduces_to_plain_mppi_on_random_scenarios(scenario):
+    seed, overrides = scenario
+    assert worst_gap_to_plain_mppi(load_config(None, overrides), seed, steps=40) <= 1e-12
 
 
 def test_nominal_state_follows_real_state_until_large_disturbance():

@@ -160,8 +160,8 @@ def test_noise_plan_matches_stacked_matmul(n_u, n_samples, horizon):
     chol = np.linalg.cholesky(a @ a.T + n_u * np.eye(n_u))
     seed = 1000 + n_u
     z = np.random.default_rng(seed).standard_normal((n_samples, horizon, n_u))
-    plan = NoisePlan.sample(seed, n_samples, horizon, chol)
-    assert same_bits(plan.draws, z @ chol.T)
+    draws = NoisePlan.sample(seed, n_samples, horizon, chol)
+    assert same_bits(draws, z @ chol.T)
 
 
 @pytest.mark.parametrize("n_u", [1, 2, 3, 4, 5])
@@ -172,5 +172,5 @@ def test_noise_plan_with_a_diagonal_factor_matches_the_matmul(n_u, n_samples, ho
     chol = np.linalg.cholesky(np.diag(sigma**2))
     seed = 2000 + n_u
     z = np.random.default_rng(seed).standard_normal((n_samples, horizon, n_u))
-    plan = NoisePlan.sample(seed, n_samples, horizon, chol)
-    assert same_bits(plan.draws, z @ chol.T)
+    draws = NoisePlan.sample(seed, n_samples, horizon, chol)
+    assert same_bits(draws, z @ chol.T)

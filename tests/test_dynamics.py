@@ -63,6 +63,12 @@ def test_control_limits_must_keep_zero_admissible(low, high, field):
         SystemModel("limits", 2, n_u, 0.1, lambda x, u: x, **limits)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.02, np.inf, np.nan])
+def test_a_step_that_is_not_finite_and_positive_is_refused(dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        SystemModel("bad_dt", 2, 1, dt, lambda x, u: x)
+
+
 def test_control_limits_that_touch_zero_are_accepted():
     for low, high in (([0.0], [1.0]), ([-1.0], [0.0]), ([0.0], [0.0]), ([-0.0], None)):
         model = SystemModel("limits", 2, 1, 0.1, lambda x, u: x,
@@ -155,13 +161,14 @@ def test_batched_jacobians_equal_per_point_calls_bit_for_bit(name, lead, shared_
     data=st.data(),
 )
 def test_a_step_into_out_returns_it_with_the_bits_of_a_fresh_step(factory, lead, into_x, data):
-    # controls reach past the limits so that the clamp does real work
+    # controls reach past the limits so that the clamp does real work; the
+    # rollouts clamp ahead and step into a buffer with euler, the plant with step
     model = factory()
     x = data.draw(hnp.arrays(float, lead + (model.n_x,), elements=st.floats(-1e3, 1e3)))
     u = data.draw(hnp.arrays(float, lead + (model.n_u,), elements=st.floats(-20.0, 20.0)))
     expect = model.step(x, u)
     buf = x if into_x else np.full_like(x, np.nan)
-    assert model.step(x, u, out=buf) is buf
+    assert model.euler(x, model.clamp(u), out=buf) is buf
     assert same_bits(buf, expect)
 
 

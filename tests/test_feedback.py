@@ -246,8 +246,9 @@ def test_contraction_policy_validates_inputs():
     # negative metric distance, -3, at e = (1, -1)
     with pytest.raises(ValueError, match="symmetric"):
         ContractionPolicy(metric=np.array([[1.0, 5.0], [0.0, 1.0]]), rate=1.0, b_matrix=b)
-    with pytest.raises(ValueError, match="rate"):
-        ContractionPolicy(metric=np.eye(2), rate=0.0, b_matrix=b)
+    for rate in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            ContractionPolicy(metric=np.eye(2), rate=rate, b_matrix=b)
 
 
 def test_contraction_policy_gain_formula():

@@ -592,13 +592,45 @@ def test_ilqg_gains_are_built_on_exactly_the_steps_whose_copies_start_apart(
     assert run_csv_bytes(cfg, tmp_path / "eager.csv") == deferred
 
 
+@pytest.mark.parametrize("kind", ["none", "ilqg", "contraction"])
+@pytest.mark.parametrize("controller", ["mppi", "tube", "rmppi"])
+def test_every_model_step_of_a_run_gets_one_state(monkeypatch, controller, kind):
+    # rollouts step their batches with euler; step is left to the plant, the
+    # nominal states, the growth bound and the contraction certificate.  At
+    # alpha=300 and seed 3 the robust controller's copies start apart from
+    # step 58 on, so its rollouts run the tracked path.
+    shapes = []
+    step = SystemModel.step
+
+    def recording_step(self, x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return step(self, x, *args, **kwargs)
+
+    tracked = []
+    propagate = rmppi.propagate
+
+    def recording_propagate(model, cost, starts, controls, draws, feedback=None):
+        tracked.append(feedback is not None)
+        return propagate(model, cost, starts, controls, draws, feedback)
+
+    monkeypatch.setattr(SystemModel, "step", recording_step)
+    monkeypatch.setattr(rmppi, "propagate", recording_propagate)
+    cfg = load_config(CONFIGS / "di_stress_x100.ini", [
+        "experiment.steps=80", "experiment.seed=3", "rmppi.alpha=300",
+        f"experiment.controller={controller}", f"feedback.kind={kind}",
+    ])
+    run_closed_loop(cfg)
+    assert shapes and set(shapes) == {(2,)}
+    assert any(tracked) == (controller == "rmppi")
+
+
 def test_a_tube_step_builds_ilqg_gains_only_without_a_reset(monkeypatch):
     calls = count_gain_builds(monkeypatch)
     cfg = load_config(overrides=["feedback.kind=ilqg", "sampling.horizon=8"])
     model = build_model(cfg)
     cost = build_cost(cfg, model)
     factory, _ = build_policy_factory(cfg, model)
-    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol).draws
+    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol)
     x, x_star, controls = np.array([0.6, -0.2]), np.array([0.1, 0.0]), np.zeros((8, 1))
     policy = factory(x_star, controls)
     _, _, _, record = rmppi.tube_mppi_step(model, cost, x, x_star, controls, policy, draws, 1e9)

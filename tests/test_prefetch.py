@@ -66,7 +66,7 @@ CALLS = st.tuples(
 
 def fresh_draws(seed, step, layout, horizon, cost):
     return np.concatenate([
-        NoisePlan.sample(derive_seed(seed, step, stream), rows, horizon, cost.sigma_chol).draws
+        NoisePlan.sample(derive_seed(seed, step, stream), rows, horizon, cost.sigma_chol)
         for stream, rows in layout
     ])
 
@@ -221,7 +221,7 @@ if pid == 0:
     ok = all(
         np.array_equal(
             step_draws(5, step, layout, 8, cost),
-            NoisePlan.sample(derive_seed(5, step, STREAM_ROLLOUT), 64, 8, cost.sigma_chol).draws,
+            NoisePlan.sample(derive_seed(5, step, STREAM_ROLLOUT), 64, 8, cost.sigma_chol),
         )
         for step in (1, 2, 3)
     )

@@ -376,7 +376,7 @@ def test_nominal_propagation_free_energies_match_direct_rollouts():
     cost = simple_cost()
     rng = np.random.default_rng(29)
     controls = 0.2 * rng.normal(size=(5, 1))
-    draws = NoisePlan.sample(41, 24, 5, cost.sigma_chol).draws
+    draws = NoisePlan.sample(41, 24, 5, cost.sigma_chol)
     x = np.array([1.2, -0.4])
     x_prev = np.array([0.8, 0.0])
     x_prop = np.array([0.9, 0.1])
@@ -415,7 +415,7 @@ def nsp_problems(draw):
     if draw(st.booleans()):
         x_prev = x.copy()  # candidate 0 then ties with candidate R at distance 0
     controls = draw(hnp.arrays(np.float64, (horizon, 1), elements=nsp_values, fill=st.nothing()))
-    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, np.eye(1)).draws
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, np.eye(1))
     model = NSP_MODELS[draw(st.sampled_from(sorted(NSP_MODELS)))]
     alpha_at = draw(st.sampled_from(["nearest", "below_nearest", "other", "none"]))
     return model, x, x_prev, x_prop, controls, r, draws, alpha_at, draw(st.integers(0, r))
@@ -492,6 +492,23 @@ def test_rmppi_rejects_a_tracking_rate_outside_the_open_unit_interval(gamma):
     # the bound's parameters are checked once, when the controller is built
     with pytest.raises(ValueError, match="gamma"):
         make_rmppi(gamma=gamma)
+
+
+def test_rmppi_refuses_a_nan_alpha_when_built():
+    # NaN would make every candidate infeasible and the step degenerate
+    with pytest.raises(ValueError, match="alpha must not be NaN"):
+        make_rmppi(alpha=np.nan)
+    make_rmppi(alpha=np.inf)  # the reduction to plain MPPI runs at alpha = inf
+
+
+def test_tube_controller_refuses_a_nan_alpha_when_built():
+    # fe_real - fe_nom < NaN never holds, so the tube would never reset
+    model, cost = double_integrator(dt=0.05), simple_cost()
+    with pytest.raises(ValueError, match="alpha must not be NaN"):
+        TubeMppiController(
+            model, cost, n_samples=8, horizon=4, seed=0,
+            policy_factory=zero_policy_factory, alpha=np.nan,
+        )
 
 
 def test_rmppi_rejects_bad_bound_constants_when_built():
@@ -575,7 +592,7 @@ def test_growth_bound_is_nondecreasing_in_the_tracking_rate(problem):
 def test_tube_step_reset_rule_follows_the_gap_sign():
     model = double_integrator(dt=0.05)
     cost = simple_cost()
-    draws = NoisePlan.sample(3, 64, 8, cost.sigma_chol).draws
+    draws = NoisePlan.sample(3, 64, 8, cost.sigma_chol)
     controls = np.zeros((8, 1))
     policy = ZeroFeedback(1)
     *_, worse = tube_mppi_step(
@@ -593,7 +610,7 @@ def test_tube_step_reset_rule_follows_the_gap_sign():
 def test_tube_step_reset_restarts_the_tube_at_the_measurement():
     model = double_integrator(dt=0.05)
     cost = simple_cost()
-    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol).draws
+    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol)
     controls = np.zeros((8, 1))
     x = np.array([0.6, -0.2])
     x_star = np.array([0.1, 0.0])
@@ -613,7 +630,7 @@ def test_tube_step_reset_restarts_the_tube_at_the_measurement():
 def test_tube_step_keeps_the_nominal_plan_without_reset():
     model = double_integrator(dt=0.05)
     cost = simple_cost()
-    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol).draws
+    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol)
     controls = np.zeros((8, 1))
     x = np.array([0.6, -0.2])
     x_star = np.array([0.1, 0.0])
@@ -632,7 +649,7 @@ def test_tube_step_keeps_the_nominal_plan_without_reset():
 def test_tube_step_action_adds_the_tracking_correction_toward_its_nominal():
     model = double_integrator(dt=0.05)
     cost = simple_cost()
-    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol).draws
+    draws = NoisePlan.sample(5, 64, 8, cost.sigma_chol)
     controls = np.zeros((8, 1))
     x = np.array([0.6, -0.2])
     x_star = np.array([0.1, 0.0])
@@ -722,7 +739,7 @@ def test_value_noise_shrinks_with_more_samples():
     cost = simple_cost()
 
     def nominal_costs(n):
-        draws = NoisePlan.sample(13, n, 10, cost.sigma_chol).draws
+        draws = NoisePlan.sample(13, n, 10, cost.sigma_chol)
         res = rollout_batch(
             model, cost, np.array([1.0, 0.5]), np.zeros((10, 1)), draws, control_term="beta"
         )
@@ -747,7 +764,7 @@ def test_rmppi_value_noise_is_the_batch_means_of_its_nominal_channel():
     _, rec = controller.step(x)
     draws = NoisePlan.sample(
         derive_seed(7, 0, STREAM_ROLLOUT), 30, 6, controller.cost.sigma_chol
-    ).draws
+    )
     roll = augmented_rollouts(
         controller.model, controller.cost, x, x_star0, np.zeros((6, 1)), policy,
         draws, alpha=100.0,

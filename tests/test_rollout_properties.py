@@ -54,7 +54,7 @@ def batches(draw, groups=1):
     controls = draw(
         hnp.arrays(np.float64, (groups, horizon, 1), elements=values, fill=st.nothing())
     )
-    draws = NoisePlan.sample(seed, n, horizon, COST.sigma_chol).draws
+    draws = NoisePlan.sample(seed, n, horizon, COST.sigma_chol)
     model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
     return model, starts, controls, draws
 
@@ -259,7 +259,7 @@ def blocked_batches(draw, kind):
     horizon = draw(st.integers(3 if kind == "ragged" else 1, 12))
     starts = draw(hnp.arrays(np.float64, (2, 2), elements=values, fill=st.nothing()))
     controls = draw(hnp.arrays(np.float64, (horizon, 1), elements=values, fill=st.nothing()))
-    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, COST.sigma_chol).draws
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, COST.sigma_chol)
     name = draw(st.sampled_from([*sorted(MODELS), "fuse"]))
     model = fuse_model(draw(st.floats(0.5, 8.0))) if name == "fuse" else MODELS[name]
     step_bytes = 2 * n * model.n_x * 8
@@ -298,10 +298,11 @@ def solo_tracked_state_costs(model, starts, controls, eps, gain):
     x = starts[:, None]
     total = np.zeros((2, 1))
     with np.errstate(all="ignore"):
-        for t in range(controls.shape[0]):
+        for t in range(eps.shape[0]):
             k = np.zeros((2, 1, 1))
             k[0] = policy.apply_batch(x[0], x[1], t)
-            x = model.step(x, controls[t] + k + eps[None, t])
+            # one plan, (T, n_u), or one per group, (2, T, n_u)
+            x = model.step(x, controls[..., t, None, :] + k + eps[None, t])
             total = total + CRASH_COST.state_cost(x)
         total = total + CRASH_COST.terminal_cost(x)
     crashed = ~np.isfinite(total[:, 0]) | ~np.isfinite(x[:, 0]).all(axis=-1)
@@ -367,9 +368,9 @@ def test_a_plan_drawn_into_a_leading_axis_slice_has_the_bits_of_a_fresh_plan(
 ):
     chol = SLICE_SIGMA_CHOLS[kind]
     buffer = np.full((before + n + after, horizon, chol.shape[0]), np.nan)
-    plan = NoisePlan.sample(seed, n, horizon, chol, out=buffer[before : before + n])
-    assert np.shares_memory(plan.draws, buffer)
-    assert np.array_equal(plan.draws, NoisePlan.sample(seed, n, horizon, chol).draws)
+    draws = NoisePlan.sample(seed, n, horizon, chol, out=buffer[before : before + n])
+    assert np.shares_memory(draws, buffer)
+    assert np.array_equal(draws, NoisePlan.sample(seed, n, horizon, chol))
     # the rows around the slice are untouched
     assert np.isnan(buffer[:before]).all() and np.isnan(buffer[before + n :]).all()
 
@@ -477,7 +478,7 @@ def two_input_batches(draw):
     gains = draw(hnp.arrays(
         np.float64, (horizon, 2, 2), elements=nonzero_gains, fill=st.nothing()
     ))
-    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, cost.sigma_chol).draws
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, cost.sigma_chol)
     alpha = draw(st.floats(1.0, 1000.0))
     return cost, starts, controls, LinearGainsPolicy(gains), draws, alpha
 
@@ -569,7 +570,7 @@ def twin_batches(draw, model, kind):
         np.float64, (horizon, model.n_u), elements=values, fill=st.nothing()
     ))
     policy = twin_policy(draw, kind, model, horizon)
-    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, cost.sigma_chol).draws
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, cost.sigma_chol)
     return cost, start, controls, policy, draws, draw(st.floats(1.0, 1000.0))
 
 
@@ -598,15 +599,16 @@ def test_equal_starts_give_the_two_copy_channels_bit_for_bit(model_name, kind):
 # The batches above draw plans in [-3, 3], inside the bundled systems' limits
 # of 8 and 10, so no control there is ever clipped.  Here the models get
 # small, one-sided or no limits; a rollout without feedback builds and clamps
-# a block of steps' controls at once, and each row must still get the bits
-# of clamping its own controls step by step.
+# a block of steps' controls at once, one with feedback fills and clamps each
+# step's slice of the block, and each row must still get the bits of
+# clamping its own controls step by step.
 LIMIT_KINDS = ("both_sides", "low_only", "high_only", "none")
 CLAMP_MODELS = (*sorted(MODELS), "two_input", "fuse")
 
 
 @st.composite
-def clamped_batches(draw, kind):
-    """1 to 4 groups of rows under a model limited as ``kind`` says, and a block budget.
+def clamped_batches(draw, kind, groups=None):
+    """1 to 4 groups of rows (or ``groups``) under a model limited as ``kind`` says, and a block budget.
 
     Returns the model, the ``(G, n_x)`` starts, the ``(G, T, n_u)`` plans,
     the draws and a budget that cuts the horizon into blocks of 1 to T steps.
@@ -626,32 +628,43 @@ def clamped_batches(draw, kind):
         control_low=-limit if kind in ("both_sides", "low_only") else None,
         control_high=limit if kind in ("both_sides", "high_only") else None,
     )
-    groups = draw(st.integers(1, 4))
+    groups = draw(st.integers(1, 4)) if groups is None else groups
     n, horizon = draw(st.integers(1, 24)), draw(st.integers(1, 12))
     starts = draw(hnp.arrays(np.float64, (groups, 2), elements=values, fill=st.nothing()))
     controls = draw(hnp.arrays(
         np.float64, (groups, horizon, model.n_u), elements=values, fill=st.nothing()
     ))
     chol = np.eye(model.n_u) * 0.7
-    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, chol).draws
+    draws = NoisePlan.sample(draw(st.integers(0, 2**32 - 1)), n, horizon, chol)
     budget = draw(st.integers(1, horizon)) * groups * n * model.n_x * 8
     return model, starts, controls, draws, budget
 
 
+@pytest.mark.parametrize("tracked", [False, True], ids=["no_feedback", "column_gain"])
 @pytest.mark.parametrize("kind", LIMIT_KINDS)
-def test_clamped_controls_give_each_row_the_bits_of_clamping_step_by_step(kind):
+def test_clamped_controls_give_each_row_the_bits_of_clamping_step_by_step(kind, tracked):
+    # with feedback, group 0 tracks group 1 as in the augmented batch
     @PROPERTY_SETTINGS
-    @given(clamped_batches(kind))
-    def check(batch):
+    @given(clamped_batches(kind, groups=2 if tracked else None), st.floats(0.0, 2.0))
+    def check(batch, gain):
         model, starts, controls, draws, budget = batch
         applied = controls[:, None] + draws  # (G, N, T, n_u)
         assume(kind == "none" or not np.array_equal(model.clamp(applied), applied))
+        feedback = tracking_closure(gain, draws.shape[0]) if tracked else None
         with mock.patch.object(sampling, "_STATE_BLOCK_BYTES", budget):
-            state, crashed = propagate(model, CRASH_COST, starts[:, None], controls, draws)
-        for g in range(starts.shape[0]):
-            for i in range(draws.shape[0]):
-                ref_cost, ref_crashed = solo_state_cost(model, starts[g], controls[g], draws[i])
-                assert np.array_equal(state[g, i], ref_cost, equal_nan=True)
-                assert crashed[g, i] == ref_crashed
+            state, crashed = propagate(
+                model, CRASH_COST, starts[:, None], controls, draws, feedback
+            )
+        for i in range(draws.shape[0]):
+            if tracked:
+                ref = solo_tracked_state_costs(model, starts, controls, draws[i], gain)
+            else:
+                solo = [
+                    solo_state_cost(model, starts[g], controls[g], draws[i])
+                    for g in range(starts.shape[0])
+                ]
+                ref = tuple(np.array(column) for column in zip(*solo))
+            assert np.array_equal(state[:, i], ref[0], equal_nan=True)
+            assert np.array_equal(crashed[:, i], ref[1])
 
     check()

@@ -62,15 +62,15 @@ def test_noise_plan_reproducible_from_seed():
     a = NoisePlan.sample(5, 64, 10, chol)
     b = NoisePlan.sample(5, 64, 10, chol)
     c = NoisePlan.sample(6, 64, 10, chol)
-    assert np.array_equal(a.draws, b.draws)
-    assert not np.array_equal(a.draws, c.draws)
-    assert a.draws.shape == (64, 10, 1)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (64, 10, 1)
 
 
 def test_noise_plan_matches_requested_covariance():
     sigma = np.array([[0.5, 0.2], [0.2, 0.4]])
-    plan = NoisePlan.sample(0, 4000, 50, np.linalg.cholesky(sigma))
-    flat = plan.draws.reshape(-1, 2)
+    draws = NoisePlan.sample(0, 4000, 50, np.linalg.cholesky(sigma))
+    flat = draws.reshape(-1, 2)
     emp = np.cov(flat.T)
     n = flat.shape[0]
     assert np.abs(flat.mean(axis=0)).max() < 5.0 / np.sqrt(n)
@@ -179,18 +179,18 @@ def test_is_weight_matches_gaussian_density_ratio_oracle():
     sigma_inv = np.linalg.inv(sigma)
     horizon, n = 6, 40
     controls = rng.normal(size=(horizon, 2))
-    plan = NoisePlan.sample(3, n, horizon, np.linalg.cholesky(sigma))
+    draws = NoisePlan.sample(3, n, horizon, np.linalg.cholesky(sigma))
     costs = rng.uniform(0, 20, size=n)
     lam = 4.0
 
-    w = is_weight(costs, controls, plan.draws, sigma_inv, lam)
+    w = is_weight(costs, controls, draws, sigma_inv, lam)
 
     # independent route: explicit density ratio of the realized controls
     log_raw = np.empty(n)
     for i in range(n):
         log_ratio = 0.0
         for t in range(horizon):
-            v = controls[t] + plan.draws[i, t]
+            v = controls[t] + draws[i, t]
             log_ratio += multivariate_normal.logpdf(v, mean=np.zeros(2), cov=sigma)
             log_ratio -= multivariate_normal.logpdf(v, mean=controls[t], cov=sigma)
         log_raw[i] = -costs[i] / lam + log_ratio
@@ -214,7 +214,7 @@ def test_softmax_of_plain_rollout_costs_equals_the_importance_weights():
         )
         controls = rng.normal(size=(horizon, 1))
         x0 = rng.uniform(-1.0, 1.0, size=2)
-        draws = NoisePlan.sample(seed, n, horizon, cost.sigma_chol).draws
+        draws = NoisePlan.sample(seed, n, horizon, cost.sigma_chol)
         res = rollout_batch(model, cost, x0, controls, draws, control_term="plain")
         state_costs, _ = propagate(model, cost, x0, controls, draws)
         got = softmax_weights(res.costs, lam)
@@ -253,11 +253,11 @@ def test_mppi_update_rejects_degenerate_weights():
 def test_rollout_batch_is_pure():
     model = double_integrator()
     cost = simple_cost()
-    plan = NoisePlan.sample(7, 16, 8, cost.sigma_chol)
+    draws = NoisePlan.sample(7, 16, 8, cost.sigma_chol)
     controls = np.ones((8, 1)) * 0.1
     x0 = np.array([0.5, -0.2])
-    a = rollout_batch(model, cost, x0, controls, plan.draws)
-    b = rollout_batch(model, cost, x0, controls, plan.draws)
+    a = rollout_batch(model, cost, x0, controls, draws)
+    b = rollout_batch(model, cost, x0, controls, draws)
     assert np.array_equal(a.costs, b.costs)
 
 
@@ -283,19 +283,19 @@ def test_rollout_state_cost_identity_with_path_cost():
 def test_rollout_control_term_variants_differ_by_penalty():
     model = double_integrator()
     cost = simple_cost(lam=3.0, beta=0.5)
-    plan = NoisePlan.sample(9, 10, 5, cost.sigma_chol)
+    draws = NoisePlan.sample(9, 10, 5, cost.sigma_chol)
     controls = np.full((5, 1), 0.2)
     x0 = np.zeros(2)
-    plain = rollout_batch(model, cost, x0, controls, plan.draws, control_term="plain")
-    beta = rollout_batch(model, cost, x0, controls, plan.draws, control_term="beta")
-    pen = control_penalty_batch(controls, plan.draws, cost.sigma_inv)
+    plain = rollout_batch(model, cost, x0, controls, draws, control_term="plain")
+    beta = rollout_batch(model, cost, x0, controls, draws, control_term="beta")
+    pen = control_penalty_batch(controls, draws, cost.sigma_inv)
     pen_plain = control_penalty_coef(cost.lam, cost.beta, False) * pen
     pen_beta = control_penalty_coef(cost.lam, cost.beta, True) * pen
-    state_costs, _ = propagate(model, cost, x0, controls, plan.draws)
+    state_costs, _ = propagate(model, cost, x0, controls, draws)
     assert np.array_equal(plain.costs, state_costs[0] + pen_plain)
     assert np.array_equal(beta.costs, state_costs[0] + pen_beta)
     with pytest.raises(ValueError, match="control_term"):
-        rollout_batch(model, cost, x0, controls, plan.draws, control_term="squared")
+        rollout_batch(model, cost, x0, controls, draws, control_term="squared")
 
 
 def test_rollout_batch_flags_and_prices_crashes():
