@@ -22,10 +22,11 @@ The large per-step arrays (noise draws, penalty terms, tracking corrections)
 are filled in place in buffers from :func:`scratch`, a per-thread pool kept
 across steps, so a step does not map and fault them afresh.  A controller
 takes all of a step's draws in one :func:`step_draws` call.  Once they fill
-at least ``_PREFETCH_BYTES``, the pool keeps a second draws buffer, and one
-daemon worker thread fills the next step's draws into it while the caller
-rolls out the current step; the draws are keyed by ``(seed, step, stream)``
-alone, so they have the same bits either way.
+at least ``_PREFETCH_BYTES``, the pool keeps a second draws buffer, and a
+one-worker ``ThreadPoolExecutor`` fills the next step's draws into it while
+the caller rolls out the current step; the draws are keyed by ``(seed, step,
+stream)`` alone, so they have the same bits either way.  Interpreter exit
+waits for a fill in flight.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ _PREFETCH_BYTES = 192 * 1024
 class _ScratchPool(threading.local):
     def __init__(self) -> None:
         self.buffers: dict[str, Array] = {}
-        self.pending: _Fill | None = None  # the next step's draws, filling on the worker
+        self.pending: tuple | None = None  # (key, cost, buffer, future) of the next draws
 
 
 _POOL = _ScratchPool()
@@ -170,61 +171,34 @@ def _stream_views(layout: tuple[tuple[int, int], ...], buf: Array):
         first += rows
 
 
-class _Fill:
-    """One step's draws, filled into ``out`` on the worker thread.
-
-    Each part's generator is seeded on the calling thread, so the worker runs
-    only :func:`_fill`.  ``done`` is held until the fill has finished.
-    """
-
-    def __init__(self, key: tuple, cost: CostFunction, out: Array, parts: list) -> None:
-        self.key, self.cost, self.out, self.parts = key, cost, out, parts
-        self.error: BaseException | None = None
-        self.done = threading.Lock()
-        self.done.acquire()
-
-    def run(self) -> None:
-        try:
-            for rng, view in self.parts:
-                _fill(rng, self.cost.sigma_chol, view)
-        except Exception as exc:  # raised on the caller's next call
-            self.error = exc
-        finally:
-            self.done.release()
-
-
 _WORKER_LOCK = threading.Lock()
-_worker_jobs = None  # the worker's queue, made with the worker on first use
+_executor = None  # the one worker, made on first use
 
 
-def _submit(fill: _Fill) -> None:
-    """Queue ``fill`` for the process's one daemon worker, started on first use."""
-    global _worker_jobs
+def _fill_parts(parts: list, sigma_chol: Array) -> None:
+    for rng, view in parts:
+        _fill(rng, sigma_chol, view)
+
+
+def _submit(parts: list, sigma_chol: Array):
+    """Fill each ``(rng, view)`` of ``parts`` on the process's one worker; return its future."""
+    global _executor
     with _WORKER_LOCK:
-        if _worker_jobs is None:
-            import queue  # only prefetching needs it
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor  # only prefetching needs it
 
-            jobs = queue.SimpleQueue()
-            threading.Thread(
-                target=_work, args=(jobs,), name="robust-mppi-draws", daemon=True
-            ).start()
-            _worker_jobs = jobs
-    _worker_jobs.put(fill)
-
-
-def _work(jobs) -> None:
-    while True:
-        jobs.get().run()
+            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="robust-mppi-draws")
+    return _executor.submit(_fill_parts, parts, sigma_chol)
 
 
 def _forget_worker() -> None:
     """Start over in a forked child, which has no worker thread.
 
-    There the fill in flight may never finish and the worker lock may stay
-    held, so the child draws its next step itself and starts its own worker.
+    It inherits the executor but not its thread, so no fill it submitted would
+    run; it draws its next step itself and makes its own executor.
     """
-    global _WORKER_LOCK, _worker_jobs
-    _WORKER_LOCK, _worker_jobs = threading.Lock(), None
+    global _WORKER_LOCK, _executor
+    _WORKER_LOCK, _executor = threading.Lock(), None
     _POOL.pending = None
 
 
@@ -249,8 +223,8 @@ def step_draws(
     layout, horizon and cost waits for the fill and returns that buffer.  Any
     other call waits for it too, so the worker never writes a buffer that a
     caller holds, and then fills its own draws here; an error the fill met
-    is raised there.  A smaller buffer is filled here, and no thread is
-    started.
+    is raised there.  A smaller buffer, or any once the interpreter has
+    begun to exit, is filled here and fills nothing ahead.
     """
     pool = _POOL
     buffers = pool.buffers
@@ -259,12 +233,11 @@ def step_draws(
     pending = pool.pending
     if pending is not None:
         pool.pending = None
-        pending.done.acquire()
-        if pending.error is not None:
-            raise pending.error
-        if pending.key == key and pending.cost is cost:
+        pending_key, pending_cost, filled, future = pending
+        future.result()  # waits, and raises what the fill raised
+        if pending_key == key and pending_cost is cost:
             # the filled buffer is this step's; the one handed out last fills next
-            out = pending.out
+            out = filled
             buffers["draws"], buffers["draws_next"] = out, buffers["draws"]
     if out is None:
         rows = sum(n for _, n in layout)
@@ -280,8 +253,11 @@ def step_draws(
         (np.random.default_rng(derive_seed(seed, step + 1, stream)), view)
         for stream, view in _stream_views(layout, spare)
     ]
-    pool.pending = _Fill((seed, step + 1, layout, horizon), cost, spare, parts)
-    _submit(pool.pending)
+    try:
+        future = _submit(parts, cost.sigma_chol)
+    except RuntimeError:  # exit has begun: a thread outliving the main one draws here
+        return out
+    pool.pending = (seed, step + 1, layout, horizon), cost, spare, future
     return out
 
 

@@ -19,6 +19,7 @@ from robust_mppi.feedback import (
     UNCERTIFIED_RATE,
     ContractionPolicy,
     LinearGainsPolicy,
+    RiccatiDivergenceError,
     ZeroFeedback,
 )
 from robust_mppi.harness import (
@@ -523,16 +524,41 @@ def test_build_policy_factory_kinds():
     assert gamma == UNCERTIFIED_RATE
 
 
+@pytest.mark.parametrize("controller", ["mppi", "tube", "rmppi"])
+@pytest.mark.parametrize(
+    "override", ["dynamics.dt=1e200", "dynamics.dt=1e6", "feedback.q_track=1e200,1e200"]
+)
+def test_an_ilqg_pass_that_diverges_about_the_start_is_refused_when_built(override, controller):
+    # these loaded and raised from the first step whose copies started apart
+    cfg = load_config(CONFIGS / "di_stress_x100.ini", [
+        "feedback.kind=ilqg", "rmppi.alpha=300", f"experiment.controller={controller}", override,
+    ])
+    model = build_model(cfg)
+    cost = build_cost(cfg, model)
+    with pytest.raises(RiccatiDivergenceError):
+        harness.build_controller(cfg, model, cost)
+
+
 def count_gain_builds(monkeypatch):
-    """Collect one entry per ``ilqg_gains`` call the harness's iLQG factory makes."""
+    """Collect one entry per ``ilqg_gains`` call the harness's iLQG factory's policies make.
+
+    The build that ``build_policy_factory`` makes once about the start, to
+    refuse a diverging pass before step 0, is not counted.
+    """
     calls = []
     ilqg_gains = harness.ilqg_gains
+    read_gains = harness._DeferredIlqgGains.gains.fget
 
     def counted_ilqg_gains(*args, **kwargs):
         calls.append(1)
         return ilqg_gains(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ilqg_gains", counted_ilqg_gains)
+    def counted_read_gains(policy):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "ilqg_gains", counted_ilqg_gains)
+            return read_gains(policy)
+
+    monkeypatch.setattr(harness._DeferredIlqgGains, "gains", property(counted_read_gains))
     return calls
 
 

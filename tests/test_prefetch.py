@@ -1,11 +1,13 @@
 """Draws filled ahead on the worker thread: the same bits, one worker, no thread when small.
 
 :func:`robust_mppi.sampling.step_draws` hands out one step's draws and, for a
-buffer of at least ``_PREFETCH_BYTES``, fills the next step's on a daemon
-worker thread.  These check that any sequence of calls returns the bits of
-fresh :meth:`NoisePlan.sample` draws per stream, that the worker never
-writes a buffer a caller still holds, that paper-size controllers stay on
-the synchronous path, and that many large controllers share one worker.
+buffer of at least ``_PREFETCH_BYTES``, fills the next step's on the one
+worker thread of a ``ThreadPoolExecutor``.  These check that any sequence
+of calls returns the bits of fresh :meth:`NoisePlan.sample` draws per
+stream, that the worker never writes a buffer a caller still holds, that
+paper-size controllers stay on the synchronous path, that many large
+controllers share one worker, and that a process which filled ahead exits
+cleanly, also when a caller thread outlives the main one.
 """
 
 import os
@@ -75,12 +77,12 @@ def settle():
     """Wait for the fill in flight, if any, so that a stray write would show."""
     pending = sampling._POOL.pending
     if pending is not None:
-        assert pending.done.acquire(timeout=10)
-        pending.done.release()
+        future = pending[-1]
+        future.exception(timeout=10)  # returns once the fill is done, whatever it raised
 
 
 def draws_workers():
-    return [t for t in threading.enumerate() if t.name == WORKER_NAME]
+    return [t for t in threading.enumerate() if t.name.startswith(WORKER_NAME)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -146,7 +148,7 @@ def test_a_fill_that_fails_on_the_worker_raises_on_the_next_call():
     real_fill = sampling._fill
 
     def failing_on_the_worker(rng, sigma_chol, out):
-        if threading.current_thread().name == WORKER_NAME:
+        if threading.current_thread().name.startswith(WORKER_NAME):
             raise MemoryError("no room for the draws")
         return real_fill(rng, sigma_chol, out)
 
@@ -247,3 +249,75 @@ def test_a_forked_child_fills_its_draws_without_the_parents_worker():
         [sys.executable, "-c", FORKED], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def child_env():
+    """This environment, with the package under test first on the import path."""
+    import_root = str(Path(robust_mppi.__file__).parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [import_root, inherited]))}
+
+
+LARGE_RUN = """
+import sys
+import numpy as np
+from robust_mppi import harness, sampling
+from robust_mppi.config import load_config
+cfg = load_config(sys.argv[1], ["sampling.n_samples=4096", "rmppi.nsp_samples=512"])
+model = harness.build_model(cfg)
+controller = harness.build_controller(cfg, model, harness.build_cost(cfg, model))
+x = np.array(cfg.x0, dtype=float)
+for _ in range(5):
+    action, _ = controller.step(x)
+    x = model.step(x, action)
+print(sampling._POOL.pending is not None)
+"""
+
+
+def test_a_process_that_filled_ahead_exits_promptly_and_cleanly():
+    """Exit joins the worker, which may still be filling the sixth step's draws."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", LARGE_RUN,
+         str(CONFIGS / "di_stress_x100.ini")],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.split() == ["True"]
+
+
+OUTLIVES_MAIN = """
+import threading, time
+import numpy as np
+from robust_mppi import sampling
+from robust_mppi.costs import CostFunction
+from robust_mppi.sampling import STREAM_ROLLOUT, NoisePlan, derive_seed, step_draws
+sampling._PREFETCH_BYTES = 0
+zero = lambda x: np.zeros(x.shape[:-1])
+cost = CostFunction(state_cost=zero, terminal_cost=zero, sigma=np.eye(1), lam=1.0)
+layout = ((STREAM_ROLLOUT, 64),)
+step_draws(5, 0, layout, 8, cost)  # starts the worker and fills step 1 ahead
+
+def late():
+    time.sleep(0.2)  # the main thread has returned, and exit has shut the worker down
+    ok = all(
+        np.array_equal(
+            step_draws(5, step, layout, 8, cost),
+            NoisePlan.sample(derive_seed(5, step, STREAM_ROLLOUT), 64, 8, cost.sigma_chol),
+        )
+        for step in range(1, 6)
+    )
+    print(ok)
+
+threading.Thread(target=late).start()
+"""
+
+
+def test_a_caller_thread_that_outlives_the_main_one_draws_its_own_steps():
+    proc = subprocess.run(
+        [sys.executable, "-c", OUTLIVES_MAIN],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.split() == ["True"]
