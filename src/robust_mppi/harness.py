@@ -236,11 +236,8 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     iLQG gains are scheduled along the plan: the factory returns a policy
     that linearizes about the plan and runs the Riccati pass on its first
     correction, so a step whose real and nominal states coincide, and which
-    asks for none, builds no gains.  The first gains a controller would
-    build, about ``cfg.x0`` under the zero plan, are built here once and
-    dropped, so a Riccati pass that diverges there raises
-    :class:`~robust_mppi.feedback.RiccatiDivergenceError` before step 0.
-    iLQG and no feedback carry no certificate, and get ``UNCERTIFIED_RATE``.
+    asks for none, builds no gains.  iLQG and no feedback carry no
+    certificate, and get ``UNCERTIFIED_RATE``.
     """
     if cfg.feedback_kind == "none":
         policy = ZeroFeedback(model.n_u)
@@ -262,8 +259,6 @@ def build_policy_factory(cfg: ExperimentConfig, model: SystemModel):
     if cfg.feedback_kind == "ilqg":
         q_track = np.diag(np.array(cfg.q_track, dtype=float))
         r_track = np.diag(np.array(cfg.r_track, dtype=float))
-        zero_plan = np.zeros((cfg.horizon, model.n_u))
-        ilqg_gains(model, nominal_trajectory(model, cfg.x0, zero_plan), zero_plan, q_track, r_track)
 
         def factory(x_star: Array, controls: Array) -> LinearGainsPolicy:
             return _DeferredIlqgGains(model, x_star, controls, q_track, r_track)
@@ -276,6 +271,12 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
     factory, gamma = build_policy_factory(cfg, model)
     if cfg.controller == "mppi":
         return MppiController(model, cost, cfg.n_samples, cfg.horizon, cfg.seed)
+    if cfg.feedback_kind == "ilqg":
+        # a probe about the start under the zero plan, dropped: a Riccati
+        # pass that diverges there is refused before step 0
+        zero_plan = np.zeros((cfg.horizon, model.n_u))
+        q_track, r_track = np.diag(cfg.q_track), np.diag(cfg.r_track)
+        ilqg_gains(model, nominal_trajectory(model, cfg.x0, zero_plan), zero_plan, q_track, r_track)
     if cfg.controller == "tube":
         return TubeMppiController(
             model, cost, cfg.n_samples, cfg.horizon, cfg.seed, factory, cfg.alpha

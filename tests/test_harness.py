@@ -33,7 +33,7 @@ from robust_mppi.harness import (
     summary_table,
     verify_bound,
 )
-from robust_mppi.sampling import NoisePlan
+from robust_mppi.sampling import MppiController, NoisePlan
 
 import oracles
 from test_column_kernels import same_bits
@@ -529,36 +529,30 @@ def test_build_policy_factory_kinds():
     "override", ["dynamics.dt=1e200", "dynamics.dt=1e6", "feedback.q_track=1e200,1e200"]
 )
 def test_an_ilqg_pass_that_diverges_about_the_start_is_refused_when_built(override, controller):
-    # these loaded and raised from the first step whose copies started apart
+    # under tube and rmppi these loaded and raised from the first step whose
+    # copies started apart; mppi applies no feedback, so it builds as before
     cfg = load_config(CONFIGS / "di_stress_x100.ini", [
         "feedback.kind=ilqg", "rmppi.alpha=300", f"experiment.controller={controller}", override,
     ])
     model = build_model(cfg)
     cost = build_cost(cfg, model)
+    if controller == "mppi":
+        assert isinstance(harness.build_controller(cfg, model, cost), MppiController)
+        return
     with pytest.raises(RiccatiDivergenceError):
         harness.build_controller(cfg, model, cost)
 
 
 def count_gain_builds(monkeypatch):
-    """Collect one entry per ``ilqg_gains`` call the harness's iLQG factory's policies make.
-
-    The build that ``build_policy_factory`` makes once about the start, to
-    refuse a diverging pass before step 0, is not counted.
-    """
+    """Collect one entry per ``ilqg_gains`` call the harness's iLQG factory makes."""
     calls = []
     ilqg_gains = harness.ilqg_gains
-    read_gains = harness._DeferredIlqgGains.gains.fget
 
     def counted_ilqg_gains(*args, **kwargs):
         calls.append(1)
         return ilqg_gains(*args, **kwargs)
 
-    def counted_read_gains(policy):
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "ilqg_gains", counted_ilqg_gains)
-            return read_gains(policy)
-
-    monkeypatch.setattr(harness._DeferredIlqgGains, "gains", property(counted_read_gains))
+    monkeypatch.setattr(harness, "ilqg_gains", counted_ilqg_gains)
     return calls
 
 
@@ -598,7 +592,7 @@ def test_a_pendulum_run_whose_copies_always_start_together_builds_no_gains(monke
     assert len(log.rows) == 100
     assert np.array_equal(log.column("x0"), log.column("xs0"))
     assert np.array_equal(log.column("x1"), log.column("xs1"))
-    assert calls == []
+    assert calls == [1]  # the build-time probe about the start; no step built gains
     monkeypatch.setattr(harness, "build_policy_factory", oracles.eager_ilqg_policy_factory)
     assert run_csv_bytes(cfg, tmp_path / "eager.csv") == deferred
 
@@ -613,7 +607,8 @@ def test_ilqg_gains_are_built_on_exactly_the_steps_whose_copies_start_apart(
     deferred = run_csv_bytes(cfg, tmp_path / "deferred.csv")
     log = RunLog.from_csv(tmp_path / "deferred.csv")
     apart = (log.column("x0") != log.column("xs0")) | (log.column("x1") != log.column("xs1"))
-    assert 0 < len(calls) == np.count_nonzero(apart) < len(log.rows)
+    # one build at build time, the probe about the start, then one per step apart
+    assert 0 < len(calls) - 1 == np.count_nonzero(apart) < len(log.rows)
     monkeypatch.setattr(harness, "build_policy_factory", oracles.eager_ilqg_policy_factory)
     assert run_csv_bytes(cfg, tmp_path / "eager.csv") == deferred
 
