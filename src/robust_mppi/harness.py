@@ -275,8 +275,7 @@ def build_controller(cfg: ExperimentConfig, model: SystemModel, cost: CostFuncti
         # a probe about the start under the zero plan, dropped: a Riccati
         # pass that diverges there is refused before step 0
         zero_plan = np.zeros((cfg.horizon, model.n_u))
-        q_track, r_track = np.diag(cfg.q_track), np.diag(cfg.r_track)
-        ilqg_gains(model, nominal_trajectory(model, cfg.x0, zero_plan), zero_plan, q_track, r_track)
+        factory(np.array(cfg.x0, dtype=float), zero_plan).gains
     if cfg.controller == "tube":
         return TubeMppiController(
             model, cost, cfg.n_samples, cfg.horizon, cfg.seed, factory, cfg.alpha

@@ -199,8 +199,7 @@ def nominal_state_propagation(
     n_candidates: int,
     draws: Array,
     *,
-    nearest_first: bool = False,
-    roll_measured: Callable[[], tuple[Array, Array]] | None = None,
+    measured: tuple[Array, Array] | None = None,
 ) -> NominalDecision:
     """Choose the next nominal state from a line of interpolated candidates.
 
@@ -214,20 +213,18 @@ def nominal_state_propagation(
     the lowest index.  If none qualifies the previous nominal state is kept,
     the plan is left unshifted, and ``fallback`` is set.
 
-    By default every candidate is rolled out in one grouped batch.  With
-    ``nearest_first`` the candidates at the minimum distance to ``x`` (usually
-    candidate R alone) are rolled out first; if one qualifies it is the
-    winner of the full search, and the others are never rolled out.
-    Otherwise the rest follow in one more batch.  Each group of a batch gives
-    the same bits as its own rollout, so both orders choose the same index
-    and plan; only ``feasible`` differs, False for the skipped candidates.
-
-    ``roll_measured`` lets the caller roll the nearest-first search's first
-    group: when candidate R is alone at the minimum distance, it is called
-    instead of a rollout and returns candidate R's state costs and crash
-    flags, ``(1, len(draws))`` each, as
-    :func:`~robust_mppi.sampling.propagate` gives them for ``x`` under the
-    shifted plan over ``draws``.  Ties at distance 0 roll their group here.
+    Without ``measured`` every candidate is rolled out in one grouped batch.
+    ``measured`` holds candidate R's state costs and crash flags, ``(1,
+    len(draws))`` each, as :func:`~robust_mppi.sampling.propagate` gives
+    them for ``x`` under the shifted plan over ``draws``.  Given it, the
+    search runs nearest first: candidate R is priced from those rows, and
+    any other candidate at the minimum distance to ``x`` (distance 0, where
+    candidate R sits) is rolled out.  If one of these qualifies it is the
+    winner of the full search, and the others are never rolled out;
+    otherwise the rest follow in one more batch.  Each group of a batch
+    gives the same bits as its own rollout, so both orders choose the same
+    index and plan; only ``feasible`` differs, False for the skipped
+    candidates.
     """
     r = int(n_candidates)
     if r < 2:
@@ -249,25 +246,24 @@ def nominal_state_propagation(
     distances = np.linalg.norm(candidates - x, axis=1)
     feasible = np.zeros(r + 1, dtype=bool)
 
-    def evaluate(group: Array, rolled: tuple[Array, Array] | None = None) -> None:
-        if rolled is not None:
-            res = price_rollouts(cost, plans[group], draws, *rolled, "beta")
-        elif group.any():
+    def evaluate(group: Array) -> None:
+        if group.any():
             res = rollout_batch(
                 model, cost, candidates[group, None], plans[group], draws, control_term="beta"
             )
-        else:
-            return
-        feasible[group] = free_energy_mc(res.costs, cost.lam) <= alpha
+            feasible[group] = free_energy_mc(res.costs, cost.lam) <= alpha
 
     rest = np.ones(r + 1, dtype=bool)
-    if nearest_first:
+    if measured is not None:
+        # candidate R, the measured state, is priced, not rolled
+        priced = price_rollouts(cost, plans[r:], draws, *measured, "beta")
+        feasible[r:] = free_energy_mc(priced.costs, cost.lam) <= alpha
+        rest[r] = False
+        nearest = distances == np.min(distances)
+        evaluate(nearest & rest)
+        rest[nearest] = False
         # a nearest candidate that qualifies also wins the full search
-        rest = distances != np.min(distances)
-        # candidate R, the measured state, is always at distance 0
-        measured_alone = roll_measured is not None and np.count_nonzero(~rest) == 1
-        evaluate(~rest, roll_measured() if measured_alone else None)
-        if feasible.any():
+        if feasible[nearest].any():
             rest[:] = False
     evaluate(rest)
 
@@ -475,16 +471,16 @@ class RmppiController:
     ``+0.0`` of a zero offset, and the policy is not asked for it.
 
     NSP's draws and the augmented batch's sit in two leading-axis slices of
-    one buffer, NSP's first.  When NSP searches nearest-first and the
-    measured state ``x`` is its only nearest candidate, both sets of rows
-    are rolled from ``x`` under the shifted plan in one
-    :func:`~robust_mppi.sampling.propagate` call: NSP prices the first set,
-    and the augmented batch is a speculation that ``x`` wins.  It is priced
-    when candidate R wins (no other candidate then sits on ``x``); otherwise
-    the rows are thrown away and the augmented batch is rolled from the
-    winner.  The plan gets ``+ 0.0`` in that call, as on the augmented
-    batch's one-copy path; for NSP's rows that changes ``u + eps`` only
-    where a plan entry and its draw are both ``-0.0``.
+    one buffer, NSP's first.  When NSP is to search nearest first, both sets
+    of rows are rolled from the measured state ``x`` under the shifted plan
+    in one :func:`~robust_mppi.sampling.propagate` call before NSP runs:
+    NSP is given the first set as candidate R's, and the augmented batch
+    is a speculation that ``x`` wins.  It is priced when candidate R wins,
+    which puts the nominal on ``x`` under the shifted plan; otherwise the
+    rows are thrown away and the augmented batch is rolled from the winner.
+    The plan gets ``+ 0.0`` in that call, as on the augmented batch's
+    one-copy path; for NSP's rows that changes ``u + eps`` only where a plan
+    entry and its draw are both ``-0.0``.
     The step record carries the nominal state the action tracked and the
     forward-looking growth bound for the next free-energy increment, which
     is infinite after a degenerate step.
@@ -558,15 +554,14 @@ class RmppiController:
             if not run_nsp:
                 self.x_star, self.controls = x_star_prop, shifted
             else:
-
-                def roll_measured() -> tuple[Array, Array]:
-                    nonlocal rolled
+                measured = None
+                if self._nsp_nearest_first:
+                    # NSP's rows of x and the augmented batch's, in one call
                     state, crashed = propagate(
                         self.model, self.cost, x[None, None], shifted + 0.0, both
                     )
+                    measured = state[:, :nsp], crashed[:, :nsp]
                     rolled = state[:, nsp:], crashed[:, nsp:]
-                    return state[:, :nsp], crashed[:, :nsp]
-
                 decision = nominal_state_propagation(
                     self.model,
                     self.cost,
@@ -577,8 +572,7 @@ class RmppiController:
                     self.s.alpha,
                     self.s.n_candidates,
                     nsp_draws,
-                    nearest_first=self._nsp_nearest_first,
-                    roll_measured=roll_measured,
+                    measured=measured,
                 )
                 self.x_star = decision.candidates[decision.index].copy()
                 self.controls = decision.control_sequence

@@ -9,9 +9,10 @@ weights with the proposal correction written out, the density ratio of one
 augmented noise sequence, the LQ tracking gains from a Riccati pass that
 linearizes point by point, the iLQG policy factory that builds its gains
 on every call, the augmented batch rolled out as two copies whatever its
-starts, the RMPPI step that rolls nominal-state propagation and the
-augmented batch in two calls over draws of their own, the wall task's
-state and terminal costs with every operation on every column, nominal-state
+starts, the RMPPI step that rolls nominal-state propagation's
+measured-state rows and the augmented batch in two calls over draws of
+their own, the wall task's state and terminal costs with every operation
+on every column, nominal-state
 propagation's candidate line built one candidate at a time, and the
 tracking-rate fit with its envelope flags,
 which the acceptance test applies to the contraction law's residuals.  The
@@ -258,11 +259,12 @@ def augmented_rollouts_two_copies(
 class TwoCallRmppiController(RmppiController):
     """``rmppi.RmppiController`` with nominal-state propagation and the augmented batch apart.
 
-    NSP rolls every candidate group it evaluates itself, and the augmented
-    batch is rolled from the chosen nominal state in its own call, each over
-    a fresh array of draws from its own ``(seed, step, stream)`` key.  The
-    library rolls NSP's measured-state candidate and the augmented batch in
-    one call when it can; the run logs must not show the difference.
+    A nearest-first NSP is given the measured state's rows from a call of
+    their own, under the shifted plan as it is, and the augmented batch is
+    rolled from the chosen nominal state in its own call, each over a fresh
+    array of draws from its own ``(seed, step, stream)`` key.  The library
+    rolls NSP's measured-state rows and the augmented batch in one call
+    under ``shifted + 0.0``; the run logs must not show the difference.
     """
 
     def _draws(self, stream: int, n_samples: int) -> Array:
@@ -282,10 +284,13 @@ class TwoCallRmppiController(RmppiController):
             if self._nsp_nearest_first is None:
                 self.x_star, self.controls = x_star_prop, shifted
             else:
+                nsp_draws = self._draws(STREAM_NSP, self.s.nsp_samples)
+                measured = None
+                if self._nsp_nearest_first:
+                    measured = propagate(self.model, self.cost, x[None, None], shifted, nsp_draws)
                 decision = nominal_state_propagation(
                     self.model, self.cost, x, self.x_star, x_star_prop, self.controls,
-                    self.s.alpha, self.s.n_candidates, self._draws(STREAM_NSP, self.s.nsp_samples),
-                    nearest_first=self._nsp_nearest_first,
+                    self.s.alpha, self.s.n_candidates, nsp_draws, measured=measured,
                 )
                 self.x_star = decision.candidates[decision.index].copy()
                 self.controls = decision.control_sequence

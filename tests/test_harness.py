@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robust_mppi import config, harness, rmppi
+from robust_mppi import config, harness, rmppi, sampling
 from robust_mppi.cli import main
 from robust_mppi.config import ExperimentConfig, load_config, render_config
 from robust_mppi.dynamics import SystemModel, nonlinear_benchmark, register_system
@@ -33,7 +33,7 @@ from robust_mppi.harness import (
     summary_table,
     verify_bound,
 )
-from robust_mppi.sampling import MppiController, NoisePlan
+from robust_mppi.sampling import MppiController, NoisePlan, propagate, shift_control_sequence
 
 import oracles
 from test_column_kernels import same_bits
@@ -924,13 +924,13 @@ def test_an_overstated_contraction_rate_is_counted_on_every_nsp_step():
 
 
 def record_nsp_groups(monkeypatch):
-    """Collect the size of every candidate group NSP rolls out, in order.
+    """Collect the size of every candidate group NSP evaluates, in order.
 
     NSP rolls a group through ``rollout_batch`` (the only ``rollout_batch``
-    calls in ``rmppi`` during an rmppi run) or, for the measured state alone
-    on a nearest-first search, through the controller's ``roll_measured``,
-    which rolls it in the augmented batch's call.  Returns the sizes of all
-    groups and those of the groups rolled through ``roll_measured``.
+    calls in ``rmppi`` during an rmppi run) or, for the measured state on a
+    nearest-first search, prices the rows it is given as ``measured``, which
+    the controller rolls in the augmented batch's call.  Returns the sizes
+    of all groups and those of the groups given as ``measured``.
     """
     groups, shared = [], []
     rollout_batch = rmppi.rollout_batch
@@ -940,16 +940,11 @@ def record_nsp_groups(monkeypatch):
         groups.append(np.shape(x0)[0])
         return rollout_batch(model, cost, x0, *args, **kwargs)
 
-    def counted_nsp(*args, roll_measured=None, **kwargs):
-        def counted_roll_measured():
-            state, crashed = roll_measured()
-            groups.append(state.shape[0])
-            shared.append(state.shape[0])
-            return state, crashed
-
-        if roll_measured is not None:
-            kwargs["roll_measured"] = counted_roll_measured
-        return nsp(*args, **kwargs)
+    def counted_nsp(*args, measured=None):
+        if measured is not None:
+            groups.append(measured[0].shape[0])
+            shared.append(measured[0].shape[0])
+        return nsp(*args, measured=measured)
 
     monkeypatch.setattr(rmppi, "rollout_batch", counted_rollout_batch)
     monkeypatch.setattr(rmppi, "nominal_state_propagation", counted_nsp)
@@ -980,6 +975,52 @@ def test_nsp_rolls_out_every_candidate_after_the_measurement_lost(monkeypatch):
     assert {1, 8, 9} <= set(groups)
     # the measured state went with the augmented batch on every nearest-first step
     assert shared == [1] * nearest_first
+
+
+def test_a_hit_step_rolls_the_measured_state_once_and_outside_nsp(monkeypatch):
+    # a hit: a nearest-first NSP step whose winner is the measured state.  Its
+    # NSP rows and the augmented rows roll in one call before NSP runs
+    steps, inside = [], []
+    nsp, step = rmppi.nominal_state_propagation, rmppi.RmppiController.step
+
+    def spied_nsp(*args, **kwargs):
+        inside.append(True)
+        try:
+            return nsp(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spied_step(self, x):
+        steps.append([])
+        return step(self, x)
+
+    def spy(name, fn):
+        def spied(model, cost, starts, controls, draws, *args, **kwargs):
+            steps[-1].append((name, draws.shape[0], bool(inside)))
+            return fn(model, cost, starts, controls, draws, *args, **kwargs)
+
+        return spied
+
+    monkeypatch.setattr(rmppi, "nominal_state_propagation", spied_nsp)
+    monkeypatch.setattr(rmppi.RmppiController, "step", spied_step)
+    monkeypatch.setattr(rmppi, "rollout_batch", spy("rollout_batch", rmppi.rollout_batch))
+    monkeypatch.setattr(rmppi, "propagate", spy("propagate", rmppi.propagate))
+    monkeypatch.setattr(sampling, "propagate", spy("propagate", sampling.propagate))
+    cfg = load_config(
+        str(CONFIGS / "pendulum_stress_x150.ini"),
+        ["feedback.kind=ilqg", "experiment.steps=100", "experiment.seed=0"],
+    )
+    log = run_closed_loop(cfg)
+    assert not log.column("degen").any()
+    index = log.column("cand_idx")[1:]
+    nearest_first = np.concatenate([[True], index[:-1] == 8])
+    hits = (np.flatnonzero(nearest_first & (index == 8)) + 1).tolist()
+    assert len(steps) == 100 and hits
+    for t in hits:
+        assert not any(during for _, _, during in steps[t]), t
+        assert [call for call in steps[t] if call[0] == "propagate"] == [
+            ("propagate", cfg.nsp_samples + cfg.n_samples, False)
+        ], t
 
 
 # name -> (config, overrides, the kinds of NSP step the run must hold).  A
@@ -1037,18 +1078,25 @@ def test_rmppi_logs_equal_those_of_the_two_call_step(run, monkeypatch, tmp_path)
     "config, steps", [("di_wall_compare_x100.ini", 150), ("di_stress_x100.ini", 60)]
 )
 def test_the_nsp_search_order_never_shows_in_a_closed_loop(config, steps, monkeypatch, tmp_path):
-    nsp = rmppi.nominal_state_propagation
     cfg = load_config(str(CONFIGS / config), [f"experiment.steps={steps}"])
     runs = {}
     for forced in (None, True, False):
         orders = []
+        groups, _ = record_nsp_groups(monkeypatch)
+        counted_nsp = rmppi.nominal_state_propagation
 
-        def forced_nsp(*args, nearest_first, **kwargs):
-            orders.append(nearest_first)
-            return nsp(*args, nearest_first=nearest_first if forced is None else forced, **kwargs)
+        def forced_nsp(*args, measured=None):
+            orders.append(measured is not None)
+            if forced is False:
+                measured = None
+            elif forced and measured is None:
+                # the rows the controller rolls for a nearest-first search
+                model, cost, x, _, _, controls, _, _, draws = args
+                shifted = shift_control_sequence(controls)
+                measured = propagate(model, cost, x[None, None], shifted + 0.0, draws)
+            return counted_nsp(*args, measured=measured)
 
         monkeypatch.setattr(rmppi, "nominal_state_propagation", forced_nsp)
-        groups, _ = record_nsp_groups(monkeypatch)
         path = tmp_path / f"{forced}.csv"
         run_closed_loop(cfg).to_csv(path)
         monkeypatch.undo()

@@ -424,17 +424,18 @@ def nsp_problems(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(nsp_problems())
 def test_nearest_first_search_decides_as_the_full_search(problem):
+    import robust_mppi.rmppi as rmppi_module
+
     model, x, x_prev, x_prop, controls, r, draws, alpha_at, other = problem
     cost = simple_cost()
     shifted = shift_control_sequence(controls)
 
-    def decide(alpha, nearest_first, roll_measured=None):
+    def decide(alpha, measured=None):
         return nominal_state_propagation(
-            model, cost, x, x_prev, x_prop, controls, alpha, r, draws,
-            nearest_first=nearest_first, roll_measured=roll_measured,
+            model, cost, x, x_prev, x_prop, controls, alpha, r, draws, measured=measured
         )
 
-    candidates = decide(np.inf, False).candidates
+    candidates = decide(np.inf).candidates
     fe = np.array([
         free_energy_mc(
             rollout_batch(
@@ -454,23 +455,19 @@ def test_nearest_first_search_decides_as_the_full_search(problem):
         "none": np.nextafter(fe.min(), -np.inf),
     }[alpha_at]
 
-    full = decide(alpha, False)
-    fast = decide(alpha, True)
-    rolled_by_caller = []
+    full = decide(alpha)
+    # as the controller rolls candidate R, with the augmented batch: plan + 0.0
+    measured = propagate(model, cost, x[None, None], shifted + 0.0, draws)
+    rolled = []
+    with pytest.MonkeyPatch.context() as mp:
+        rollout = rmppi_module.rollout_batch
 
-    def roll_measured():
-        # as the controller rolls it, with the augmented batch: plan + 0.0
-        rolled_by_caller.append(1)
-        return propagate(model, cost, x[None, None], shifted + 0.0, draws)
+        def counted_rollout_batch(model, cost, starts, *args, **kwargs):
+            rolled.append(len(starts))
+            return rollout(model, cost, starts, *args, **kwargs)
 
-    shared = decide(alpha, True, roll_measured)
-    # only candidate R alone at the minimum distance is left to the caller
-    assert rolled_by_caller == ([1] if np.count_nonzero(nearest) == 1 else [])
-    for name in ("index", "fallback", "feasible", "candidates", "control_sequence"):
-        assert np.array_equal(getattr(shared, name), getattr(fast, name)), name
-    # a full search rolls every candidate itself
-    decide(alpha, False, roll_measured)
-    assert len(rolled_by_caller) <= 1
+        mp.setattr(rmppi_module, "rollout_batch", counted_rollout_batch)
+        fast = decide(alpha, measured)
     assert np.array_equal(full.feasible, fe <= alpha)
     assert fast.index == full.index
     assert fast.fallback == full.fallback
@@ -479,6 +476,8 @@ def test_nearest_first_search_decides_as_the_full_search(problem):
     # the rest is rolled out only when no nearest candidate qualifies
     evaluated = nearest if (full.feasible & nearest).any() else np.ones_like(nearest)
     assert np.array_equal(fast.feasible, full.feasible & evaluated)
+    # candidate R comes priced from the given rows: NSP never rolls it itself
+    assert sum(rolled) == np.count_nonzero(evaluated) - 1
     if alpha_at == "nearest":
         assert full.index == first and not full.fallback
     if alpha_at == "below_nearest":
@@ -1024,19 +1023,17 @@ def test_rmppi_respects_actuation_limits():
 
 
 def record_speculation(monkeypatch):
-    """Per RMPPI step, whether NSP's measured state was rolled with the augmented
-    batch and whether the augmented batch then priced those rows."""
+    """Per RMPPI step, whether NSP was given the measured state's rows, rolled
+    with the augmented batch, and whether the augmented batch then priced them."""
     import robust_mppi.rmppi as rmppi_module
 
     nsp, augmented = rmppi_module.nominal_state_propagation, rmppi_module.augmented_rollouts
     events, pending = [], []
 
-    def spied_nsp(*args, roll_measured=None, **kwargs):
-        def counted():
+    def spied_nsp(*args, measured=None, **kwargs):
+        if measured is not None:
             pending.append(True)
-            return roll_measured()
-
-        return nsp(*args, roll_measured=counted if roll_measured else None, **kwargs)
+        return nsp(*args, measured=measured, **kwargs)
 
     def spied_augmented(*args, rolled=None, **kwargs):
         events.append((bool(pending), rolled is not None))
@@ -1095,13 +1092,26 @@ def test_rmppi_prices_the_rows_rolled_with_nsp_only_when_the_measured_state_wins
 def test_a_tie_at_distance_zero_rolls_the_nearest_group_in_nsp(monkeypatch):
     # measure at step 1 the nominal state propagated from step 0, so that
     # candidates R//2 to R all sit on the measured state
+    import robust_mppi.rmppi as rmppi_module
+
     x0 = np.array([0.5, -0.2])
     probe = make_rmppi()
     probe.step(x0)
     x1 = probe.model.step(probe.x_star, probe.controls[0])
     recorded = record_speculation(monkeypatch)
+    groups, rollout = [], rmppi_module.rollout_batch
+
+    def counted_rollout_batch(model, cost, starts, *args, **kwargs):
+        groups.append(len(starts))
+        return rollout(model, cost, starts, *args, **kwargs)
+
+    monkeypatch.setattr(rmppi_module, "rollout_batch", counted_rollout_batch)
     records = step_with_the_two_call_oracle(make_rmppi(), [x0, x1])
-    assert recorded == [NONE, NONE]
+    # candidate R comes with the augmented rows; NSP rolls the rest of the
+    # group at distance 0, candidates R//2 to R-1, in the library's step and
+    # in the oracle's, and the speculation misses
+    assert recorded == [NONE, MISS]
+    assert groups == [2, 2]
     # the lowest index at distance 0 wins, with the shifted plan
     assert records[1].cand_idx == 2
     assert np.array_equal(records[1].x_star, x1)
